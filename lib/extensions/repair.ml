@@ -15,23 +15,26 @@ let pp_outcome ppf = function
     Fmt.pf ppf "flood hit %a (%d tables)" Id.pp candidate tables_consulted
   | Not_found { tables_consulted } -> Fmt.pf ppf "no live holder (%d tables)" tables_consulted
 
+let is_live net id = Network.mem net id && not (Network.is_failed net id)
+
+(* What every tier looks for: a live node other than the owner, not
+   excluded, whose ID ends with [suffix]. *)
+let is_carrier net ~exclude ~owner_id ~suffix cand =
+  Id.has_suffix cand suffix
+  && (not (Id.equal cand owner_id))
+  && (not (exclude cand))
+  && is_live net cand
+
 let live_contacts net table =
   let owner = Table.owner table in
   Id.Set.filter
-    (fun id ->
-      (not (Id.equal id owner)) && Network.mem net id && not (Network.is_failed net id))
+    (fun id -> (not (Id.equal id owner)) && is_live net id)
     (Id.Set.union (Table.known_nodes table) (Table.all_reverse table))
 
-(* Scan one node's table for a live carrier of [suffix]; the scanned node
-   itself also counts as a candidate. *)
+(* Scan one node's table for a carrier of [suffix]; the scanned node itself
+   also counts as a candidate. *)
 let scan_one net ~exclude ~owner_id ~suffix id =
-  let matches cand =
-    (not (Id.equal cand owner_id))
-    && (not (exclude cand))
-    && Id.has_suffix cand suffix
-    && Network.mem net cand
-    && not (Network.is_failed net cand)
-  in
+  let matches = is_carrier net ~exclude ~owner_id ~suffix in
   if matches id then Some id
   else begin
     match Network.node net id with
@@ -41,7 +44,42 @@ let scan_one net ~exclude ~owner_id ~suffix id =
           match acc with Some _ -> acc | None -> if matches cand then Some cand else None)
   end
 
-let find_live ?(exclude = fun _ -> false) net ~owner ~suffix =
+(* |ring 1| + |ring 2|, the tables a miss in both local tiers consults,
+   counted in one pass over the owner's contacts and theirs. A seen-table
+   stands in for the ring sets: nothing is unioned and no table is scanned
+   for the suffix. *)
+let rings_size net owner =
+  let seen = Id.Tbl.create 256 in
+  let fresh id =
+    if Id.Tbl.mem seen id then false
+    else begin
+      Id.Tbl.add seen id ();
+      is_live net id
+    end
+  in
+  let iter_contacts table f =
+    Table.iter table (fun ~level:_ ~digit:_ id _ -> f id);
+    let p = Table.params table in
+    for level = 0 to p.d - 1 do
+      for digit = 0 to p.b - 1 do
+        Id.Set.iter f (Table.reverse_at table ~level ~digit)
+      done
+    done
+  in
+  Id.Tbl.add seen (Table.owner owner) ();
+  let ring1 = ref [] and ring2 = ref 0 in
+  iter_contacts owner (fun id -> if fresh id then ring1 := id :: !ring1);
+  List.iter
+    (fun id ->
+      match Network.node net id with
+      | None -> ()
+      | Some node -> iter_contacts (Node.table node) (fun c -> if fresh c then incr ring2))
+    !ring1;
+  List.length !ring1 + !ring2
+
+(* The ring-1 -> ring-2 -> flood escalation, for a suffix that some live
+   node carries: [flood_candidate] is the flood tier's answer. *)
+let escalate net ~exclude ~owner ~suffix ~flood_candidate =
   let owner_id = Table.owner owner in
   let consulted = ref 0 in
   let scan_set contacts =
@@ -70,19 +108,17 @@ let find_live ?(exclude = fun _ -> false) net ~owner ~suffix =
     let ring2 = Id.Set.diff (Id.Set.remove owner_id ring2) ring1 in
     match scan_set ring2 with
     | Some candidate -> Found_local { candidate; tables_consulted = !consulted; hops = 2 }
-    | None -> begin
-      (* Suffix flood: global membership scan. *)
-      let hit =
-        List.find_opt
-          (fun id ->
-            (not (Id.equal id owner_id))
-            && (not (exclude id))
-            && Id.has_suffix id suffix)
-          (Network.live_ids net)
-      in
-      incr consulted;
-      match hit with
-      | Some candidate -> Found_flood { candidate; tables_consulted = !consulted }
-      | None -> Not_found { tables_consulted = !consulted }
-    end
+    | None ->
+      (* Suffix flood: the global membership scan [find_live] starts with. *)
+      Found_flood { candidate = flood_candidate; tables_consulted = !consulted + 1 }
   end
+
+let find_live ?(exclude = fun _ -> false) net ~owner ~suffix =
+  let owner_id = Table.owner owner in
+  (* The flood tier's candidate: the first carrier in registration order,
+     as in [Network.live_ids]. Every candidate a ring scan can return is a
+     carrier too, so without one all three tiers miss and the rings need
+     only be counted. *)
+  match List.find_opt (is_carrier net ~exclude ~owner_id ~suffix) (Network.ids net) with
+  | None -> Not_found { tables_consulted = rings_size net owner + 1 }
+  | Some flood_candidate -> escalate net ~exclude ~owner ~suffix ~flood_candidate

@@ -27,6 +27,18 @@ val find_live :
   suffix:int array ->
   outcome
 (** Search for a live node (other than the owner, and not [exclude]d — e.g.
-    nodes known to be leaving) whose ID ends with [suffix]. *)
+    nodes known to be leaving) whose ID ends with [suffix].
+
+    The outcome, candidate and [hops] are those of the escalation above:
+    ring 1 and then ring 2 are scanned contact by contact in [Id.Set] order,
+    each contact itself first and then its table's entries by level and
+    digit; the flood returns the first carrier in registration order.
+    [tables_consulted] counts one table per contact scanned up to the hit,
+    plus one for the flood: a miss costs [|ring 1| + |ring 2| + 1].
+
+    A miss is settled from the live membership before any table is read, as
+    no tier can find a carrier the membership lacks. Its [tables_consulted]
+    is still the escalation's full count, taken without building or scanning
+    the rings, so repair-cost figures do not depend on the shortcut. *)
 
 val pp_outcome : outcome Fmt.t

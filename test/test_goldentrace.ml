@@ -7,23 +7,29 @@
    sampling or message contents shows up as a divergence here, with the first
    differing event printed.
 
-   To regenerate after an intentional behaviour change:
+   A second fixture pins the churn extension the same way: the result JSON
+   of the churn smoke run (repair and leave counters included) and the
+   digest of its delivery trace.
+
+   To regenerate after an intentional behaviour change (a fixture is
+   written only when NTCU_GOLDEN_OUT names its file):
 
      NTCU_GOLDEN_OUT=$PWD/test/golden_trace.expected \
        dune exec test/test_main.exe -- test goldentrace
+     NTCU_GOLDEN_OUT=$PWD/test/golden_churn.expected \
+       dune exec test/test_main.exe -- test goldenchurn
 *)
 
 module Trace = Ntcu_sim.Trace
 module Network = Ntcu_core.Network
 module Experiment = Ntcu_harness.Experiment
 
-let fixture_file = "golden_trace.expected"
+module Churn = Ntcu_churn.Churn
+module Json = Ntcu_harness.Report.Json
 
-(* Read at module load, before the test framework runs, so the relative path
-   resolves in dune's sandbox (the fixture is a declared test dependency). *)
-let fixture_lines =
+let read_lines file =
   try
-    let ic = open_in fixture_file in
+    let ic = open_in file in
     Fun.protect
       ~finally:(fun () -> close_in ic)
       (fun () ->
@@ -35,6 +41,48 @@ let fixture_lines =
          with End_of_file -> ());
         Some (List.rev !lines))
   with Sys_error _ -> None
+
+let fixture_file = "golden_trace.expected"
+let churn_fixture_file = "golden_churn.expected"
+
+(* Read at module load, before the test framework runs, so the relative paths
+   resolve in dune's sandbox (the fixtures are declared test dependencies). *)
+let fixture_lines = read_lines fixture_file
+let churn_fixture_lines = read_lines churn_fixture_file
+
+(* Write [lines] to NTCU_GOLDEN_OUT when it names [file]; true iff written. *)
+let regenerate ~file lines =
+  match Sys.getenv_opt "NTCU_GOLDEN_OUT" with
+  | Some path when String.equal (Filename.basename path) file ->
+    let oc = open_out path in
+    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
+    close_out oc;
+    true
+  | Some _ | None -> false
+
+let rec first_diff i a b =
+  match (a, b) with
+  | [], [] -> None
+  | x :: a', y :: b' ->
+    if String.equal x y then first_diff (i + 1) a' b' else Some (i, Some x, Some y)
+  | x :: _, [] -> Some (i, Some x, None)
+  | [], y :: _ -> Some (i, None, Some y)
+
+(* Fail with the first differing line. A missing fixture is deliberately a
+   failure, not a skip: CI greps for these tests having run and a silently
+   missing fixture must not pass. *)
+let check_lines ~file ~what expected lines =
+  match expected with
+  | None -> Alcotest.failf "fixture %s missing; regenerate with NTCU_GOLDEN_OUT" file
+  | Some expected -> (
+    match first_diff 0 expected lines with
+    | None -> ()
+    | Some (i, e, g) ->
+      let show = function Some l -> l | None -> "<ended>" in
+      Alcotest.failf
+        "%s diverged at line %d:\n  expected: %s\n  got:      %s\n(%d expected lines, %d \
+         got)"
+        what i (show e) (show g) (List.length expected) (List.length lines))
 
 let golden_setup = { Experiment.d = 8; n = 60; m = 20 }
 
@@ -52,37 +100,11 @@ let digest_of_lines lines = Digest.to_hex (Digest.string (String.concat "\n" lin
 let reproduces_fixture () =
   let tr = golden_trace () in
   let lines = Trace.to_lines tr in
-  (match Sys.getenv_opt "NTCU_GOLDEN_OUT" with
-  | Some path ->
-    let oc = open_out path in
-    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-    close_out oc;
-    Printf.printf "regenerated %s (%d events, digest %s)\n" path (List.length lines)
-      (Trace.digest tr)
-  | None -> ());
-  match fixture_lines with
-  | None ->
-    (* Deliberately a failure, not a skip: CI greps for this test having run
-       and a silently missing fixture must not pass. *)
-    Alcotest.failf "fixture %s missing; regenerate with NTCU_GOLDEN_OUT" fixture_file
-  | Some expected ->
-    let rec first_diff i a b =
-      match (a, b) with
-      | [], [] -> None
-      | x :: a', y :: b' ->
-        if String.equal x y then first_diff (i + 1) a' b' else Some (i, Some x, Some y)
-      | x :: _, [] -> Some (i, Some x, None)
-      | [], y :: _ -> Some (i, None, Some y)
-    in
-    (match first_diff 0 expected lines with
-    | None -> ()
-    | Some (i, e, g) ->
-      let show = function Some l -> l | None -> "<trace ended>" in
-      Alcotest.failf
-        "trace diverged at event %d:\n  expected: %s\n  got:      %s\n(%d expected \
-         events, %d got)"
-        i (show e) (show g) (List.length expected) (List.length lines));
-    Alcotest.check Alcotest.string "digest" (digest_of_lines expected) (Trace.digest tr)
+  if regenerate ~file:fixture_file lines then
+    Printf.printf "regenerated %s (%d events, digest %s)\n" fixture_file
+      (List.length lines) (Trace.digest tr);
+  check_lines ~file:fixture_file ~what:"trace" fixture_lines lines;
+  Alcotest.check Alcotest.string "digest" (digest_of_lines lines) (Trace.digest tr)
 
 (* The same seed must reproduce the trace within a process too — digest and
    divergence reporting are exercised directly. *)
@@ -109,6 +131,34 @@ let divergence_reporting () =
   | Some (1, _, _) -> ()
   | _ -> Alcotest.fail "divergence index changed by extra tail"
 
+(* The churn smoke run at seed 1 departs nodes both ways, so the leave and
+   online-repair extensions refill holes through [Repair.find_live]. Its
+   repair counters (tables consulted, entries left empty) and its trace pin
+   that search's outcomes as well as the protocol's behaviour. *)
+let churn_lines () =
+  let t = Churn.prepare ~record_trace:true { Churn.smoke with seed = 1 } in
+  let result = Churn.finish t in
+  let trace =
+    match Network.trace (Churn.net t) with
+    | None -> Alcotest.fail "trace recording was not enabled"
+    | Some tr -> tr
+  in
+  let doc =
+    Json.Obj
+      [
+        ("trace_events", Json.Int (Trace.length trace));
+        ("trace_digest", Json.String (Trace.digest trace));
+        ("result", Churn.result_json result);
+      ]
+  in
+  String.split_on_char '\n' (Json.to_string doc)
+
+let churn_reproduces_fixture () =
+  let lines = churn_lines () in
+  if regenerate ~file:churn_fixture_file lines then
+    Printf.printf "regenerated %s (%d lines)\n" churn_fixture_file (List.length lines);
+  check_lines ~file:churn_fixture_file ~what:"churn result" churn_fixture_lines lines
+
 let suites =
   [
     ( "goldentrace",
@@ -117,4 +167,6 @@ let suites =
         Alcotest.test_case "rerun identical" `Quick rerun_identical;
         Alcotest.test_case "divergence reporting" `Quick divergence_reporting;
       ] );
+    ( "goldenchurn",
+      [ Alcotest.test_case "reproduces fixture" `Quick churn_reproduces_fixture ] );
   ]
