@@ -435,8 +435,8 @@ let churn_cmd =
 let serve_cmd =
   let module Serve = Ntcu_serve.Serve in
   let module Churn = Ntcu_churn.Churn in
-  let run smoke n b d seed objects replicas zipf lookups cache full_maintain serve_every
-      lookups_per_tick churn_n duration half_life jobs out =
+  let run smoke n b d seed objects replicas zipf lookups cache serve_every lookups_per_tick
+      churn_n duration half_life jobs out =
     let base = if smoke then Serve.smoke else Serve.default in
     let pick o dflt = Option.value o ~default:dflt in
     let secs o dflt = match o with None -> dflt | Some s -> s *. 1000. in
@@ -451,7 +451,6 @@ let serve_cmd =
         zipf_s = pick zipf base.Serve.zipf_s;
         lookups = pick lookups base.Serve.lookups;
         cache = pick cache base.Serve.cache;
-        incremental = not full_maintain;
         serve_every = secs serve_every base.Serve.serve_every;
         lookups_per_tick = pick lookups_per_tick base.Serve.lookups_per_tick;
       }
@@ -493,10 +492,8 @@ let serve_cmd =
         abl.Serve.nocache;
       Format.printf "static serving, cache %d:@.%a@.@." cfg.Serve.cache Serve.pp_summary
         abl.Serve.cached;
-      Format.printf "serving under churn (n=%d, half-life %gs, %s maintain):@.%a@."
-        churn_cfg.Churn.n
+      Format.printf "serving under churn (n=%d, half-life %gs):@.%a@." churn_cfg.Churn.n
         (churn_cfg.Churn.half_life /. 1000.)
-        (if cfg.Serve.incremental then "incremental" else "full")
         Serve.pp_churn_run churn;
       Ntcu_harness.Report.Json.to_file out (Serve.bench_json cfg abl churn);
       Format.printf "wrote %s@." out;
@@ -510,14 +507,6 @@ let serve_cmd =
     Arg.(
       value & flag
       & info [ "smoke" ] ~doc:"CI-sized run: 60 nodes, 400 objects, churn smoke window.")
-  in
-  let full_maintain =
-    Arg.(
-      value & flag
-      & info [ "full-maintain" ]
-          ~doc:
-            "Rebuild the whole directory at each serve tick instead of incremental \
-             trail revalidation.")
   in
   let out =
     Arg.(
@@ -545,7 +534,6 @@ let serve_cmd =
       $ opt_float [ "zipf" ] "S" "Zipf popularity exponent (0 = uniform)."
       $ opt_int [ "lookups" ] "Static-run total lookups."
       $ opt_int [ "cache" ] "LRU hop-pointer cache capacity (0 disables)."
-      $ full_maintain
       $ opt_float [ "serve-every" ] "SECONDS" "Serve-tick period under churn, virtual seconds."
       $ opt_int [ "lookups-per-tick" ] "Lookups issued at each serve tick."
       $ opt_int [ "churn-n" ] "Churn-run target network size."

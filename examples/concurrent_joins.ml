@@ -2,7 +2,8 @@
    network concurrently over a transit-stub topology, exactly the setup of
    Figure 15(b). Prints liveness, consistency, Theorem-3 conformance, and the
    JoinNotiMsg distribution against the Theorem-5 bound; then removes a batch
-   of nodes with the leave extension and re-verifies consistency.
+   of nodes with the message-level leave protocol and re-verifies
+   consistency.
 
    Run with:
      dune exec examples/concurrent_joins.exe                (n=1000 m=300 d=8)
@@ -33,11 +34,11 @@ let () =
     (Report.pp_cdf ~label:(Printf.sprintf "n=%d m=%d d=%d" n m d))
     (Experiment.cdf_points run.join_noti);
 
-  (* Now shrink the network: 10% of the joiners leave again. *)
+  (* Now shrink the network: 10% of the joiners leave again, concurrently. *)
   let leavers = fst (Ntcu_harness.Workload.split (m / 10) run.joiners) in
-  (match Ntcu_extensions.Leave.leave_many run.net leavers with
-  | Ok repaired ->
-    Format.printf "%d nodes left; %d tables repaired; consistent afterwards: %b@."
-      (List.length leavers) repaired
-      (Ntcu_core.Network.check_consistent run.net = [])
-  | Error e -> Format.printf "leave failed: %s@." e)
+  let lp = Ntcu_extensions.Leave_protocol.create run.net in
+  List.iter (fun id -> Ntcu_extensions.Leave_protocol.request_leave lp id) leavers;
+  Ntcu_extensions.Leave_protocol.run lp;
+  Format.printf "%a; consistent afterwards: %b@." Ntcu_extensions.Leave_protocol.pp_report
+    (Ntcu_extensions.Leave_protocol.report lp)
+    (Ntcu_core.Network.check_consistent run.net = [])

@@ -29,9 +29,7 @@ type t = {
   mutable departed : int;
   mutable messages : int;
   mutable installed : int;
-  mutable fallback_local : int;
-  mutable fallback_flood : int;
-  mutable emptied : int;
+  tally : Repair.tally;
 }
 
 let create ?latency net =
@@ -47,9 +45,7 @@ let create ?latency net =
     departed = 0;
     messages = 0;
     installed = 0;
-    fallback_local = 0;
-    fallback_flood = 0;
-    emptied = 0;
+    tally = Repair.tally ();
   }
 
 let report t =
@@ -57,9 +53,9 @@ let report t =
     departed = t.departed;
     messages = t.messages;
     installed = t.installed;
-    fallback_local = t.fallback_local;
-    fallback_flood = t.fallback_flood;
-    emptied = t.emptied;
+    fallback_local = t.tally.local;
+    fallback_flood = t.tally.flood;
+    emptied = t.tally.emptied;
   }
 
 let engine t = Network.engine t.net
@@ -95,7 +91,16 @@ let replacement_vector t table ~owner =
 
 let depart t x =
   (match Network.node t.net x with
-  | Some _ -> Network.remove t.net x
+  | Some node ->
+    (* x leaves the reverse set of every node it stores: local bookkeeping
+       at departure, not a message. *)
+    Id.Set.iter
+      (fun y ->
+        match Network.node t.net y with
+        | Some ynode when not (Id.equal y x) -> Table.remove_reverse (Node.table ynode) x
+        | Some _ | None -> ())
+      (Table.known_nodes (Node.table node));
+    Network.remove t.net x
   | None -> ());
   Id.Tbl.remove t.leaving x;
   t.departed <- t.departed + 1
@@ -111,37 +116,18 @@ let repair_at t ~v ~leaver ~replacements =
     for level = 0 to p.d - 1 do
       for digit = 0 to p.b - 1 do
         match Table.neighbor tv ~level ~digit with
-        | Some occupant when Id.equal occupant leaver ->
-          let install r =
-            Table.set tv ~level ~digit r S;
-            match Network.node t.net r with
-            | Some rnode -> Table.add_reverse (Node.table rnode) ~level ~digit v
-            | None -> ()
-          in
-          let from_vector =
-            match replacements.(level) with
-            | Some r when usable t r -> Some r
-            | Some _ | None -> None
-          in
-          (match from_vector with
-          | Some r ->
+        | Some occupant when Id.equal occupant leaver -> (
+          let install = Repair.install t.net tv ~level ~digit in
+          match replacements.(level) with
+          | Some r when usable t r ->
             t.installed <- t.installed + 1;
             install r
-          | None -> begin
+          | Some _ | None ->
             Table.clear tv ~level ~digit;
-            let suffix = Table.required_suffix tv ~level ~digit in
             (* Leaving nodes (including the leaver, still registered until
                its acknowledgements arrive) are not valid candidates. *)
             let exclude cand = Id.Tbl.mem t.leaving cand in
-            match Repair.find_live ~exclude t.net ~owner:tv ~suffix with
-            | Repair.Found_local { candidate; _ } ->
-              t.fallback_local <- t.fallback_local + 1;
-              install candidate
-            | Repair.Found_flood { candidate; _ } ->
-              t.fallback_flood <- t.fallback_flood + 1;
-              install candidate
-            | Repair.Not_found _ -> t.emptied <- t.emptied + 1
-          end)
+            Repair.refill ~exclude t.net t.tally tv ~level ~digit ~fill:install)
         | Some _ | None -> ()
       done
     done;

@@ -1,10 +1,13 @@
 (** Message-passing leave protocol with support for concurrent leaves.
 
-    Unlike {!Leave} (which executes one departure atomically between protocol
-    rounds), this module runs departures through the discrete-event engine:
-    the leaving node sends a LeaveMsg carrying a per-level replacement vector
-    to each of its reverse neighbors, waits for their acknowledgements, and
-    only then departs. Multiple nodes may be leaving at once.
+    The paper defers leaves to future work; this module runs departures
+    through the discrete-event engine. The leaving node [x] sends a LeaveMsg
+    carrying a per-level replacement vector to each of its reverse neighbors
+    (the nodes that store it), waits for their acknowledgements, and only
+    then departs. If [v] stores [x] at its [(i, x\[i\])]-entry, any node
+    sharing at least [i + 1] digits with [x] may replace it, so [x] offers
+    the non-self occupant of its own table that shares the most digits.
+    Multiple nodes may be leaving at once.
 
     Races are resolved by two rules, both enforced at single events of the
     simulation (modeling a confirmation handshake with the candidate):
@@ -13,12 +16,17 @@
       replacement;
     + a repairing node installs a received replacement only if it is still
       present and not leaving; otherwise it falls back to
-      {!Repair.find_live}.
+      {!Repair.refill}.
 
     Together with reverse-neighbor registration at install time, this
     guarantees that when a replacement later leaves, the nodes now pointing
     at it are among its reverse neighbors and get repaired in turn — so any
-    set of concurrent leaves ends in a consistent surviving network. *)
+    set of concurrent leaves ends in a consistent surviving network.
+
+    On departure [x] is also removed from the reverse set of every node its
+    table stores, so no live reverse set names a departed node. This is
+    local bookkeeping at the moment of departure, like {!Recovery}'s scrub
+    of dead members; it sends no message and adds nothing to [messages]. *)
 
 type report = {
   departed : int;

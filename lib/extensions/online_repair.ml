@@ -27,10 +27,7 @@ type t = {
   mutable suspicions : int;
   mutable scrubbed : int;
   mutable promoted : int;
-  mutable refilled_local : int;
-  mutable refilled_flood : int;
-  mutable emptied : int;
-  mutable tables_consulted : int;
+  tally : Repair.tally;
 }
 
 let report t =
@@ -38,10 +35,10 @@ let report t =
     suspicions = t.suspicions;
     scrubbed = t.scrubbed;
     promoted = t.promoted;
-    refilled_local = t.refilled_local;
-    refilled_flood = t.refilled_flood;
-    emptied = t.emptied;
-    tables_consulted = t.tables_consulted;
+    refilled_local = t.tally.local;
+    refilled_flood = t.tally.flood;
+    emptied = t.tally.emptied;
+    tables_consulted = t.tally.tables_consulted;
   }
 
 (* Positions in [node]'s table occupied by [suspect]. *)
@@ -83,8 +80,7 @@ let on_suspicion t ~reporter:_ ~suspect =
         let table = Node.table node in
         match Table.neighbor table ~level ~digit with
         | Some _ -> t.promoted <- t.promoted + 1
-        | None -> (
-          let suffix = Table.required_suffix table ~level ~digit in
+        | None ->
           let fill candidate =
             Table.set table ~level ~digit candidate S;
             Network.inject t.net ~src:(Node.id node)
@@ -95,18 +91,7 @@ let on_suspicion t ~reporter:_ ~suspect =
                 };
               ]
           in
-          match Repair.find_live ~exclude t.net ~owner:table ~suffix with
-          | Repair.Found_local { candidate; tables_consulted = c; _ } ->
-            t.refilled_local <- t.refilled_local + 1;
-            t.tables_consulted <- t.tables_consulted + c;
-            fill candidate
-          | Repair.Found_flood { candidate; tables_consulted = c } ->
-            t.refilled_flood <- t.refilled_flood + 1;
-            t.tables_consulted <- t.tables_consulted + c;
-            fill candidate
-          | Repair.Not_found { tables_consulted = c } ->
-            t.emptied <- t.emptied + 1;
-            t.tables_consulted <- t.tables_consulted + c))
+          Repair.refill ~exclude t.net t.tally table ~level ~digit ~fill)
       holes
   end
 
@@ -118,10 +103,7 @@ let attach net =
       suspicions = 0;
       scrubbed = 0;
       promoted = 0;
-      refilled_local = 0;
-      refilled_flood = 0;
-      emptied = 0;
-      tables_consulted = 0;
+      tally = Repair.tally ();
     }
   in
   Network.set_suspicion_handler net (fun ~reporter ~suspect ->

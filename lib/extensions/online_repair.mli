@@ -7,7 +7,7 @@
     time any sender exhausts its retry budget against a peer, the suspicion
     is disseminated to every live node — each scrubs the suspect and fails
     over via {!Ntcu_core.Node.on_suspect} — and entries the suspect occupied
-    are refilled through backup promotion or the {!Repair.find_live} tiers.
+    are refilled through backup promotion or {!Repair.refill}.
 
     Refills register reverse neighbors with an injected [RvNghNotiMsg]
     rather than by direct table writes, so refilling with a node that is

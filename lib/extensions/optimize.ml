@@ -51,10 +51,7 @@ let pass net ~dist =
                 end)
               (candidates net table ~level ~digit);
             if not (Id.equal !best current) then begin
-              Table.set table ~level ~digit !best S;
-              (match Network.node net !best with
-              | Some bnode -> Table.add_reverse (Node.table bnode) ~level ~digit owner
-              | None -> ());
+              Repair.install net table ~level ~digit !best;
               incr improved
             end
           | Some _ | None -> ()

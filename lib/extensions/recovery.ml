@@ -29,10 +29,7 @@ let repair net =
   let probes = ref 0 in
   let scrubbed = ref 0 in
   let repaired_backup = ref 0 in
-  let repaired_local = ref 0 in
-  let repaired_flood = ref 0 in
-  let emptied = ref 0 in
-  let tables_consulted = ref 0 in
+  let tally = Repair.tally () in
   (* Phase 1: probe and scrub. Collect the holes before refilling so that the
      refill phase sees fully-scrubbed tables everywhere (a refill must never
      hand out a dead candidate). *)
@@ -50,7 +47,7 @@ let repair net =
             if dead net occupant then begin
               incr scrubbed;
               Table.clear table ~level ~digit;
-              holes := (node, level, digit) :: !holes
+              holes := (table, level, digit) :: !holes
             end
           | Some _ | None -> ()
         done
@@ -62,46 +59,27 @@ let repair net =
       Table.filter_backups table ~f:(fun b -> not (dead net b)))
     survivors;
   (* Phase 2: refill each hole — promote a (scrubbed, hence live) backup if
-     one exists, else escalate through the candidate search. *)
+     one exists, else escalate through the candidate search. Installing the
+     promoted backup rewrites the entry it already holds and registers the
+     owner with it. *)
   List.iter
-    (fun (node, level, digit) ->
-      let table = Node.table node in
+    (fun (table, level, digit) ->
+      let install = Repair.install net table ~level ~digit in
       match Table.promote_backup table ~level ~digit with
       | Some promoted ->
         incr repaired_backup;
-        (match Network.node net promoted with
-        | Some pnode -> Table.add_reverse (Node.table pnode) ~level ~digit (Node.id node)
-        | None -> ())
-      | None ->
-      let suffix = Table.required_suffix table ~level ~digit in
-      match Repair.find_live net ~owner:table ~suffix with
-      | Repair.Found_local { candidate; tables_consulted = c; _ } ->
-        incr repaired_local;
-        tables_consulted := !tables_consulted + c;
-        Table.set table ~level ~digit candidate S;
-        (match Network.node net candidate with
-        | Some cnode -> Table.add_reverse (Node.table cnode) ~level ~digit (Node.id node)
-        | None -> ())
-      | Repair.Found_flood { candidate; tables_consulted = c } ->
-        incr repaired_flood;
-        tables_consulted := !tables_consulted + c;
-        Table.set table ~level ~digit candidate S;
-        (match Network.node net candidate with
-        | Some cnode -> Table.add_reverse (Node.table cnode) ~level ~digit (Node.id node)
-        | None -> ())
-      | Repair.Not_found { tables_consulted = c } ->
-        incr emptied;
-        tables_consulted := !tables_consulted + c)
+        install promoted
+      | None -> Repair.refill net tally table ~level ~digit ~fill:install)
     !holes;
   {
     survivors = List.length survivors;
     probes = !probes;
     scrubbed = !scrubbed;
     repaired_backup = !repaired_backup;
-    repaired_local = !repaired_local;
-    repaired_flood = !repaired_flood;
-    emptied = !emptied;
-    tables_consulted = !tables_consulted;
+    repaired_local = tally.local;
+    repaired_flood = tally.flood;
+    emptied = tally.emptied;
+    tables_consulted = tally.tables_consulted;
   }
 
 let fail_random net ~seed ~fraction =

@@ -5,7 +5,7 @@
     protocol over the same foundation. Each surviving node periodically
     probes its neighbors (modeled: one probe + one reply or timeout per
     filled entry); entries whose occupants are dead are scrubbed and then
-    refilled through {!Repair.find_live} — local rings first, a scoped
+    refilled through {!Repair.refill} — local rings first, a scoped
     suffix flood as last resort. Reverse-neighbor sets are scrubbed too.
 
     Guarantees: after [repair], the surviving network satisfies

@@ -122,3 +122,34 @@ let find_live ?(exclude = fun _ -> false) net ~owner ~suffix =
   match List.find_opt (is_carrier net ~exclude ~owner_id ~suffix) (Network.ids net) with
   | None -> Not_found { tables_consulted = rings_size net owner + 1 }
   | Some flood_candidate -> escalate net ~exclude ~owner ~suffix ~flood_candidate
+
+let install net table ~level ~digit cand =
+  Table.set table ~level ~digit cand S;
+  match Network.node net cand with
+  | Some node -> Table.add_reverse (Node.table node) ~level ~digit (Table.owner table)
+  | None -> ()
+
+type tally = {
+  mutable local : int;
+  mutable flood : int;
+  mutable emptied : int;
+  mutable tables_consulted : int;
+}
+
+let tally () = { local = 0; flood = 0; emptied = 0; tables_consulted = 0 }
+
+let refill ?exclude net tally table ~level ~digit ~fill =
+  let suffix = Table.required_suffix table ~level ~digit in
+  let consulted c = tally.tables_consulted <- tally.tables_consulted + c in
+  match find_live ?exclude net ~owner:table ~suffix with
+  | Found_local { candidate; tables_consulted; _ } ->
+    tally.local <- tally.local + 1;
+    consulted tables_consulted;
+    fill candidate
+  | Found_flood { candidate; tables_consulted } ->
+    tally.flood <- tally.flood + 1;
+    consulted tables_consulted;
+    fill candidate
+  | Not_found { tables_consulted } ->
+    tally.emptied <- tally.emptied + 1;
+    consulted tables_consulted

@@ -12,7 +12,11 @@
       the suffix set, modeled here by a global scan and counted separately.
 
     Every consulted table is counted so experiments can report the cost of
-    each escalation tier. *)
+    each escalation tier.
+
+    Every table refill in the extensions goes through {!refill}: offline
+    {!Recovery}, per-suspicion {!Online_repair} and the {!Leave_protocol}
+    fallback differ only in how they install the candidate it finds. *)
 
 type outcome =
   | Found_local of { candidate : Ntcu_id.Id.t; tables_consulted : int; hops : int }
@@ -42,3 +46,40 @@ val find_live :
     the rings, so repair-cost figures do not depend on the shortcut. *)
 
 val pp_outcome : outcome Fmt.t
+
+val install :
+  Ntcu_core.Network.t ->
+  Ntcu_table.Table.t ->
+  level:int ->
+  digit:int ->
+  Ntcu_id.Id.t ->
+  unit
+(** [install net table ~level ~digit cand] sets the entry to [cand] in state
+    [S] and adds the table's owner to [cand]'s reverse set at that position,
+    as the [RvNghNotiMsg] the write implies would record. *)
+
+(** Outcome counts of a series of {!refill}s. *)
+type tally = {
+  mutable local : int;  (** Entries refilled from ring 1 or ring 2. *)
+  mutable flood : int;  (** Entries refilled by the suffix flood. *)
+  mutable emptied : int;  (** Entries no live node could fill. *)
+  mutable tables_consulted : int;  (** Summed over every search. *)
+}
+
+val tally : unit -> tally
+(** A zeroed tally. *)
+
+val refill :
+  ?exclude:(Ntcu_id.Id.t -> bool) ->
+  Ntcu_core.Network.t ->
+  tally ->
+  Ntcu_table.Table.t ->
+  level:int ->
+  digit:int ->
+  fill:(Ntcu_id.Id.t -> unit) ->
+  unit
+(** One refill step for the entry at [(level, digit)]: search with
+    {!find_live} for its required suffix, count the outcome and its
+    [tables_consulted] in the tally, then call [fill] with the candidate on
+    a hit. A miss leaves the entry as it is. [fill] is usually
+    {!install}. *)

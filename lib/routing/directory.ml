@@ -411,7 +411,7 @@ let maintain_full t =
     first_error = !first_error;
   }
 
-let maintain_incremental t =
+let maintain t =
   let snapshot = sorted_trails t in
   let republished = ref 0 in
   let dropped = ref 0 in
@@ -461,6 +461,3 @@ let maintain_incremental t =
     errors = !errors;
     first_error = !first_error;
   }
-
-let maintain ?(incremental = false) t =
-  if incremental then maintain_incremental t else maintain_full t

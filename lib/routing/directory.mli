@@ -108,27 +108,30 @@ type maintain_stats = {
   dropped : int;  (** Pointer entries removed. *)
   publish_hops : int;  (** Pointer-installation hops walked republishing. *)
   revalidated : int;
-      (** Trails found intact and left in place (incremental mode only). *)
+      (** Trails found intact and left in place (0 for {!maintain_full}). *)
   errors : int;  (** (object, storer) republications that failed. *)
   first_error : Route.error option;
 }
 
-val maintain : ?incremental:bool -> t -> maintain_stats
+val maintain : t -> maintain_stats
 (** Directory maintenance after membership changes (PRR maintains its
     directory dynamically as nodes and objects come and go): object roots may
     have moved, old pointer trails may no longer lie on current query paths,
     and storers or pointer hosts may have departed.
 
-    The default full rebuild drops every pointer and republishes every object
-    from its surviving storers over the current tables. With
-    [~incremental:true] each recorded trail is revalidated instead: trails of
-    departed storers are retracted, trails whose surrogate path is unchanged
-    are kept untouched ([revalidated]), and only invalidated trails are
-    retracted and republished — strictly less work than the rebuild when most
-    of the directory is unaffected by the membership delta, and the same
-    resulting directory (asserted by the property suite).
+    Each recorded trail is revalidated: trails of departed storers are
+    retracted, trails whose surrogate path is unchanged are kept untouched
+    ([revalidated]), and only invalidated trails are retracted and
+    republished over the current tables.
 
     Queries issued after [maintain] find every surviving replica again (P1
     restored). Republication failures on still-inconsistent tables are
     counted in [errors] (first one kept in [first_error]); the rest of the
     pass still runs. *)
+
+val maintain_full : t -> maintain_stats
+(** The reference {!maintain} is checked against: drop every pointer and
+    republish every object from its surviving storers. It reaches the same
+    directory (asserted by the property suite) with strictly more work when
+    most of it is unaffected by the membership delta; [revalidated] is
+    always 0. *)

@@ -26,7 +26,6 @@ type config = {
   zipf_s : float;
   lookups : int;
   cache : int;
-  incremental : bool;
   serve_every : float;
   lookups_per_tick : int;
   seed : int;
@@ -42,7 +41,6 @@ let default =
     zipf_s = 1.0;
     lookups = 20_000;
     cache = 4_096;
-    incremental = true;
     serve_every = 30_000.;
     lookups_per_tick = 64;
     seed = 1;
@@ -332,7 +330,7 @@ let under_churn cfg (churn_cfg : Churn.config) =
     !added
   in
   let tick ~now =
-    let mstats = Directory.maintain ~incremental:cfg.incremental dir in
+    let mstats = Directory.maintain dir in
     let member_list = members () in
     let member_arr = Array.of_list member_list in
     let n_members = Array.length member_arr in
@@ -484,7 +482,6 @@ let config_json cfg =
       ("zipf_s", Json.Float cfg.zipf_s);
       ("lookups", Json.Int cfg.lookups);
       ("cache", Json.Int cfg.cache);
-      ("incremental", Json.Bool cfg.incremental);
       ("serve_every", Json.Float cfg.serve_every);
       ("lookups_per_tick", Json.Int cfg.lookups_per_tick);
       ("seed", Json.Int cfg.seed);

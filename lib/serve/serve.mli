@@ -9,9 +9,8 @@
     pointer-hit depth (P2), stretch against the direct metric distance,
     per-node directory load (P3) and tail latency percentiles.
 
-    Two tunable directory optimizations are ablated: the LRU hop-pointer
-    cache on the query path and incremental [maintain] (both off by default
-    at the {!Ntcu_routing.Directory} API, toggled from {!config}).
+    The LRU hop-pointer cache on the query path is ablated: off by default
+    at the {!Ntcu_routing.Directory} API, sized from {!config}.
 
     Runs come in two modes: a {e static} run over a consistent network built
     directly ({!run_static}) and a {e churn-composed} run ({!under_churn})
@@ -32,7 +31,6 @@ type config = {
   zipf_s : float;  (** Popularity exponent; 0 = uniform. *)
   lookups : int;  (** Static-run total lookups. *)
   cache : int;  (** LRU hop-pointer cache capacity; 0 disables. *)
-  incremental : bool;  (** Incremental directory maintenance under churn. *)
   serve_every : float;  (** Churn mode: virtual ms between serve ticks. *)
   lookups_per_tick : int;
   seed : int;
@@ -40,7 +38,7 @@ type config = {
 
 val default : config
 (** 500 nodes, 10k objects x 3 replicas, [s = 1] Zipf, 20k lookups, 4096-entry
-    cache, incremental maintenance, 30 s serve ticks of 64 lookups. *)
+    cache, 30 s serve ticks of 64 lookups. *)
 
 val smoke : config
 (** CI scale: 60 nodes, 400 objects x 2 replicas, 2k lookups, 256-entry
@@ -130,12 +128,12 @@ val under_churn : config -> Ntcu_churn.Churn.config -> churn_run
 (** Compose the serving workload with the steady-state churn driver: prepare
     the churn run, publish [objects] from the initial members, then fire a
     serve tick every [serve_every] virtual ms strictly inside the churn
-    window. Each tick runs directory maintenance (incremental or full, per
-    {!config.incremental}), prunes departed storers from the ground-truth
-    replica map, re-replicates under-replicated objects onto live members,
-    and issues [lookups_per_tick] Zipf lookups; a lookup {e resolves} when it
-    finds at least one surviving replica and is {e complete} when it finds
-    every one. The ticks draw from their own RNGs
+    window. Each tick runs incremental directory maintenance
+    ({!Ntcu_routing.Directory.maintain}), prunes departed storers from the
+    ground-truth replica map, re-replicates under-replicated objects onto
+    live members, and issues [lookups_per_tick] Zipf lookups; a lookup
+    {e resolves} when it finds at least one surviving replica and is
+    {e complete} when it finds every one. The ticks draw from their own RNGs
     and inject no messages, so the churn side of the run is byte-identical
     to an unserved run of the same seed.
     @raise Invalid_argument on a malformed config or if the churn window is

@@ -11,7 +11,7 @@ module Node = Ntcu_core.Node
 module Directory = Ntcu_routing.Directory
 module Experiment = Ntcu_harness.Experiment
 module Workload = Ntcu_harness.Workload
-module Leave = Ntcu_extensions.Leave
+module Leave_protocol = Ntcu_extensions.Leave_protocol
 module Recovery = Ntcu_extensions.Recovery
 
 let check = Alcotest.check
@@ -20,6 +20,16 @@ let qtest ?(count = 30) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck.Test.make ~count ~name gen prop)
 
 let p = Params.make ~b:4 ~d:6
+
+(* Graceful departures through the message-level protocol, one at a time. *)
+let leave net ids =
+  List.iter
+    (fun id ->
+      let lp = Leave_protocol.create net in
+      Leave_protocol.request_leave lp id;
+      Leave_protocol.run lp;
+      check Alcotest.int "departed" 1 (Leave_protocol.report lp).departed)
+    ids
 
 let make_net ~seed ~n ~m =
   let run = Experiment.concurrent_joins p ~seed ~n ~m () in
@@ -145,9 +155,7 @@ let maintain_restores_p1 () =
         |> Array.to_list
         |> List.map (fun i -> ids.(i))
       in
-      (match Leave.leave_many net doomed with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e);
+      leave net doomed;
       let crashed = Recovery.fail_random net ~seed:(seed + 3) ~fraction:0.15 in
       let (_ : Recovery.report) = Recovery.repair net in
       let st = Directory.maintain dir in
@@ -211,13 +219,11 @@ let incremental_agrees_with_full =
         objs;
       (* One shared membership delta: a graceful leave plus a crash. *)
       let idx = Rng.sample_without_replacement rng 2 (Array.length ids) in
-      (match Leave.leave net ids.(idx.(0)) with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e);
+      leave net [ ids.(idx.(0)) ];
       Network.fail net ids.(idx.(1));
       let (_ : Recovery.report) = Recovery.repair net in
-      let full = Directory.maintain dir_full in
-      let inc = Directory.maintain ~incremental:true dir_inc in
+      let full = Directory.maintain_full dir_full in
+      let inc = Directory.maintain dir_inc in
       check Alcotest.int "error counts agree" full.Directory.errors
         inc.Directory.errors;
       let all = Array.to_list ids in
@@ -247,9 +253,9 @@ let incremental_cheaper_on_single_leave () =
       publish_or_fail dir_full ~storer obj;
       publish_or_fail dir_inc ~storer obj)
     objs;
-  (match Leave.leave net ids.(3) with Ok _ -> () | Error e -> Alcotest.fail e);
-  let full = Directory.maintain dir_full in
-  let inc = Directory.maintain ~incremental:true dir_inc in
+  leave net [ ids.(3) ];
+  let full = Directory.maintain_full dir_full in
+  let inc = Directory.maintain dir_inc in
   check Alcotest.int "full republishes everything" 10 full.Directory.republished;
   check Alcotest.bool "incremental republishes strictly less" true
     (inc.Directory.republished < full.Directory.republished);
@@ -269,7 +275,7 @@ let incremental_noop_on_unchanged_network () =
   let objs = fresh_objects ~k:7 ~seed:10 run.net in
   let rng = Rng.create 11 in
   List.iter (fun obj -> publish_or_fail dir ~storer:(Rng.pick rng ids) obj) objs;
-  let st = Directory.maintain ~incremental:true dir in
+  let st = Directory.maintain dir in
   check Alcotest.int "every trail revalidated" 7 st.Directory.revalidated;
   check Alcotest.int "nothing republished" 0 st.Directory.republished;
   check Alcotest.int "nothing dropped" 0 st.Directory.dropped;

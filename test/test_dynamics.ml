@@ -7,6 +7,7 @@ module Params = Ntcu_id.Params
 module Network = Ntcu_core.Network
 module Node = Ntcu_core.Node
 module Directory = Ntcu_routing.Directory
+module Leave_protocol = Ntcu_extensions.Leave_protocol
 module Experiment = Ntcu_harness.Experiment
 module Rng = Ntcu_std.Rng
 
@@ -47,7 +48,7 @@ let maintenance_after_joins () =
   List.iter (fun id -> Network.start_join net ~id ~gateway:ids.(0) ()) fresh;
   Network.run net;
   check Alcotest.int "still consistent" 0 (List.length (Network.check_consistent net));
-  let st = Directory.maintain dir in
+  let st = Directory.maintain_full dir in
   check Alcotest.int "all objects republished" 15 st.Directory.republished;
   check Alcotest.int "no republish errors" 0 st.Directory.errors;
   (* Every object is findable from every new node (P1 restored). *)
@@ -75,8 +76,11 @@ let maintenance_after_leaves () =
   (match Directory.publish dir ~storer:doomed_storer obj with Ok _ -> () | Error _ -> Alcotest.fail "p2");
   let doomed_only = Id.random rng p in
   (match Directory.publish dir ~storer:doomed_storer doomed_only with Ok _ -> () | Error _ -> Alcotest.fail "p3");
-  (match Ntcu_extensions.Leave.leave net doomed_storer with Ok _ -> () | Error e -> Alcotest.fail e);
-  let st = Directory.maintain dir in
+  let lp = Leave_protocol.create net in
+  Leave_protocol.request_leave lp doomed_storer;
+  Leave_protocol.run lp;
+  check Alcotest.int "storer departed" 1 (Leave_protocol.report lp).departed;
+  let st = Directory.maintain_full dir in
   check Alcotest.int "one object survives" 1 st.Directory.republished;
   check Alcotest.int "no republish errors" 0 st.Directory.errors;
   let client = List.nth run.seeds 3 in

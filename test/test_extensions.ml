@@ -2,7 +2,7 @@ module Id = Ntcu_id.Id
 module Params = Ntcu_id.Params
 module Network = Ntcu_core.Network
 module Node = Ntcu_core.Node
-module Leave = Ntcu_extensions.Leave
+module Leave_protocol = Ntcu_extensions.Leave_protocol
 module Optimize = Ntcu_extensions.Optimize
 module Experiment = Ntcu_harness.Experiment
 module Rng = Ntcu_std.Rng
@@ -15,14 +15,28 @@ let build ~seed ~n ~m =
   check Alcotest.int "setup consistent" 0 (List.length (Lazy.force run.violations));
   run
 
-let single_leave_preserves_consistency () =
-  let run = build ~seed:1 ~n:20 ~m:10 in
-  let victim = List.hd run.joiners in
-  (match Leave.leave run.net victim with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  check Alcotest.bool "victim gone" false (Network.mem run.net victim);
-  check Alcotest.int "still consistent" 0 (List.length (Network.check_consistent run.net))
+(* One graceful departure through the message-level protocol, run to
+   quiescence before the caller looks at the network again. *)
+let leave net victim =
+  let lp = Leave_protocol.create net in
+  Leave_protocol.request_leave lp victim;
+  Leave_protocol.run lp;
+  let r = Leave_protocol.report lp in
+  check Alcotest.int "departed" 1 r.departed;
+  r
+
+(* A node that has left must not stay in any live node's reverse set: the
+   departure scrubs it from the reverse set of every node it stored. *)
+let check_no_departed_reverse net =
+  List.iter
+    (fun node ->
+      Id.Set.iter
+        (fun rv ->
+          if not (Network.mem net rv) then
+            Alcotest.failf "%a keeps departed %a as a reverse neighbor" Id.pp (Node.id node)
+              Id.pp rv)
+        (Ntcu_table.Table.all_reverse (Node.table node)))
+    (Network.nodes net)
 
 let many_leaves_preserve_consistency () =
   let run = build ~seed:2 ~n:25 ~m:20 in
@@ -33,9 +47,8 @@ let many_leaves_preserve_consistency () =
   let victims = Array.sub all 0 (Array.length all / 2) in
   Array.iter
     (fun victim ->
-      (match Leave.leave run.net victim with
-      | Ok _ -> ()
-      | Error e -> Alcotest.fail e);
+      ignore (leave run.net victim);
+      check_no_departed_reverse run.net;
       match Network.check_consistent run.net with
       | [] -> ()
       | v :: _ ->
@@ -50,7 +63,7 @@ let leave_down_to_one_node () =
   let rec drain = function
     | [ _ ] | [] -> ()
     | victim :: rest ->
-      (match Leave.leave run.net victim with Ok _ -> () | Error e -> Alcotest.fail e);
+      ignore (leave run.net victim);
       check Alcotest.int "consistent" 0 (List.length (Network.check_consistent run.net));
       drain rest
   in
@@ -60,7 +73,7 @@ let leave_down_to_one_node () =
 let leave_then_join_again () =
   let run = build ~seed:4 ~n:15 ~m:10 in
   let victim = List.hd run.joiners in
-  (match Leave.leave run.net victim with Ok _ -> () | Error e -> Alcotest.fail e);
+  ignore (leave run.net victim);
   (* The departed ID can join again through any survivor. *)
   let gateway = List.hd run.seeds in
   Network.start_join run.net ~id:victim ~gateway ();
@@ -71,21 +84,28 @@ let leave_then_join_again () =
 
 let leave_validation () =
   let run = build ~seed:5 ~n:5 ~m:2 in
-  (match Leave.leave run.net (Id.of_string p "333333") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown node left");
-  (* leaving mid-join is refused *)
+  let lp = Leave_protocol.create run.net in
+  Leave_protocol.request_leave lp (Id.of_string p "333333");
+  Leave_protocol.run lp;
+  check Alcotest.int "unknown node left" 0 (Leave_protocol.report lp).departed;
+  (* leaving mid-join is refused: the request is dropped and the join
+     completes *)
   let joiner = Id.of_string p "012301" in
   Network.start_join run.net ~id:joiner ~gateway:(List.hd run.seeds) ();
-  match Leave.leave run.net joiner with
-  | Error _ -> Network.run run.net
-  | Ok _ -> Alcotest.fail "mid-join leave accepted"
+  check Alcotest.bool "joiner still joining" false
+    (Node.status (Network.node_exn run.net joiner) = Node.In_system);
+  Leave_protocol.request_leave lp joiner;
+  Leave_protocol.run lp;
+  check Alcotest.int "mid-join leave accepted" 0 (Leave_protocol.report lp).departed;
+  check Alcotest.bool "joiner in system" true
+    (Node.status (Network.node_exn run.net joiner) = Node.In_system);
+  check Alcotest.int "consistent" 0 (List.length (Network.check_consistent run.net))
 
-(* The handoff contract from leave.mli: the leaver repairs exactly the nodes
-   that stored it (its reverse neighbors), each vacated entry is either
-   refilled with a suffix-correct substitute that gains the storer as a
-   reverse neighbor, or legitimately emptied, and no table references the
-   leaver afterwards. *)
+(* The handoff contract of leave_protocol.mli: the leaver's LeaveMsg reaches
+   exactly the nodes that store it (its reverse neighbors), each vacated
+   entry is either refilled with a suffix-correct substitute that gains the
+   storer as a reverse neighbor, or legitimately emptied, and no table
+   references the leaver afterwards. *)
 let leave_hands_off_entries () =
   let run = build ~seed:11 ~n:25 ~m:15 in
   let net = run.net in
@@ -108,14 +128,10 @@ let leave_hands_off_entries () =
           if Id.equal y victim && not (Id.equal (Node.id node) victim) then
             slots := (Node.id node, level, digit) :: !slots))
     (Network.nodes net);
-  let storing_nodes =
-    List.sort_uniq Id.compare (List.map (fun (s, _, _) -> s) !slots)
-  in
-  (match Leave.leave net victim with
-  | Ok repaired ->
-    check Alcotest.int "repaired = nodes that stored the leaver"
-      (List.length storing_nodes) repaired
-  | Error e -> Alcotest.fail e);
+  let r = leave net victim in
+  check Alcotest.int "every vacated slot is installed, refilled or emptied"
+    (List.length !slots)
+    (r.installed + r.fallback_local + r.fallback_flood + r.emptied);
   (* No dangling references to the leaver, anywhere. *)
   List.iter
     (fun node ->
@@ -145,14 +161,6 @@ let leave_hands_off_entries () =
     !slots;
   check Alcotest.int "consistent after handoff" 0
     (List.length (Network.check_consistent net))
-
-let leave_many_wrapper () =
-  let run = build ~seed:6 ~n:12 ~m:8 in
-  let victims = Ntcu_harness.Workload.split 5 run.joiners |> fst in
-  (match Leave.leave_many run.net victims with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e);
-  check Alcotest.int "consistent" 0 (List.length (Network.check_consistent run.net))
 
 (* --- optimization --- *)
 
@@ -213,7 +221,7 @@ let optimize_preserves_reverse_registration () =
     (Network.nodes run.net);
   (* And the reverse sets still support a full leave afterwards. *)
   let victim = List.hd run.joiners in
-  (match Leave.leave run.net victim with Ok _ -> () | Error e -> Alcotest.fail e);
+  ignore (leave run.net victim);
   check Alcotest.int "leave after optimize stays consistent" 0
     (List.length (Network.check_consistent run.net))
 
@@ -237,13 +245,11 @@ let suites =
   [
     ( "extensions.leave",
       [
-        Alcotest.test_case "single leave" `Quick single_leave_preserves_consistency;
         Alcotest.test_case "many leaves" `Quick many_leaves_preserve_consistency;
         Alcotest.test_case "drain to one" `Quick leave_down_to_one_node;
         Alcotest.test_case "leave then rejoin" `Quick leave_then_join_again;
         Alcotest.test_case "validation" `Quick leave_validation;
         Alcotest.test_case "hands off entries" `Quick leave_hands_off_entries;
-        Alcotest.test_case "leave_many" `Quick leave_many_wrapper;
       ] );
     ( "extensions.optimize",
       [

@@ -19,6 +19,19 @@ let build ~seed ~n ~m =
 let survivors_consistent net =
   Ntcu_table.Check.violations (Network.tables net)
 
+(* A node that has left must not stay in any live node's reverse set: the
+   departure scrubs it from the reverse set of every node it stored. *)
+let check_no_departed_reverse net =
+  List.iter
+    (fun node ->
+      Id.Set.iter
+        (fun rv ->
+          if not (Network.mem net rv) then
+            Alcotest.failf "%a keeps departed %a as a reverse neighbor" Id.pp (Node.id node)
+              Id.pp rv)
+        (Ntcu_table.Table.all_reverse (Node.table node)))
+    (Network.nodes net)
+
 let fail_marks_node () =
   let run = build ~seed:1 ~n:10 ~m:5 in
   let victim = List.hd run.joiners in
@@ -163,6 +176,7 @@ let leave_protocol_concurrent () =
       Leave_protocol.run lp;
       let r = Leave_protocol.report lp in
       check Alcotest.int "all departed" 15 r.departed;
+      check_no_departed_reverse run.net;
       match survivors_consistent run.net with
       | [] -> ()
       | v :: _ ->
