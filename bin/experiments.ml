@@ -1,104 +1,248 @@
-(* Benchmark harness.
+(* The experiments behind `ntcu`'s commands and its `bench` sections.
 
-   Regenerates every table and figure of the paper's evaluation (Section 5.2,
-   Figure 15) plus the comparison/ablation experiments from DESIGN.md, then
-   runs Bechamel microbenchmarks of the core operations.
+   An experiment that a command and a bench section both run is written once
+   here: it runs, prints its report, writes its JSON artifact and returns its
+   named claims. The command turns the claims into its exit status, the
+   section into CLAIM FAILED lines and the bench's exit status.
 
-   Usage:
-     dune exec bench/main.exe                 -- everything, default scale
-     dune exec bench/main.exe -- fig15a       -- only that section
-     dune exec bench/main.exe -- --full ...   -- paper-scale router topology
-     dune exec bench/main.exe -- --smoke ...  -- tiny parameters (CI smoke)
-     dune exec bench/main.exe -- --jobs 4 ... -- fan independent runs out to
-                                                 4 domains (0 = all cores;
-                                                 NTCU_JOBS works too)
-
-   Sections: fig15a fig15b avg-vs-bound theorem3 theorem4 baseline msgsize
-             census latency-ablation optimize churn churn-steady serve scale
-             arena assumption resilience fault perf micro
-
-   Every independent-run sweep (the four fig15b setups, the 300-run Theorem 4
-   estimator, the size-mode and latency-model ablations, the fault-injection
-   loss x crash grid) goes through Ntcu_std.Parallel.map, which returns
-   results in submission order — so all tables and JSON artifacts are
-   byte-identical across --jobs values; --jobs 1 (the default) is exactly
-   the serial path.
-
-   The perf section writes BENCH_perf.json (see EXPERIMENTS.md for the
-   schema) in the current directory. *)
+   The bench sections regenerate every table and figure of the paper's
+   evaluation (Section 5.2, Figure 15), the comparison and ablation
+   experiments of DESIGN.md and the Bechamel microbenchmarks of the core
+   operations. Every independent-run sweep (the four fig15b setups, the
+   300-run Theorem 4 estimator, the size-mode and latency-model ablations,
+   the fault-injection loss x crash grid) goes through Ntcu_std.Parallel.map,
+   which returns results in submission order — so all tables and JSON
+   artifacts are byte-identical across --jobs values; --jobs 1 (the default)
+   is exactly the serial path. *)
 
 module Id = Ntcu_id.Id
 module Params = Ntcu_id.Params
 module Experiment = Ntcu_harness.Experiment
 module Report = Ntcu_harness.Report
+module Scale_bench = Ntcu_harness.Scale_bench
+module Arena = Ntcu_harness.Arena
 module Join_cost = Ntcu_analysis.Join_cost
 module Stats = Ntcu_std.Stats
+module Parallel = Ntcu_std.Parallel
+module Churn = Ntcu_churn.Churn
+module Serve = Ntcu_serve.Serve
 
 let pf = Format.printf
 
-let section name = pf "@.=== %s ===@." name
+(* ---- Claims ---- *)
 
-let mean_int a = Stats.mean (Stats.of_ints a)
+(* A named pass/fail verdict. Runs without loss or churn claim consistency;
+   crash regimes (the fault grid, the steady-state churn engine) claim the
+   Best_effort contract instead — liveness and quiescence, with consistency
+   reported but not gated (see Experiment.claim). *)
+type claims = (string * bool) list
 
-(* The worker pool for independent-run sweeps; set once in [main] from
-   --jobs / NTCU_JOBS before any section runs. [pmap] preserves submission
-   order, so every consumer below can treat it as List.map. *)
-let pool : Ntcu_std.Parallel.t option ref = ref None
+(* Print every broken claim; the exit status is 0 iff all of them hold. *)
+let exit_status (claims : claims) =
+  let broken = List.filter (fun (_, holds) -> not holds) claims in
+  List.iter (fun (name, _) -> pf "CLAIM FAILED: %s@." name) broken;
+  if List.is_empty broken then 0 else 1
 
-let pmap f xs =
-  match !pool with Some p -> Ntcu_std.Parallel.map p f xs | None -> List.map f xs
+(* ---- Shared experiments ---- *)
 
-let pool_jobs () = match !pool with Some p -> Ntcu_std.Parallel.jobs p | None -> 1
+(* The churn bench's base point: n = 250 held for 20 virtual minutes at a
+   10-minute half-life (~2.4 population turnovers, enough for the tail window
+   to be steady state), sampled every 30 s; or the churn smoke config. Serving
+   under churn runs at the same point, the scale its tail-success claim is
+   gated at. *)
+let churn_base ~smoke =
+  if smoke then Churn.smoke
+  else
+    {
+      Churn.default with
+      n = 250;
+      duration = 1_200_000.;
+      half_life = 600_000.;
+      sample_every = 30_000.;
+    }
 
-(* Sections that run without loss or churn claim consistency in their
-   tables; [claim] records a broken claim so [main] exits non-zero instead
-   of burying a "NO" in a wall of text. Crash regimes (the fault grid, the
-   steady-state churn engine) claim the Best_effort contract instead —
-   liveness and quiescence, with consistency reported but not gated (see
-   Experiment.claim). Only the assumption ablation, whose whole point is to
-   exhibit violations, bypasses [claim] entirely. *)
-let failed = ref false
+(* [leavers] concurrent message-level leaves (the first [leavers] registered
+   nodes) run to quiescence; the survivors must stay consistent. *)
+let leave net ~leavers : claims =
+  let module Leave_protocol = Ntcu_extensions.Leave_protocol in
+  let lp = Leave_protocol.create net in
+  let victims = fst (Ntcu_harness.Workload.split leavers (Ntcu_core.Network.ids net)) in
+  List.iter (fun id -> Leave_protocol.request_leave lp id) victims;
+  Leave_protocol.run lp;
+  pf "concurrent leaves: %a@." Leave_protocol.pp_report (Leave_protocol.report lp);
+  let consistent = List.is_empty (Ntcu_core.Network.check_consistent net) in
+  pf "consistent after leaves: %b@." consistent;
+  [ ("leave: survivors consistent", consistent) ]
 
-let claim name cond =
-  if not cond then begin
-    failed := true;
-    pf "CLAIM FAILED: %s@." name
-  end;
+(* lib/churn's open system: Poisson arrivals against expiring sessions at the
+   target size, then (with [points > 0]) a downward half-life sweep to locate
+   the measured churn tolerance. Writes the ntcu-bench-churn/1 artifact. The
+   claim is Best_effort: under crash churn, consistency is one of the
+   measured series, not a guarantee. [health] also claims a clean bill of
+   health at the configured half-life. *)
+let churn pool ?(health = false) ~points ~out cfg : claims =
+  let result = Churn.run cfg in
+  pf "%a@." Churn.pp_result result;
+  let sweep = if points = 0 then None else Some (Churn.sweep pool ~base:cfg ~points) in
+  Option.iter (pf "%a@." Churn.pp_sweep) sweep;
+  Report.Json.to_file out (Churn.bench_json ?sweep result);
+  pf "wrote %s@." out;
+  ( "churn-steady: sustained and drained (best-effort)",
+    Churn.ok ~claim:Experiment.Best_effort result )
+  ::
+  (if health then
+     [
+       ( "churn-steady: healthy at base half-life",
+         List.is_empty (Churn.health cfg result.Churn.summary) );
+     ]
+   else [])
+
+(* The PRR-style directory under a production-shaped workload: Zipf-popular
+   replicated objects, sustained lookups from random clients, the LRU
+   hop-pointer cache ablated off and on, and the same workload composed with
+   the continuous-churn driver. Writes the ntcu-bench-serve/1 artifact. The
+   static claims are strict: every lookup returns the complete replica set,
+   cache or not. *)
+let serve pool ~smoke ~out cfg churn_cfg : claims =
+  let abl, churn = Serve.run_all pool cfg churn_cfg in
+  pf "static serving, cache off:@.%a@.@." Serve.pp_summary abl.Serve.nocache;
+  pf "static serving, cache %d:@.%a@.@." cfg.Serve.cache Serve.pp_summary abl.Serve.cached;
+  pf "serving under churn (n=%d, half-life %gs):@.%a@." churn_cfg.Churn.n
+    (churn_cfg.Churn.half_life /. 1000.)
+    Serve.pp_churn_run churn;
+  Report.Json.to_file out (Serve.bench_json cfg abl churn);
+  pf "wrote %s@." out;
+  [
+    ( "serve: every static lookup finds the complete replica set (cache off)",
+      Serve.static_ok abl.Serve.nocache );
+    ( "serve: every static lookup finds the complete replica set (cache on)",
+      Serve.static_ok abl.Serve.cached );
+  ]
+  @ (if cfg.Serve.cache > 0 then
+       [
+         ( "serve: hop-pointer cache lowers mean pointer-hit depth",
+           Serve.cache_improves ~nocache:abl.Serve.nocache ~cached:abl.Serve.cached );
+       ]
+     else [])
+  @ [
+      (* The smoke churn config deliberately churns past its predicted repair
+         tolerance (see Churn.smoke), so only the default scale claims the
+         serving SLO; smoke still requires traffic and a Best_effort churn
+         side. *)
+      (if smoke then
+         ( "serve: churn side issues lookups and holds its best-effort claim",
+           churn.Serve.sc_lookups > 0
+           && Churn.ok ~claim:Experiment.Best_effort churn.Serve.sc_churn )
+       else ("serve: tail lookup resolution >= 0.99 under churn", Serve.churn_ok churn));
+    ]
+
+(* lib/scale's sharded epoch engine over each config, then the
+   ntcu-bench-scale/1 artifact. Each run's payload is a deterministic
+   function of its config (byte-identical for every [jobs]); wall time,
+   events/s and GC peak live in the host section. [control] measures (and
+   prints) the record-backed memory control, given the last run. With
+   [memory], the scale-up must at least halve per-node state: the arena's
+   bytes/node at the last config against the control. *)
+let scale ~jobs ~out ~control ?(memory = false) configs =
+  let runs =
+    List.map
+      (fun cfg ->
+        let r = Scale_bench.measure ~jobs cfg in
+        pf "%a@." Scale_bench.pp_run r;
+        r)
+      configs
+  in
+  let last = List.nth runs (List.length runs - 1) in
+  let control = control last in
+  Report.Json.to_file out (Scale_bench.bench_json ?control_bytes_per_node:control runs);
+  pf "wrote %s@." out;
+  let claims =
+    List.map
+      (fun (r : Scale_bench.run) ->
+        ( Printf.sprintf "scale: n=%d complete and consistent" r.config.Scale_bench.Scale.n,
+          Scale_bench.ok r ))
+      runs
+    @
+    match control with
+    | Some c when memory ->
+      [
+        ( "scale: arena bytes/node at 100k <= half the record control at 10k",
+          Scale_bench.bytes_per_node last.Scale_bench.summary <= c /. 2. );
+      ]
+    | Some _ | None -> []
+  in
+  (runs, claims)
+
+(* The pluggable-protocol arena: every configured arm on the identical seeded
+   topology, join/leave schedule and lookup pairs; writes the paired report
+   (byte-identical across [jobs]). Each front end gates it its own way. *)
+let arena ~jobs ~out cfg =
+  let report = Arena.run ~jobs cfg in
+  pf "%a@." Arena.pp_report report;
+  Arena.write ~path:out report;
+  pf "wrote %s@." out;
+  report
+
+(* ---- Bench sections ---- *)
+
+type ctx = {
+  pool : Parallel.t;
+  smoke : bool;  (** CI-sized parameters where a section has them. *)
+  full : bool;  (** The paper's 8320-router topology. *)
+  want : string -> bool;  (** Whether a section was selected. *)
+  failed : bool ref;
+}
+
+let claim_all c claims = if exit_status claims <> 0 then c.failed := true
+
+let claim c name cond =
+  claim_all c [ (name, cond) ];
   cond
+
+let pmap c f xs = Parallel.map c.pool f xs
+let section name = pf "@.=== %s ===@." name
+let mean_int a = Stats.mean (Stats.of_ints a)
 
 (* ---- Figure 15(a): theoretical upper bound of E(J) ---- *)
 
-let fig15a () =
-  section "Figure 15(a): upper bound of E(J) vs n (Theorem 5), b = 16";
+(* One curve, n = 10k..100k; [ntcu fig15a] prints one, the section four. *)
+let fig15a_curve ~b ~d ~m =
   let ns = List.init 10 (fun i -> 10_000 * (i + 1)) in
+  let label = Printf.sprintf "m=%d, b=%d, d=%d" m b d in
+  pf "%a" (Report.pp_fig15a_curve ~label) (Experiment.fig15a_series ~b ~d ~m ~ns)
+
+let fig15a _ =
+  section "Figure 15(a): upper bound of E(J) vs n (Theorem 5), b = 16";
   List.iter
-    (fun (m, d) ->
-      let label = Printf.sprintf "m=%d, b=16, d=%d" m d in
-      let series = Experiment.fig15a_series ~b:16 ~d ~m ~ns in
-      pf "%a" (Report.pp_fig15a_curve ~label) series)
+    (fun (m, d) -> fig15a_curve ~b:16 ~d ~m)
     [ (500, 40); (1000, 40); (500, 8); (1000, 8) ]
 
 (* ---- Figure 15(b): simulated CDF of JoinNotiMsg per joining node ---- *)
 
 let paper_measured = [ 6.117; 6.051; 5.026; 5.399 ]
 
-let fig15b_runs ~routers () =
+let routers ~full =
+  if full then Ntcu_topology.Transit_stub.paper_config
+  else Ntcu_topology.Transit_stub.scaled_config
+
+let fig15b_runs c ~routers =
   (* Each run builds its own topology, latency model, network and RNGs
      inside the thunk, so the four setups are free to run on four domains. *)
-  pmap
+  pmap c
     (fun (i, setup) -> (setup, Experiment.fig15b ~routers ~seed:(100 + i) setup))
     (List.mapi (fun i setup -> (i, setup)) Experiment.paper_setups)
 
-let fig15b ~routers () =
+let fig15b_section c =
   section "Figure 15(b): CDF of # JoinNotiMsg sent by a joining node";
+  let routers = routers ~full:c.full in
   pf "router topology: %d routers@." (Ntcu_topology.Transit_stub.router_count routers);
-  let runs = fig15b_runs ~routers () in
+  let runs = fig15b_runs c ~routers in
   List.iter
     (fun ((setup : Experiment.fig15b_setup), (run : Experiment.join_run)) ->
       let label =
         Printf.sprintf "n=%d, m=%d, b=16, d=%d%s" setup.n setup.m setup.d
           (if
-             claim
+             claim c
                (Printf.sprintf "fig15b n=%d d=%d consistent" setup.n setup.d)
                (Experiment.ok run)
            then ""
@@ -124,7 +268,7 @@ let avg_vs_bound runs =
 
 (* ---- Theorem 3: CpRst + JoinWait <= d + 1 ---- *)
 
-let theorem3 runs =
+let theorem3 c runs =
   section "Theorem 3: CpRstMsg + JoinWaitMsg per join <= d + 1";
   List.iter
     (fun ((setup : Experiment.fig15b_setup), (run : Experiment.join_run)) ->
@@ -132,16 +276,23 @@ let theorem3 runs =
       pf "n=%d d=%d: mean %.3f, max %d, bound %d  %s@." setup.n setup.d
         (mean_int run.cp_wait) worst (setup.d + 1)
         (if
-           claim
+           claim c
              (Printf.sprintf "theorem3 n=%d d=%d" setup.n setup.d)
              (worst <= setup.d + 1)
          then "OK"
          else "VIOLATED"))
     runs
 
+(* avg-vs-bound and theorem3 read the fig15b runs, so selecting either of
+   them prints the fig15b section too. *)
+let fig15b c =
+  let runs = fig15b_section c in
+  if c.want "avg-vs-bound" then avg_vs_bound runs;
+  if c.want "theorem3" then theorem3 c runs
+
 (* ---- Theorem 4: exact E(J) for a single join vs simulation ---- *)
 
-let theorem4 () =
+let theorem4 c =
   section "Theorem 4: E(J) for a single join, closed form vs simulation";
   (* J is heavy-tailed (a rare low notification level makes the set, and
      hence J, an order of magnitude larger), so the standard error matters. *)
@@ -152,7 +303,7 @@ let theorem4 () =
       let runs = 300 in
       let samples =
         Array.of_list
-          (pmap
+          (pmap c
              (fun seed ->
                let run = Experiment.concurrent_joins p ~seed:((seed + 1) * 7) ~n ~m:1 () in
                float_of_int run.join_noti.(0))
@@ -166,7 +317,7 @@ let theorem4 () =
 
 (* ---- Baseline comparison: state placement and concurrency safety ---- *)
 
-let baseline () =
+let baseline c =
   section "Baseline: multicast join (Tapestry-style) vs this paper's protocol";
   let p = Params.make ~b:16 ~d:8 in
   let n = 500 and m = 200 in
@@ -180,7 +331,7 @@ let baseline () =
       [
         "this paper";
         "concurrent";
-        (if claim "baseline: this paper consistent" (Experiment.ok ours) then "yes"
+        (if claim c "baseline: this paper consistent" (Experiment.ok ours) then "yes"
          else "NO");
         "0";
         "0";
@@ -204,12 +355,12 @@ let baseline () =
 
 (* ---- Section 6.2 ablation: message-size reduction ---- *)
 
-let msgsize () =
+let msgsize c =
   section "Section 6.2 ablation: bytes sent per size mode";
   let p = Params.make ~b:16 ~d:8 in
   let n = 500 and m = 200 in
   let results =
-    pmap
+    pmap c
       (fun (mode, name) ->
         let run = Experiment.concurrent_joins ~size_mode:mode p ~seed:21 ~n ~m () in
         let bytes = Ntcu_core.Stats.bytes_sent (Ntcu_core.Network.global_stats run.net) in
@@ -225,7 +376,7 @@ let msgsize () =
       (fun (name, ok, bytes) ->
         [
           name;
-          (if claim ("msgsize: " ^ name) ok then "yes" else "NO");
+          (if claim c ("msgsize: " ^ name) ok then "yes" else "NO");
           string_of_int bytes;
           Printf.sprintf "%.1f" (float_of_int bytes /. float_of_int m /. 1024.);
         ])
@@ -235,12 +386,12 @@ let msgsize () =
 
 (* ---- Message census: big vs small messages (Section 5.2's distinction) ---- *)
 
-let census () =
+let census c =
   section "Message census per join (big = table-carrying, small = rest)";
   let p = Params.make ~b:16 ~d:8 in
   let n = 1000 and m = 400 in
   let run = Experiment.concurrent_joins p ~seed:81 ~n ~m () in
-  ignore (claim "census: setup run ok" (Experiment.ok run) : bool);
+  ignore (claim c "census: setup run ok" (Experiment.ok run) : bool);
   let g = Ntcu_core.Network.global_stats run.net in
   let per_join k =
     float_of_int (Ntcu_core.Stats.sent g k) /. float_of_int m
@@ -282,7 +433,7 @@ let census () =
 
 (* ---- Latency-model ablation ---- *)
 
-let latency_ablation () =
+let latency_ablation c =
   section "Ablation: latency model vs join cost (consistency must hold in all)";
   let p = Params.make ~b:16 ~d:8 in
   let n = 500 and m = 200 in
@@ -290,7 +441,7 @@ let latency_ablation () =
      Distances cache, which is single-domain state and must belong to the
      domain that runs its simulation. *)
   let results =
-    pmap
+    pmap c
       (fun (make_latency, name) ->
         let run = Experiment.concurrent_joins ~latency:(make_latency ()) p ~seed:31 ~n ~m () in
         (name, Experiment.ok run, mean_int run.join_noti, run.events))
@@ -312,7 +463,7 @@ let latency_ablation () =
       (fun (name, ok, avg_j, events) ->
         [
           name;
-          (if claim ("latency-ablation: " ^ name) ok then "yes" else "NO");
+          (if claim c ("latency-ablation: " ^ name) ok then "yes" else "NO");
           Printf.sprintf "%.3f" avg_j;
           string_of_int events;
         ])
@@ -322,7 +473,7 @@ let latency_ablation () =
 
 (* ---- Optimization extension: route stretch before/after ---- *)
 
-let optimize () =
+let optimize c =
   section "Extension: neighbor-table optimization (route stretch)";
   let n = 300 and m = 100 in
   let routers = Ntcu_topology.Transit_stub.default_config in
@@ -343,7 +494,7 @@ let optimize () =
     joiners;
   Ntcu_core.Network.run net;
   ignore
-    (claim "optimize: setup consistent"
+    (claim c "optimize: setup consistent"
        (List.is_empty (Ntcu_core.Network.check_consistent net))
       : bool);
   (* Host index = registration order, matching the attach order. *)
@@ -363,12 +514,14 @@ let optimize () =
   pf "entries improved: %d@." improved;
   pf "average route stretch: %.3f before, %.3f after@." before after;
   pf "still consistent: %b@."
-    (claim "optimize: consistent after optimization"
+    (claim c "optimize: consistent after optimization"
        (List.is_empty (Ntcu_core.Network.check_consistent net)))
 
 (* ---- Assumption ablation: what the paper's assumptions buy ---- *)
 
-let assumption () =
+(* The one section whose whole point is to exhibit violations: it claims
+   nothing. *)
+let assumption _ =
   section "Assumption ablation: reliable delivery (iii) and no deletion during joins (iv)";
   let p = Params.make ~b:16 ~d:8 in
   let n = 300 and m = 150 in
@@ -464,27 +617,18 @@ let assumption () =
 
 (* ---- Churn extensions: leaves and failure recovery ---- *)
 
-let churn () =
+let churn_batches c =
   section "Extensions: message-level leaves and failure recovery under churn";
   let p = Params.make ~b:16 ~d:8 in
   let run = Experiment.concurrent_joins p ~seed:41 ~n:600 ~m:200 () in
-  ignore (claim "churn: setup run ok" (Experiment.ok run) : bool);
-  let net = run.net in
+  ignore (claim c "churn: setup run ok" (Experiment.ok run) : bool);
   (* A quarter of the network leaves concurrently. *)
-  let lp = Ntcu_extensions.Leave_protocol.create net in
-  let leavers = fst (Ntcu_harness.Workload.split 200 (Ntcu_core.Network.ids net)) in
-  List.iter (fun id -> Ntcu_extensions.Leave_protocol.request_leave lp id) leavers;
-  Ntcu_extensions.Leave_protocol.run lp;
-  let lr = Ntcu_extensions.Leave_protocol.report lp in
-  pf "concurrent leaves: %a@." Ntcu_extensions.Leave_protocol.pp_report lr;
-  pf "consistent after leaves: %b@."
-    (claim "churn: consistent after leaves"
-       (List.is_empty (Ntcu_table.Check.violations (Ntcu_core.Network.tables net))));
+  claim_all c (leave run.net ~leavers:200);
   (* Then crash fractions of the survivors and repair. *)
   List.iter
     (fun fraction ->
       let run = Experiment.concurrent_joins p ~seed:42 ~n:600 ~m:200 () in
-      ignore (claim "churn: pre-crash run ok" (Experiment.ok run) : bool);
+      ignore (claim c "churn: pre-crash run ok" (Experiment.ok run) : bool);
       ignore (Ntcu_extensions.Recovery.fail_random run.net ~seed:43 ~fraction);
       let report = Ntcu_extensions.Recovery.repair run.net in
       (* Crashes here are epoch-separated (the network was quiescent), so
@@ -492,7 +636,7 @@ let churn () =
          grids in [fault], where it is best-effort. *)
       pf "fail %2.0f%%: %a; consistent: %b@." (100. *. fraction)
         Ntcu_extensions.Recovery.pp_report report
-        (claim
+        (claim c
            (Printf.sprintf "churn: consistent after repair at %.0f%%"
               (100. *. fraction))
            (List.is_empty
@@ -501,215 +645,97 @@ let churn () =
 
 (* ---- Continuous churn: steady-state engine + half-life sweep ---- *)
 
-(* Unlike [churn] above (epoch-separated leave/crash batches on a quiescent
-   network), this drives lib/churn's open system: Poisson arrivals against
-   expiring sessions at the target size, sampled over virtual hours, then a
-   downward half-life sweep to locate the measured churn tolerance. The
-   claim is Best_effort — under crash churn, consistency is one of the
-   measured series, not a guarantee. Writes BENCH_churn.json
-   (ntcu-bench-churn/1; same schema as `ntcu churn`). *)
-let churn_steady ~smoke () =
+(* Unlike [churn_batches] (epoch-separated leave/crash batches on a quiescent
+   network), the open system sampled over virtual hours. The smoke config
+   deliberately sits below its predicted tolerance (a 1-minute half-life
+   against a ~2-minute prediction), so only the default scale claims a clean
+   bill of health at the base half-life. *)
+let churn_steady c =
   section "Continuous churn: steady state + half-life sweep (writes BENCH_churn.json)";
-  let module Churn = Ntcu_churn.Churn in
-  let base =
-    if smoke then Churn.smoke
-    else
-      {
-        Churn.default with
-        n = 250;
-        duration = 1_200_000.;
-        (* 20 virtual minutes at a 10-minute half-life: ~2.4 population
-           turnovers, enough for the tail window to be steady state. *)
-        half_life = 600_000.;
-        sample_every = 30_000.;
-      }
-  in
-  let result = Churn.run base in
-  pf "%a@." Churn.pp_result result;
-  ignore
-    (claim "churn-steady: sustained and drained (best-effort)"
-       (Churn.ok ~claim:Experiment.Best_effort result)
-      : bool);
-  (* The smoke config deliberately sits below its predicted tolerance (a
-     1-minute half-life against a ~2-minute prediction), so only the default
-     scale claims a clean bill of health at the base half-life. *)
-  if not smoke then
-    ignore
-      (claim "churn-steady: healthy at base half-life"
-         (List.is_empty (Churn.health base result.Churn.summary))
-        : bool);
-  let points = if smoke then 2 else 3 in
-  let sweep =
-    match !pool with
-    | Some p -> Churn.sweep p ~base ~points
-    | None -> assert false
-  in
-  pf "%a@." Churn.pp_sweep sweep;
-  Report.Json.to_file "BENCH_churn.json" (Churn.bench_json ~sweep result);
-  pf "wrote BENCH_churn.json@."
+  claim_all c
+    (churn c.pool ~health:(not c.smoke)
+       ~points:(if c.smoke then 2 else 3)
+       ~out:"BENCH_churn.json" (churn_base ~smoke:c.smoke))
 
 (* ---- Heavy-traffic object-location serving ---- *)
 
-(* The PRR-style directory under a production-shaped workload: Zipf-popular
-   replicated objects, sustained lookups from random clients, the LRU
-   hop-pointer cache ablated off and on, and the same workload composed with
-   the continuous-churn driver (incremental directory maintenance +
-   re-replication each serve tick). The static correctness claim is strict —
-   every lookup must return the complete replica set, cache or not; the
-   under-churn tail-success claim is gated at the churn bench's base
-   half-life. Writes BENCH_serve.json (ntcu-bench-serve/1; same schema as
-   `ntcu serve`). *)
-let serve ~smoke () =
+let serve_section c =
   section "Object-location serving: Zipf workload + cache ablation (writes BENCH_serve.json)";
-  let module Serve = Ntcu_serve.Serve in
-  let module Churn = Ntcu_churn.Churn in
-  let cfg = if smoke then Serve.smoke else Serve.default in
-  let churn_cfg =
-    if smoke then Churn.smoke
-    else
-      (* The churn bench's base point (churn_steady above): n = 250, 20
-         virtual minutes at a 10-minute half-life. *)
-      {
-        Churn.default with
-        n = 250;
-        duration = 1_200_000.;
-        half_life = 600_000.;
-        sample_every = 30_000.;
-      }
-  in
-  let abl, churn =
-    match !pool with
-    | Some p -> Serve.run_all p cfg churn_cfg
-    | None -> assert false
-  in
-  pf "static, cache off:@.%a@.@." Serve.pp_summary abl.Serve.nocache;
-  pf "static, cache %d:@.%a@.@." cfg.Serve.cache Serve.pp_summary abl.Serve.cached;
-  pf "under churn (n=%d, half-life %gs):@.%a@." churn_cfg.Churn.n
-    (churn_cfg.Churn.half_life /. 1000.)
-    Serve.pp_churn_run churn;
-  ignore
-    (claim "serve: every static lookup finds the complete replica set (cache off)"
-       (Serve.static_ok abl.Serve.nocache)
-      : bool);
-  ignore
-    (claim "serve: every static lookup finds the complete replica set (cache on)"
-       (Serve.static_ok abl.Serve.cached)
-      : bool);
-  ignore
-    (claim "serve: hop-pointer cache lowers mean pointer-hit depth"
-       (Serve.cache_improves ~nocache:abl.Serve.nocache ~cached:abl.Serve.cached)
-      : bool);
-  (* As for churn-steady: the smoke config deliberately churns past its
-     predicted tolerance, so only the default scale claims the serving SLO. *)
-  if not smoke then
-    ignore
-      (claim "serve: tail lookup resolution >= 0.99 under churn at base half-life"
-         (Serve.churn_ok churn)
-        : bool);
-  Report.Json.to_file "BENCH_serve.json" (Serve.bench_json cfg abl churn);
-  pf "wrote BENCH_serve.json@."
+  claim_all c
+    (serve c.pool ~smoke:c.smoke ~out:"BENCH_serve.json"
+       (if c.smoke then Serve.smoke else Serve.default)
+       (churn_base ~smoke:c.smoke))
 
 (* ---- Sharded scale engine: packed ids + arena storage at 10^5 nodes ---- *)
 
-(* Drives lib/scale's sharded epoch engine over a population curve and writes
-   BENCH_scale.json. The payload section of each run is a deterministic
-   function of the configuration (byte-identical for every --jobs value), so
-   the artifact is diffable across machines; wall time, events/s and GC peak
-   live in the host section. The memory claim compares the arena's
-   deterministic bytes/node at the largest population against a record-backed
-   consistent network measured at 10k nodes — the scale-up must at least
-   halve per-node state. *)
-let scale ~smoke () =
+(* The population curve; the memory claim compares the arena's deterministic
+   bytes/node at 100k against a record-backed consistent network measured at
+   10k nodes. *)
+let scale_section c =
   section "Scale: sharded epoch engine, packed ids + arena storage (writes BENCH_scale.json)";
-  let module Scale_bench = Ntcu_harness.Scale_bench in
-  let jobs = pool_jobs () in
   let configs =
-    if smoke then [ Scale_bench.smoke_config ]
+    if c.smoke then [ Scale_bench.smoke_config ]
     else
       List.map
         (fun n -> Scale_bench.default_config ~n ())
         [ 10_000; 50_000; 100_000 ]
   in
-  let runs =
-    List.map
-      (fun cfg ->
-        let r = Scale_bench.measure ~jobs cfg in
-        pf "%a@." Scale_bench.pp_run r;
-        ignore
-          (claim
-             (Printf.sprintf "scale: n=%d complete and consistent" cfg.Scale_bench.Scale.n)
-             (Scale_bench.ok r)
-            : bool);
-        r)
-      configs
+  let control _ =
+    let control = Scale_bench.control_bytes_per_node Params.paper_sim_d8 in
+    pf "record-backed control at 10k nodes: %.1f bytes/node@." control;
+    Some control
   in
-  let control = Scale_bench.control_bytes_per_node Ntcu_id.Params.paper_sim_d8 in
-  pf "record-backed control at 10k nodes: %.1f bytes/node@." control;
-  if not smoke then begin
-    let last = List.nth runs (List.length runs - 1) in
-    ignore
-      (claim "scale: arena bytes/node at 100k <= half the record control at 10k"
-         (Scale_bench.bytes_per_node last.Scale_bench.summary <= control /. 2.)
-        : bool)
-  end;
-  Report.Json.to_file "BENCH_scale.json"
-    (Scale_bench.bench_json ~control_bytes_per_node:control runs);
-  pf "wrote BENCH_scale.json@."
+  claim_all c
+    (snd
+       (scale ~jobs:(Parallel.jobs c.pool) ~out:"BENCH_scale.json" ~control
+          ~memory:(not c.smoke) configs))
 
 (* ---- Protocol arena: paper vs Chord vs baseline, head to head ---- *)
 
-(* Runs every arm of the pluggable-protocol arena — the paper's protocol,
-   corrected Chord, the multicast baseline and naive Chord — on the identical
-   seeded topology, join/leave schedule and lookup pairs, and writes the
-   paired report to BENCH_arena.json (byte-identical across --jobs values).
-   The production arms (paper, corrected Chord) must pass their own
-   invariants; the naive-Chord arm is the designed differential and must NOT
-   — silent departures break its ring where successor redundancy and the
-   paper's repair survive. The baseline column is comparison data only: its
-   concurrency unsafety is already claimed by the [baseline] section, and
-   whether the races fire here depends on the scale. *)
-let arena ~smoke () =
+(* Every arm, the differential ones included. The production arms (paper,
+   corrected Chord) must pass their own invariants and answer every lookup;
+   naive Chord is the designed differential and must NOT pass — silent
+   departures break its ring where successor redundancy and the paper's
+   repair survive. The baseline is comparison data only: its concurrency
+   unsafety is claimed by the [baseline] section, and whether its races fire
+   here depends on the scale. *)
+let arena_section c =
   section "Protocol arena: paper vs Chord vs baseline (writes BENCH_arena.json)";
-  let module Arena = Ntcu_harness.Arena in
-  let base = if smoke then Arena.smoke else Arena.default in
+  let base = if c.smoke then Arena.smoke else Arena.default in
   let cfg =
     { base with
       Arena.arms = [ Arena.Paper; Arena.Chord; Arena.Baseline; Arena.Chord_naive ] }
   in
-  let report = Arena.run ~jobs:(pool_jobs ()) cfg in
-  pf "%a@." Arena.pp_report report;
-  List.iter
-    (fun (r : Arena.arm_result) ->
-      let name = Arena.arm_name r.Arena.arm in
-      match r.Arena.arm with
-      | Arena.Chord_naive ->
-        ignore
-          (claim "arena: naive chord exhibits the differential (violations expected)"
-             (not (Arena.arm_ok r))
-            : bool)
-      | Arena.Baseline -> ()
-      | Arena.Paper | Arena.Chord ->
-        ignore (claim (Printf.sprintf "arena: %s arm invariants" name) (Arena.arm_ok r) : bool);
-        ignore
-          (claim
-             (Printf.sprintf "arena: %s arm answers every lookup" name)
-             (r.Arena.lookups_attempted > 0
-             && r.Arena.lookups_ok = r.Arena.lookups_attempted)
-            : bool))
-    report.Arena.results;
-  Arena.write ~path:"BENCH_arena.json" report;
-  pf "wrote BENCH_arena.json@."
+  let report = arena ~jobs:(Parallel.jobs c.pool) ~out:"BENCH_arena.json" cfg in
+  claim_all c
+    (List.concat_map
+       (fun (r : Arena.arm_result) ->
+         let name = Arena.arm_name r.arm in
+         match r.arm with
+         | Arena.Chord_naive ->
+           [
+             ( "arena: naive chord exhibits the differential (violations expected)",
+               not (Arena.arm_ok r) );
+           ]
+         | Arena.Baseline -> []
+         | Arena.Paper | Arena.Chord ->
+           [
+             (Printf.sprintf "arena: %s arm invariants" name, Arena.arm_ok r);
+             ( Printf.sprintf "arena: %s arm answers every lookup" name,
+               r.lookups_attempted > 0 && r.lookups_ok = r.lookups_attempted );
+           ])
+       report.Arena.results)
 
 (* ---- Backup neighbors: routing resilience before repair ---- *)
 
-let resilience () =
+let resilience c =
   section "Backup neighbors (Section 2.1): routing success right after crashes, before repair";
   let p = Params.make ~b:16 ~d:8 in
   let rows =
     List.map
       (fun fraction ->
         let run = Experiment.concurrent_joins p ~seed:71 ~n:400 ~m:400 () in
-        ignore (claim "resilience: setup run ok" (Experiment.ok run) : bool);
+        ignore (claim c "resilience: setup run ok" (Experiment.ok run) : bool);
         let net = run.net in
         ignore (Ntcu_extensions.Recovery.fail_random net ~seed:72 ~fraction);
         let alive x =
@@ -740,8 +766,9 @@ let resilience () =
 
 (* ---- Fault injection: the reliability layer vs loss and crashes ---- *)
 
-let fault ~smoke () =
+let fault c =
   section "Fault injection: ack/retransmit + suspicion + online repair vs loss and crashes";
+  let smoke = c.smoke in
   let p = Params.make ~b:16 ~d:8 in
   let n = if smoke then 60 else 300 in
   let m = if smoke then 8 else 100 in
@@ -758,9 +785,9 @@ let fault ~smoke () =
      (each with its own network, loss RNG and crash schedule), then folded
      back into rows — the ordered map keeps the table identical to the
      serial nesting. *)
-  let grid = List.concat_map (fun loss -> List.map (fun c -> (loss, c)) crashes) losses in
+  let grid = List.concat_map (fun loss -> List.map (fun cr -> (loss, cr)) crashes) losses in
   let cells =
-    pmap
+    pmap c
       (fun (loss, crash_fraction) ->
         Experiment.fault_injection ~loss ~crash_fraction p ~seed:91 ~n ~m ())
       grid
@@ -771,7 +798,7 @@ let fault ~smoke () =
   List.iter2
     (fun (loss, crash_fraction) (f : Experiment.fault_run) ->
       ignore
-        (claim
+        (claim c
            (Printf.sprintf "fault: loss=%.2f crash=%.2f live (best-effort)" loss
               crash_fraction)
            (Experiment.ok ~claim:Experiment.Best_effort f.run)
@@ -788,7 +815,7 @@ let fault ~smoke () =
   in
   let header =
     "loss \\ crash"
-    :: List.map (fun c -> Printf.sprintf "%.0f%% crash" (100. *. c)) crashes
+    :: List.map (fun cr -> Printf.sprintf "%.0f%% crash" (100. *. cr)) crashes
   in
   pf "n=%d, m=%d, retransmit ON:@." n m;
   pf "%a" (Report.table ~header) rows;
@@ -815,26 +842,27 @@ let fault ~smoke () =
    diff runs. Wall time is the regression signal; events/sec normalizes it
    across scales; top_heap_words and the Dijkstra cache counters explain
    regressions (allocation blow-up vs cache thrash). *)
-let perf ~full ~smoke () =
+let perf c =
   section "Performance: fig15b-style runs (writes BENCH_perf.json)";
   let scale, routers, setups =
-    if smoke then
+    if c.smoke then
       ("smoke", Ntcu_topology.Transit_stub.default_config, [ { Experiment.d = 8; n = 150; m = 50 } ])
-    else if full then ("full", Ntcu_topology.Transit_stub.paper_config, Experiment.paper_setups)
+    else if c.full then ("full", Ntcu_topology.Transit_stub.paper_config, Experiment.paper_setups)
     else
       ( "default",
         Ntcu_topology.Transit_stub.scaled_config,
         [ { Experiment.d = 8; n = 3096; m = 1000 }; { Experiment.d = 40; n = 3096; m = 1000 } ] )
   in
-  let jobs = pool_jobs () in
+  let jobs = Parallel.jobs c.pool in
   pf "scale: %s, %d routers, jobs %d@." scale
     (Ntcu_topology.Transit_stub.router_count routers)
     jobs;
   let module J = Report.Json in
   let run_one (i, (setup : Experiment.fig15b_setup)) =
-    let t0 = Unix.gettimeofday () in
-    let run, hosts = Experiment.fig15b_instrumented ~routers ~seed:(100 + i) setup in
-    let wall = Unix.gettimeofday () -. t0 in
+    let (run, hosts), wall =
+      Experiment.timed (fun () ->
+          Experiment.fig15b_instrumented ~routers ~seed:(100 + i) setup)
+    in
     let gc = Gc.quick_stat () in
     let dist = Ntcu_topology.Endhosts.distances hosts in
     let ds = Ntcu_topology.Distances.stats dist in
@@ -886,13 +914,14 @@ let perf ~full ~smoke () =
      in-run, so it slightly inflates under core contention), making
      [speedup_vs_serial] a conservative estimate at --jobs 1 and an
      optimistic one beyond the physical core count. *)
-  let t_all = Unix.gettimeofday () in
-  let results = pmap run_one (List.mapi (fun i setup -> (i, setup)) setups) in
-  let total_wall = Unix.gettimeofday () -. t_all in
+  let results, total_wall =
+    Experiment.timed (fun () ->
+        pmap c run_one (List.mapi (fun i setup -> (i, setup)) setups))
+  in
   List.iter
     (fun (_, _, _, ok, (setup : Experiment.fig15b_setup)) ->
       ignore
-        (claim (Printf.sprintf "perf: n=%d m=%d d=%d ok" setup.n setup.m setup.d) ok
+        (claim c (Printf.sprintf "perf: n=%d m=%d d=%d ok" setup.n setup.m setup.d) ok
           : bool))
     results;
   let rows = List.map (fun (r, _, _, _, _) -> r) results in
@@ -925,7 +954,7 @@ let perf ~full ~smoke () =
 
 (* ---- Bechamel microbenchmarks ---- *)
 
-let micro () =
+let micro _ =
   section "Bechamel microbenchmarks";
   let open Bechamel in
   let p = Params.make ~b:16 ~d:8 in
@@ -983,66 +1012,44 @@ let micro () =
         rows)
     benchmarks
 
-(* Pull "--jobs N" / "--jobs=N" out of the argument list (so N is not
-   mistaken for a section name) and return (jobs value, remaining args). *)
-let extract_jobs args =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= 0 -> n
-    | Some _ | None -> failwith (Printf.sprintf "--jobs %s: expected a nonnegative integer" s)
-  in
-  let rec go acc jobs = function
-    | [] -> (jobs, List.rev acc)
-    | "--jobs" :: v :: rest -> go acc (Some (parse v)) rest
-    | "--jobs" :: [] -> failwith "--jobs: missing value"
-    | a :: rest when String.length a > 7 && String.sub a 0 7 = "--jobs=" ->
-      go acc (Some (parse (String.sub a 7 (String.length a - 7)))) rest
-    | a :: rest -> go (a :: acc) jobs rest
-  in
-  go [] None args
+(* ---- The bench ---- *)
 
-let () =
-  let jobs_opt, args = extract_jobs (Array.to_list Sys.argv) in
-  let jobs = Ntcu_std.Parallel.resolve_jobs jobs_opt in
-  pool := Some (Ntcu_std.Parallel.create ~jobs);
-  let full = List.exists (( = ) "--full") args in
-  let smoke = List.exists (( = ) "--smoke") args in
-  let routers =
-    if full then Ntcu_topology.Transit_stub.paper_config
-    else Ntcu_topology.Transit_stub.scaled_config
-  in
-  let sections =
-    List.filter
-      (fun a ->
-        not (String.length a = 0 || a.[0] = '-' || Filename.check_suffix a ".exe"))
-      (List.tl args)
-  in
-  let want name = sections = [] || List.mem name sections in
-  if want "fig15a" then fig15a ();
-  if want "fig15b" || want "avg-vs-bound" || want "theorem3" then begin
-    let runs = fig15b ~routers () in
-    if want "avg-vs-bound" then avg_vs_bound runs;
-    if want "theorem3" then theorem3 runs
-  end;
-  if want "theorem4" then theorem4 ();
-  if want "baseline" then baseline ();
-  if want "msgsize" then msgsize ();
-  if want "census" then census ();
-  if want "latency-ablation" then latency_ablation ();
-  if want "optimize" then optimize ();
-  if want "assumption" then assumption ();
-  if want "resilience" then resilience ();
-  if want "churn" then churn ();
-  if want "churn-steady" then churn_steady ~smoke ();
-  if want "serve" then serve ~smoke ();
-  if want "scale" then scale ~smoke ();
-  if want "arena" then arena ~smoke ();
-  if want "fault" then fault ~smoke ();
-  if want "perf" then perf ~full ~smoke ();
-  if want "micro" then micro ();
-  (match !pool with Some p -> Ntcu_std.Parallel.shutdown p | None -> ());
-  if !failed then begin
+(* Every section, in run order, under the names that select it. *)
+let sections =
+  [
+    ([ "fig15a" ], fig15a);
+    ([ "fig15b"; "avg-vs-bound"; "theorem3" ], fig15b);
+    ([ "theorem4" ], theorem4);
+    ([ "baseline" ], baseline);
+    ([ "msgsize" ], msgsize);
+    ([ "census" ], census);
+    ([ "latency-ablation" ], latency_ablation);
+    ([ "optimize" ], optimize);
+    ([ "assumption" ], assumption);
+    ([ "resilience" ], resilience);
+    ([ "churn" ], churn_batches);
+    ([ "churn-steady" ], churn_steady);
+    ([ "serve" ], serve_section);
+    ([ "scale" ], scale_section);
+    ([ "arena" ], arena_section);
+    ([ "fault" ], fault);
+    ([ "perf" ], perf);
+    ([ "micro" ], micro);
+  ]
+
+let section_names = List.concat_map fst sections
+
+(* Run the selected sections ([] = all) on [pool]; the exit status is 1 iff
+   some claim failed. *)
+let bench pool ~smoke ~full selected =
+  let want name = List.is_empty selected || List.mem name selected in
+  let c = { pool; smoke; full; want; failed = ref false } in
+  List.iter (fun (names, run) -> if List.exists want names then run c) sections;
+  if !(c.failed) then begin
     pf "@.FAILED: a consistency claim above did not hold.@.";
-    exit 1
-  end;
-  pf "@.done.@."
+    1
+  end
+  else begin
+    pf "@.done.@.";
+    0
+  end

@@ -1,6 +1,6 @@
 (* Command-line interface to the reproduction: run joins, regenerate the
-   paper's figures, validate consistency across seeds, and query the
-   analytic model. *)
+   paper's figures, validate consistency across seeds, query the analytic
+   model, and run the bench ([ntcu bench], sections in experiments.ml). *)
 
 open Cmdliner
 
@@ -8,6 +8,7 @@ module Params = Ntcu_id.Params
 module Experiment = Ntcu_harness.Experiment
 module Report = Ntcu_harness.Report
 module Join_cost = Ntcu_analysis.Join_cost
+module Parallel = Ntcu_std.Parallel
 
 (* ---- common arguments ---- *)
 
@@ -29,43 +30,12 @@ let suffix_arg =
     & info [ "suffix" ] ~docv:"SUFFIX"
         ~doc:"Force all joiner IDs to end with $(docv) (adversarial dependent joins).")
 
-let parse_suffix b s =
-  if s = "" then [||]
-  else begin
-    let digit c =
-      match c with
-      | '0' .. '9' -> Char.code c - Char.code '0'
-      | 'a' .. 'z' -> Char.code c - Char.code 'a' + 10
-      | _ -> failwith "bad suffix digit"
-    in
-    let k = String.length s in
-    Array.init k (fun i ->
-        let v = digit s.[k - 1 - i] in
-        if v >= b then failwith "suffix digit out of base";
-        v)
-  end
+let opt_int names doc = Arg.(value & opt (some int) None & info names ~docv:"N" ~doc)
+let opt_float names docv doc = Arg.(value & opt (some float) None & info names ~docv ~doc)
+let pick o dflt = Option.value o ~default:dflt
 
-(* ---- join ---- *)
-
-let join_cmd =
-  let run n m b d seed suffix sequential =
-    let p = Params.make ~b ~d in
-    let suffix = parse_suffix b suffix in
-    let result =
-      if sequential then Experiment.sequential_joins p ~seed ~n ~m ()
-      else Experiment.concurrent_joins p ~suffix ~seed ~n ~m ()
-    in
-    Format.printf "%a" Report.pp_join_run result;
-    if Experiment.consistent result then 0 else 1
-  in
-  let sequential =
-    Arg.(value & flag & info [ "sequential" ] ~doc:"Join one node at a time.")
-  in
-  Cmd.v
-    (Cmd.info "join" ~doc:"Run m joins into an n-node consistent network and verify.")
-    Term.(const run $ n_arg $ m_arg $ b_arg $ d_arg $ seed_arg $ suffix_arg $ sequential)
-
-(* ---- validate ---- *)
+(* A duration flag in virtual seconds over a config's milliseconds. *)
+let secs o dflt = match o with None -> dflt | Some s -> s *. 1000.
 
 let jobs_arg =
   Arg.(
@@ -77,9 +47,45 @@ let jobs_arg =
            the NTCU_JOBS environment variable, then to 1 (serial). Results are \
            collected in submission order, so the output is identical for every value.")
 
+let with_pool jobs f = Parallel.with_pool ~jobs:(Parallel.resolve_jobs jobs) f
+let smoke_arg doc = Arg.(value & flag & info [ "smoke" ] ~doc)
+
+let full_arg =
+  Arg.(value & flag & info [ "full" ] ~doc:"Use the paper's 8320-router topology.")
+
+let out_arg default =
+  Arg.(
+    value & opt string default
+    & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON artifact to $(docv).")
+
+(* ---- join ---- *)
+
+let join_cmd =
+  let run n m b d seed suffix sequential =
+    let p = Params.make ~b ~d in
+    let suffix =
+      match Ntcu_harness.Workload.parse_suffix ~b suffix with
+      | Ok suffix -> suffix
+      | Error e -> failwith e
+    in
+    let result =
+      if sequential then Experiment.sequential_joins p ~seed ~n ~m ()
+      else Experiment.concurrent_joins p ~suffix ~seed ~n ~m ()
+    in
+    Format.printf "%a" Report.pp_join_run result;
+    if Experiment.ok result then 0 else 1
+  in
+  let sequential =
+    Arg.(value & flag & info [ "sequential" ] ~doc:"Join one node at a time.")
+  in
+  Cmd.v
+    (Cmd.info "join" ~doc:"Run m joins into an n-node consistent network and verify.")
+    Term.(const run $ n_arg $ m_arg $ b_arg $ d_arg $ seed_arg $ suffix_arg $ sequential)
+
+(* ---- validate ---- *)
+
 let validate_cmd =
   let run trials jobs =
-    let jobs = Ntcu_std.Parallel.resolve_jobs jobs in
     let ok_run (run : Experiment.join_run) =
       Experiment.ok run
       && Array.for_all
@@ -106,8 +112,8 @@ let validate_cmd =
         (List.init trials (fun i -> i + 1))
     in
     let results =
-      Ntcu_std.Parallel.with_pool ~jobs (fun pool ->
-          Ntcu_std.Parallel.map pool (fun (label, thunk) -> (label, ok_run (thunk ()))) scenarios)
+      with_pool jobs (fun pool ->
+          Parallel.map pool (fun (label, thunk) -> (label, ok_run (thunk ()))) scenarios)
     in
     let failures = ref 0 in
     List.iter
@@ -130,11 +136,7 @@ let validate_cmd =
 
 let fig15a_cmd =
   let run b d m =
-    let ns = List.init 10 (fun i -> 10_000 * (i + 1)) in
-    let series = Experiment.fig15a_series ~b ~d ~m ~ns in
-    Format.printf "%a"
-      (Report.pp_fig15a_curve ~label:(Printf.sprintf "m=%d, b=%d, d=%d" m b d))
-      series;
+    Experiments.fig15a_curve ~b ~d ~m;
     0
   in
   Cmd.v
@@ -145,24 +147,19 @@ let fig15a_cmd =
 
 let fig15b_cmd =
   let run n m d seed full =
-    let routers =
-      if full then Ntcu_topology.Transit_stub.paper_config
-      else Ntcu_topology.Transit_stub.scaled_config
+    let result =
+      Experiment.fig15b ~routers:(Experiments.routers ~full) ~seed { Experiment.d; n; m }
     in
-    let result = Experiment.fig15b ~routers ~seed { Experiment.d; n; m } in
     Format.printf "%a@." Report.pp_join_run result;
     Format.printf "%a"
       (Report.pp_cdf ~label:(Printf.sprintf "n=%d, m=%d, b=16, d=%d" n m d))
       (Experiment.cdf_points result.join_noti);
-    if Experiment.consistent result then 0 else 1
-  in
-  let full =
-    Arg.(value & flag & info [ "full" ] ~doc:"Use the paper's 8320-router topology.")
+    if Experiment.ok result then 0 else 1
   in
   Cmd.v
     (Cmd.info "fig15b"
        ~doc:"Run one Figure 15(b) setup over a transit-stub topology and print the CDF.")
-    Term.(const run $ n_arg $ m_arg $ d_arg $ seed_arg $ full)
+    Term.(const run $ n_arg $ m_arg $ d_arg $ seed_arg $ full_arg)
 
 (* ---- bound ---- *)
 
@@ -214,19 +211,7 @@ let leave_cmd =
       Format.printf "setup inconsistent@.";
       1
     end
-    else begin
-      let lp = Ntcu_extensions.Leave_protocol.create result.net in
-      let victims =
-        fst (Ntcu_harness.Workload.split leavers (Ntcu_core.Network.ids result.net))
-      in
-      List.iter (fun id -> Ntcu_extensions.Leave_protocol.request_leave lp id) victims;
-      Ntcu_extensions.Leave_protocol.run lp;
-      Format.printf "%a@." Ntcu_extensions.Leave_protocol.pp_report
-        (Ntcu_extensions.Leave_protocol.report lp);
-      let consistent = List.is_empty (Ntcu_core.Network.check_consistent result.net) in
-      Format.printf "consistent after leaves: %b@." consistent;
-      if consistent then 0 else 1
-    end
+    else Experiments.exit_status (Experiments.leave result.net ~leavers)
   in
   let leavers =
     Arg.(value & opt int 50 & info [ "leavers" ] ~docv:"K" ~doc:"Concurrent leavers.")
@@ -316,17 +301,15 @@ let churn_cmd =
   let run smoke n b d seed duration half_life dist crash loss sample_every
       maintenance_every lookups sweep_points jobs out =
     let base = if smoke then Churn.smoke else Churn.default in
-    let pick o dflt = Option.value o ~default:dflt in
-    let secs o dflt = match o with None -> dflt | Some s -> s *. 1000. in
-    match
-      let dist =
-        match dist with
-        | None -> base.Churn.dist
-        | Some s -> (
-          match Session.kind_of_name s with
-          | Some k -> k
-          | None -> failwith (Printf.sprintf "unknown session distribution %S" s))
-      in
+    let dist =
+      match dist with
+      | None -> base.Churn.dist
+      | Some s -> (
+        match Session.kind_of_name s with
+        | Some k -> k
+        | None -> failwith (Printf.sprintf "unknown session distribution %S" s))
+    in
+    let cfg =
       {
         base with
         Churn.n = pick n base.Churn.n;
@@ -342,43 +325,9 @@ let churn_cmd =
         maintenance_every = secs maintenance_every base.Churn.maintenance_every;
         lookups_per_sample = pick lookups base.Churn.lookups_per_sample;
       }
-    with
-    | exception Failure e ->
-      Format.eprintf "%s@." e;
-      2
-    | cfg ->
-      let result = Churn.run cfg in
-      Format.printf "%a@." Churn.pp_result result;
-      let sweep =
-        if sweep_points = 0 then None
-        else begin
-          let jobs = Ntcu_std.Parallel.resolve_jobs jobs in
-          let w =
-            Ntcu_std.Parallel.with_pool ~jobs (fun pool ->
-                Churn.sweep pool ~base:cfg ~points:sweep_points)
-          in
-          Format.printf "%a@." Churn.pp_sweep w;
-          Some w
-        end
-      in
-      Ntcu_harness.Report.Json.to_file out (Churn.bench_json ?sweep result);
-      Format.printf "wrote %s@." out;
-      (* Best-effort claim, as for the fault command: under crash churn the
-         final consistency is a measurement, not a guarantee. *)
-      if Churn.ok ~claim:Experiment.Best_effort result then 0 else 1
-  in
-  let opt_int names doc = Arg.(value & opt (some int) None & info names ~docv:"N" ~doc) in
-  let opt_float names docv doc =
-    Arg.(value & opt (some float) None & info names ~docv ~doc)
-  in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"CI-sized run: 60 nodes, 2 min virtual.")
-  in
-  let duration =
-    opt_float [ "duration" ] "SECONDS" "Steady-state window in virtual seconds."
-  in
-  let half_life =
-    opt_float [ "half-life" ] "SECONDS" "Population half-life in virtual seconds."
+    in
+    with_pool jobs (fun pool ->
+        Experiments.exit_status (Experiments.churn pool ~points:sweep_points ~out cfg))
   in
   let dist =
     Arg.(
@@ -387,18 +336,6 @@ let churn_cmd =
       & info [ "dist" ] ~docv:"D"
           ~doc:"Session-time distribution: $(b,exponential), $(b,pareto) or $(b,fixed).")
   in
-  let crash =
-    opt_float [ "crash-fraction" ] "F" "Fraction of departures that crash (0 <= F <= 1)."
-  in
-  let loss = opt_float [ "loss" ] "P" "In-transit loss probability per message copy." in
-  let sample_every =
-    opt_float [ "sample-every" ] "SECONDS" "Time-series sampling period, virtual seconds."
-  in
-  let maintenance_every =
-    opt_float [ "maintenance-every" ] "SECONDS"
-      "Maintenance (dead-reference probe + reap) period, virtual seconds."
-  in
-  let lookups = opt_int [ "lookups" ] "Routed lookups measured per sample." in
   let sweep_points =
     Arg.(
       value & opt int 0
@@ -407,12 +344,6 @@ let churn_cmd =
             "After the main run, sweep $(docv) half-life points (halved at each \
              step from the configured half-life) and report the measured churn \
              tolerance against the stochastic-analysis prediction. 0 disables.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_churn.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON artifact to $(docv).")
   in
   Cmd.v
     (Cmd.info "churn"
@@ -423,12 +354,24 @@ let churn_cmd =
           down to the graceful-degradation boundary. Deterministic in --seed; \
           --jobs only fans out sweep points and never changes any output.")
     Term.(
-      const run $ smoke
+      const run
+      $ smoke_arg "CI-sized run: 60 nodes, 2 min virtual."
       $ opt_int [ "n" ] "Target steady-state network size."
       $ opt_int [ "b" ] "Digit base."
       $ opt_int [ "d" ] "Digits per ID."
-      $ seed_arg $ duration $ half_life $ dist $ crash $ loss $ sample_every
-      $ maintenance_every $ lookups $ sweep_points $ jobs_arg $ out)
+      $ seed_arg
+      $ opt_float [ "duration" ] "SECONDS" "Steady-state window in virtual seconds."
+      $ opt_float [ "half-life" ] "SECONDS" "Population half-life in virtual seconds."
+      $ dist
+      $ opt_float [ "crash-fraction" ] "F"
+          "Fraction of departures that crash (0 <= F <= 1)."
+      $ opt_float [ "loss" ] "P" "In-transit loss probability per message copy."
+      $ opt_float [ "sample-every" ] "SECONDS"
+          "Time-series sampling period, virtual seconds."
+      $ opt_float [ "maintenance-every" ] "SECONDS"
+          "Maintenance (dead-reference probe + reap) period, virtual seconds."
+      $ opt_int [ "lookups" ] "Routed lookups measured per sample."
+      $ sweep_points $ jobs_arg $ out_arg "BENCH_churn.json")
 
 (* ---- serve ---- *)
 
@@ -438,8 +381,6 @@ let serve_cmd =
   let run smoke n b d seed objects replicas zipf lookups cache serve_every lookups_per_tick
       churn_n duration half_life jobs out =
     let base = if smoke then Serve.smoke else Serve.default in
-    let pick o dflt = Option.value o ~default:dflt in
-    let secs o dflt = match o with None -> dflt | Some s -> s *. 1000. in
     let cfg =
       {
         Serve.n = pick n base.Serve.n;
@@ -455,20 +396,7 @@ let serve_cmd =
         lookups_per_tick = pick lookups_per_tick base.Serve.lookups_per_tick;
       }
     in
-    (* The churn side runs at the churn bench's base point (n = 250, 20 min
-       at a 10 min half-life) — the scale the tail-success claim is gated
-       at — or the churn smoke config under --smoke. *)
-    let churn_base =
-      if smoke then Churn.smoke
-      else
-        {
-          Churn.default with
-          n = 250;
-          duration = 1_200_000.;
-          half_life = 600_000.;
-          sample_every = 30_000.;
-        }
-    in
+    let churn_base = Experiments.churn_base ~smoke in
     let churn_cfg =
       {
         churn_base with
@@ -480,39 +408,8 @@ let serve_cmd =
         half_life = secs half_life churn_base.Churn.half_life;
       }
     in
-    match
-      let jobs = Ntcu_std.Parallel.resolve_jobs jobs in
-      Ntcu_std.Parallel.with_pool ~jobs (fun pool -> Serve.run_all pool cfg churn_cfg)
-    with
-    | exception Invalid_argument e ->
-      Format.eprintf "%s@." e;
-      2
-    | abl, churn ->
-      Format.printf "static serving, cache off:@.%a@.@." Serve.pp_summary
-        abl.Serve.nocache;
-      Format.printf "static serving, cache %d:@.%a@.@." cfg.Serve.cache Serve.pp_summary
-        abl.Serve.cached;
-      Format.printf "serving under churn (n=%d, half-life %gs):@.%a@." churn_cfg.Churn.n
-        (churn_cfg.Churn.half_life /. 1000.)
-        Serve.pp_churn_run churn;
-      Ntcu_harness.Report.Json.to_file out (Serve.bench_json cfg abl churn);
-      Format.printf "wrote %s@." out;
-      if Serve.ok ~smoke cfg abl churn then 0 else 1
-  in
-  let opt_int names doc = Arg.(value & opt (some int) None & info names ~docv:"N" ~doc) in
-  let opt_float names docv doc =
-    Arg.(value & opt (some float) None & info names ~docv ~doc)
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"CI-sized run: 60 nodes, 400 objects, churn smoke window.")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_serve.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON artifact to $(docv).")
+    with_pool jobs (fun pool ->
+        Experiments.exit_status (Experiments.serve pool ~smoke ~out cfg churn_cfg))
   in
   Cmd.v
     (Cmd.info "serve"
@@ -524,7 +421,8 @@ let serve_cmd =
           success gating). Deterministic in --seed; --jobs only fans out the \
           independent runs and never changes any output.")
     Term.(
-      const run $ smoke
+      const run
+      $ smoke_arg "CI-sized run: 60 nodes, 400 objects, churn smoke window."
       $ opt_int [ "n" ] "Static-run network size."
       $ opt_int [ "b" ] "Digit base."
       $ opt_int [ "d" ] "Digits per ID."
@@ -539,88 +437,60 @@ let serve_cmd =
       $ opt_int [ "churn-n" ] "Churn-run target network size."
       $ opt_float [ "duration" ] "SECONDS" "Churn window in virtual seconds."
       $ opt_float [ "half-life" ] "SECONDS" "Churn population half-life in virtual seconds."
-      $ jobs_arg $ out)
+      $ jobs_arg $ out_arg "BENCH_serve.json")
 
 (* ---- scale ---- *)
 
 let scale_cmd =
   let module Scale = Ntcu_scale.Scale in
   let module Scale_bench = Ntcu_harness.Scale_bench in
-  let run smoke n seeds b d seed shards inject max_epochs jobs no_control out
-      payload_out =
-    match
-      let jobs = Ntcu_std.Parallel.resolve_jobs jobs in
-      let base =
-        if smoke then { Scale_bench.smoke_config with Scale.seed }
-        else Scale_bench.default_config ~seed ~n ()
-      in
-      let pick o dflt = Option.value o ~default:dflt in
-      let cfg =
-        {
-          base with
-          Scale.params = Params.make ~b:(pick b base.Scale.params.b) ~d:(pick d base.Scale.params.d);
-          n = (if smoke then base.Scale.n else n);
-          seeds = pick seeds base.Scale.seeds;
-          shards = pick shards base.Scale.shards;
-          inject_per_epoch = pick inject base.Scale.inject_per_epoch;
-          max_epochs = pick max_epochs base.Scale.max_epochs;
-        }
-      in
-      (jobs, cfg)
-    with
-    | exception Invalid_argument e ->
-      Format.eprintf "%s@." e;
-      2
-    | jobs, cfg -> (
-      match Scale_bench.measure ~jobs cfg with
-      | exception Invalid_argument e ->
-        Format.eprintf "%s@." e;
-        2
-      | r ->
-        Format.printf "%a@." Scale_bench.pp_run r;
-        let control =
-          if no_control then None
-          else
-            Some
-              (Scale_bench.control_bytes_per_node
-                 ~n:(min 10_000 cfg.Scale.n)
-                 ~seed:cfg.Scale.seed cfg.Scale.params)
+  let run smoke n seeds b d seed shards inject max_epochs jobs no_control out payload_out =
+    let base =
+      if smoke then { Scale_bench.smoke_config with Scale.seed }
+      else Scale_bench.default_config ~seed ~n:(pick n 100_000) ()
+    in
+    let cfg =
+      {
+        base with
+        Scale.params =
+          Params.make ~b:(pick b base.Scale.params.b) ~d:(pick d base.Scale.params.d);
+        n = pick n base.Scale.n;
+        seeds = pick seeds base.Scale.seeds;
+        shards = pick shards base.Scale.shards;
+        inject_per_epoch = pick inject base.Scale.inject_per_epoch;
+        max_epochs = pick max_epochs base.Scale.max_epochs;
+      }
+    in
+    let control (r : Scale_bench.run) =
+      if no_control then None
+      else begin
+        let c =
+          Scale_bench.control_bytes_per_node
+            ~n:(min 10_000 cfg.Scale.n)
+            ~seed:cfg.Scale.seed cfg.Scale.params
         in
-        Option.iter
-          (fun c ->
-            Format.printf "record-backed control: %.1f bytes/node (arena %.1f)@." c
-              (Scale_bench.bytes_per_node r.Scale_bench.summary))
-          control;
-        Ntcu_harness.Report.Json.to_file out
-          (Scale_bench.bench_json ?control_bytes_per_node:control [ r ]);
-        Format.printf "wrote %s@." out;
-        Option.iter
-          (fun path ->
-            Ntcu_harness.Report.Json.to_file path (Scale_bench.payload_json r);
-            Format.printf "wrote %s@." path)
-          payload_out;
-        if Scale_bench.ok r then 0 else 1)
-  in
-  let opt_int names doc = Arg.(value & opt (some int) None & info names ~docv:"N" ~doc) in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"CI-sized run: 2000 nodes over 16 shards.")
-  in
-  let n =
-    Arg.(
-      value & opt int 100_000
-      & info [ "n" ] ~docv:"N" ~doc:"Total population, seeds included.")
+        Format.printf "record-backed control: %.1f bytes/node (arena %.1f)@." c
+          (Scale_bench.bytes_per_node r.summary);
+        Some c
+      end
+    in
+    let runs, claims =
+      Experiments.scale ~jobs:(Parallel.resolve_jobs jobs) ~out ~control [ cfg ]
+    in
+    Option.iter
+      (fun path ->
+        List.iter
+          (fun r -> Report.Json.to_file path (Scale_bench.payload_json r))
+          runs;
+        Format.printf "wrote %s@." path)
+      payload_out;
+    Experiments.exit_status claims
   in
   let no_control =
     Arg.(
       value & flag
       & info [ "no-control" ]
           ~doc:"Skip the record-backed memory control (GC-measured, host-side).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_scale.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the JSON artifact to $(docv).")
   in
   let payload_out =
     Arg.(
@@ -640,7 +510,10 @@ let scale_cmd =
           wire traffic). Deterministic in --seed; --jobs accelerates the single run \
           without changing its payload.")
     Term.(
-      const run $ smoke $ n
+      const run
+      $ smoke_arg "CI-sized run: 2000 nodes over 16 shards."
+      $ opt_int [ "n" ]
+          "Total population, seeds included (default 100000, or 2000 with --smoke)."
       $ opt_int [ "seeds" ] "Initially in-system nodes."
       $ opt_int [ "b" ] "Digit base."
       $ opt_int [ "d" ] "Digits per ID."
@@ -648,7 +521,7 @@ let scale_cmd =
       $ opt_int [ "shards" ] "Logical shard count (power of two)."
       $ opt_int [ "inject" ] "Joiners started per epoch."
       $ opt_int [ "max-epochs" ] "Safety bound on the epoch loop."
-      $ jobs_arg $ no_control $ out $ payload_out)
+      $ jobs_arg $ no_control $ out_arg "BENCH_scale.json" $ payload_out)
 
 (* ---- explore ---- *)
 
@@ -677,36 +550,36 @@ let explore_cmd =
           repro.Repro.digest;
         Format.printf "%s@." (if r.Repro.reproduced then "REPRODUCED" else "NOT REPRODUCED");
         if r.Repro.reproduced then 0 else 1)
-    | None -> (
-      match
-        let base = if smoke then Explore.smoke_settings else Explore.default_settings in
-        let pick opt dflt = Option.value opt ~default:dflt in
-        let schedulers =
-          match scheduler with
-          | "all" -> base.Explore.schedulers
-          | "random" -> [ Scheduler.Random_delay { scale = 16. } ]
-          | "pct" -> [ Scheduler.Pct { bands = 4; invert = 0.05 } ]
-          | "targeted" -> [ Scheduler.Targeted { probability = 0.25; stretch = 32. } ]
-          | "nop" -> [ Scheduler.Nop ]
-          | s -> failwith (Printf.sprintf "unknown scheduler %S" s)
-        in
-        let scenarios =
-          match scenario with
-          | "all" -> base.Explore.scenarios
-          | s -> (
-            match Episode.scenario_of_name s with
-            | Some sc -> [ sc ]
-            | None -> failwith (Printf.sprintf "unknown scenario %S" s))
-        in
-        let fault =
-          match inject_fault with
-          | None -> None
-          | Some name -> (
-            match Episode.fault_of_name name with
-            | Some f -> Some f
-            | None -> failwith (Printf.sprintf "unknown fault %S" name))
-        in
-        ({
+    | None ->
+      let base = if smoke then Explore.smoke_settings else Explore.default_settings in
+      let schedulers =
+        match scheduler with
+        | "all" -> base.Explore.schedulers
+        | "random" -> [ Scheduler.Random_delay { scale = 16. } ]
+        | "pct" -> [ Scheduler.Pct { bands = 4; invert = 0.05 } ]
+        | "targeted" -> [ Scheduler.Targeted { probability = 0.25; stretch = 32. } ]
+        | "nop" -> [ Scheduler.Nop ]
+        | s -> failwith (Printf.sprintf "unknown scheduler %S" s)
+      in
+      let scenarios =
+        match scenario with
+        | "all" -> base.Explore.scenarios
+        | s -> (
+          match Episode.scenario_of_name s with
+          | Some sc -> [ sc ]
+          | None -> failwith (Printf.sprintf "unknown scenario %S" s))
+      in
+      let fault =
+        match inject_fault with
+        | None -> None
+        | Some name -> (
+          match Episode.fault_of_name name with
+          | Some f -> Some f
+          | None -> failwith (Printf.sprintf "unknown fault %S" name))
+      in
+      let report =
+        Explore.run
+          {
             Explore.base_seed = seed;
             budget = pick budget base.Explore.budget;
             schedulers;
@@ -718,33 +591,26 @@ let explore_cmd =
             fault;
             chord_naive;
             midflight = not no_midflight;
-            jobs = Ntcu_std.Parallel.resolve_jobs jobs;
+            jobs = Parallel.resolve_jobs jobs;
             max_shrinks = pick max_shrinks base.Explore.max_shrinks;
           }
-          : Explore.settings)
-      with
-      | exception Failure e ->
-        Format.eprintf "%s@." e;
-        2
-      | settings ->
-        let report = Explore.run settings in
-        Format.printf "%a" Explore.pp_report report;
-        (match out with
-        | None -> ()
-        | Some dir ->
-          (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
-          Ntcu_harness.Report.Json.to_file
-            (Filename.concat dir "explore_report.json")
-            (Explore.report_json report);
-          List.iteri
-            (fun i (f : Explore.found) ->
-              match f.Explore.repro with
-              | Some r ->
-                Repro.save (Filename.concat dir (Printf.sprintf "repro_%d.txt" i)) r
-              | None -> ())
-            report.Explore.found;
-          Format.printf "report and repros written to %s@." dir);
-        if report.Explore.failures = 0 then 0 else 1)
+      in
+      Format.printf "%a" Explore.pp_report report;
+      (match out with
+      | None -> ()
+      | Some dir ->
+        (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
+        Report.Json.to_file
+          (Filename.concat dir "explore_report.json")
+          (Explore.report_json report);
+        List.iteri
+          (fun i (f : Explore.found) ->
+            match f.Explore.repro with
+            | Some r -> Repro.save (Filename.concat dir (Printf.sprintf "repro_%d.txt" i)) r
+            | None -> ())
+          report.Explore.found;
+        Format.printf "report and repros written to %s@." dir);
+      if report.Explore.failures = 0 then 0 else 1
   in
   let budget =
     Arg.(
@@ -765,14 +631,6 @@ let explore_cmd =
           ~doc:
             "Scenario: $(b,concurrent), $(b,dependent), $(b,fault), $(b,churn), \
              $(b,chord) or $(b,all).")
-  in
-  let opt_int names doc =
-    Arg.(value & opt (some int) None & info names ~docv:"N" ~doc)
-  in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ] ~doc:"CI-sized run: tiny budget and workloads, no fault scenario.")
   in
   let inject_fault =
     Arg.(
@@ -831,29 +689,30 @@ let explore_cmd =
       $ opt_int [ "m" ] "Number of joining nodes."
       $ opt_int [ "b" ] "Digit base."
       $ opt_int [ "d" ] "Digits per ID."
-      $ jobs_arg $ smoke $ inject_fault $ chord_naive $ no_midflight $ out $ max_shrinks
-      $ replay)
+      $ jobs_arg
+      $ smoke_arg "CI-sized run: tiny budget and workloads, no fault scenario."
+      $ inject_fault $ chord_naive $ no_midflight $ out $ max_shrinks $ replay)
 
 (* ---- arena ---- *)
 
 let arena_cmd =
   let module Arena = Ntcu_harness.Arena in
   let run seed n m leavers lookups b d jobs smoke naive arms_s out =
-    match
-      let base = if smoke then Arena.smoke else Arena.default in
-      let pick opt dflt = Option.value opt ~default:dflt in
-      let arms =
-        match arms_s with
-        | None -> base.Arena.arms @ (if naive then [ Arena.Chord_naive ] else [])
-        | Some s ->
-          List.map
-            (fun name ->
-              match Arena.arm_of_name name with
-              | Some a -> a
-              | None -> failwith (Printf.sprintf "unknown arm %S" name))
-            (String.split_on_char ',' s)
-      in
-      ({
+    let base = if smoke then Arena.smoke else Arena.default in
+    let arms =
+      match arms_s with
+      | None -> base.Arena.arms @ if naive then [ Arena.Chord_naive ] else []
+      | Some s ->
+        List.map
+          (fun name ->
+            match Arena.arm_of_name name with
+            | Some a -> a
+            | None -> failwith (Printf.sprintf "unknown arm %S" name))
+          (String.split_on_char ',' s)
+    in
+    let report =
+      Experiments.arena ~jobs:(Parallel.resolve_jobs jobs) ~out
+        {
           Arena.b = pick b base.Arena.b;
           d = pick d base.Arena.d;
           n = pick n base.Arena.n;
@@ -865,23 +724,11 @@ let arena_cmd =
           rounds = base.Arena.rounds;
           arms;
         }
-        : Arena.config)
-    with
-    | exception Failure e ->
-      Format.eprintf "%s@." e;
-      2
-    | cfg ->
-      let report = Arena.run ~jobs:(Ntcu_std.Parallel.resolve_jobs jobs) cfg in
-      Format.printf "%a" Arena.pp_report report;
-      Arena.write ~path:out report;
-      Format.printf "arena report written to %s@." out;
-      if Arena.ok report then 0 else 1
-  in
-  let opt_int names doc =
-    Arg.(value & opt (some int) None & info names ~docv:"N" ~doc)
-  in
-  let smoke =
-    Arg.(value & flag & info [ "smoke" ] ~doc:"CI-sized run: small population and workload.")
+    in
+    (* Every selected arm must hold its own invariants, so [--arms
+       chord-naive] exits 1 by design (the bench section claims the
+       opposite). *)
+    if Arena.ok report then 0 else 1
   in
   let naive =
     Arg.(
@@ -900,11 +747,6 @@ let arena_cmd =
             "Comma-separated arms to run ($(b,paper), $(b,chord), $(b,chord-naive), \
              $(b,baseline)); overrides the default set and $(b,--naive).")
   in
-  let out =
-    Arg.(
-      value & opt string "BENCH_arena.json"
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the arena artifact to $(docv).")
-  in
   Cmd.v
     (Cmd.info "arena"
        ~doc:
@@ -921,7 +763,43 @@ let arena_cmd =
       $ opt_int [ "lookups" ] "Lookup pairs."
       $ opt_int [ "b" ] "Digit base."
       $ opt_int [ "d" ] "Digits per ID."
-      $ jobs_arg $ smoke $ naive $ arms $ out)
+      $ jobs_arg
+      $ smoke_arg "CI-sized run: small population and workload."
+      $ naive $ arms $ out_arg "BENCH_arena.json")
+
+(* ---- bench ---- *)
+
+let bench_cmd =
+  let run smoke full jobs selected =
+    with_pool jobs (fun pool -> Experiments.bench pool ~smoke ~full selected)
+  in
+  let names = Experiments.section_names in
+  let selected =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun name -> (name, name)) names)) []
+      & info [] ~docv:"SECTION"
+          ~doc:
+            (Printf.sprintf
+               "Run only these sections (default: all). $(docv) is %s; sections run in \
+                that order whatever the order given. Selecting avg-vs-bound or \
+                theorem3 also prints the fig15b section, whose runs they share."
+               (Arg.doc_alts names)))
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Regenerate the paper's evaluation (Figure 15, Theorems 3-5) and the \
+          comparison, ablation, churn, serving, scale, arena, fault, perf and \
+          Bechamel micro experiments; the churn-steady, serve, scale, arena and perf \
+          sections write BENCH_*.json in the current directory. Exits 1 if any claim \
+          fails. Tables and artifacts are identical for every --jobs value.")
+    Term.(
+      const run
+      $ smoke_arg
+          "CI-sized parameters for the churn-steady, serve, scale, arena, fault and \
+           perf sections."
+      $ full_arg $ jobs_arg $ selected)
 
 let main =
   Cmd.group
@@ -944,6 +822,20 @@ let main =
       scale_cmd;
       explore_cmd;
       arena_cmd;
+      bench_cmd;
     ]
 
-let () = exit (Cmd.eval' main)
+(* Bad input exits 2 with its message, in every command: the flag decoders
+   here raise [Failure], the libraries' config validators [Invalid_argument].
+   Any other exception is a bug and exits 125, as under cmdliner's handler. *)
+let () =
+  exit
+    (match Cmd.eval' ~catch:false main with
+    | code -> code
+    | exception (Failure e | Invalid_argument e) ->
+      Format.eprintf "%s@." e;
+      2
+    | exception e ->
+      Format.eprintf "ntcu: internal error, uncaught exception:@.%s@.%s@."
+        (Printexc.to_string e) (Printexc.get_backtrace ());
+      Cmd.Exit.internal_error)

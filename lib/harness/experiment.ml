@@ -37,6 +37,11 @@ let ok ?(claim = Strict) run =
   run.all_in_system && run.quiescent
   && match claim with Strict -> run.consistent | Best_effort -> true
 
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let x = f () in
+  (x, Unix.gettimeofday () -. t0)
+
 let finish ~t0 net seeds joiners =
   let stats_of id = Node.stats (Network.node_exn net id) in
   {

@@ -37,6 +37,10 @@ val ok : ?claim:claim -> join_run -> bool
     gate their exit status on this so a regression fails CI instead of just
     printing "NO"; fault and churn modes pass [~claim:Best_effort]. *)
 
+val timed : (unit -> 'a) -> 'a * float
+(** [f ()] and the host wall-clock seconds it took: the perf bench's
+    timings, which are host measurements and never feed a simulation. *)
+
 val concurrent_joins :
   ?latency:Ntcu_sim.Latency.t ->
   ?size_mode:Ntcu_core.Message.size_mode ->

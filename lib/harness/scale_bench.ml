@@ -24,9 +24,7 @@ let smoke_config =
   { (default_config ~n:2000 ()) with Scale.seeds = 128; shards = 16 }
 
 let measure ~jobs config =
-  let t0 = Unix.gettimeofday () in
-  let summary = Scale.run ~jobs config in
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let summary, wall_s = Experiment.timed (fun () -> Scale.run ~jobs config) in
   { config; jobs; summary; wall_s; top_heap_words = (Gc.quick_stat ()).top_heap_words }
 
 let bytes_per_node (s : Scale.summary) =

@@ -22,6 +22,20 @@ let distinct_ids ?(suffix = [||]) ?(avoid = Id.Set.empty) rng (p : Ntcu_id.Param
   done;
   List.rev !out
 
+let parse_suffix ~b s =
+  let digit c =
+    match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'z' -> Char.code c - Char.code 'a' + 10
+    | _ -> max_int
+  in
+  match Seq.find (fun c -> digit c >= b) (String.to_seq s) with
+  | Some c ->
+    Error (Printf.sprintf "suffix %S: %C is not a digit below %d (alphabet 0-9a-z)" s c b)
+  | None ->
+    let k = String.length s in
+    Ok (Array.init k (fun i -> digit s.[k - 1 - i]))
+
 let split k l =
   let rec go k acc = function
     | rest when k = 0 -> (List.rev acc, rest)

@@ -458,17 +458,6 @@ let churn_ok r =
   r.sc_lookups > 0 && r.sc_tail_resolution >= 0.99
   && Churn.ok ~claim:Ntcu_harness.Experiment.Best_effort r.sc_churn
 
-let ok ?(smoke = false) cfg (abl : ablation) churn =
-  static_ok abl.nocache && static_ok abl.cached
-  && (cfg.cache = 0 || cache_improves ~nocache:abl.nocache ~cached:abl.cached)
-  (* The smoke churn config deliberately churns past its predicted repair
-     tolerance (see Churn.smoke), so only the default scale claims the SLO;
-     smoke still requires traffic and a healthy Best_effort churn side. *)
-  && (if smoke then
-        churn.sc_lookups > 0
-        && Churn.ok ~claim:Ntcu_harness.Experiment.Best_effort churn.sc_churn
-      else churn_ok churn)
-
 (* ---- Reporting --------------------------------------------------------- *)
 
 let config_json cfg =

@@ -159,14 +159,6 @@ val churn_ok : churn_run -> bool
 (** Tail lookup resolution >= 0.99 and the churn side held its Best_effort
     claim ({!Ntcu_churn.Churn.ok}). *)
 
-val ok : ?smoke:bool -> config -> ablation -> churn_run -> bool
-(** All of the above (cache improvement only required when [cache > 0]);
-    the CLI's exit status and the bench claims. With [~smoke:true] the
-    churn-side SLO is waived — the smoke churn config deliberately churns
-    past its predicted repair tolerance, mirroring the churn-steady bench —
-    though the churn run must still issue traffic and hold its Best_effort
-    churn claim. *)
-
 val config_json : config -> Ntcu_harness.Report.Json.t
 val summary_json : summary -> Ntcu_harness.Report.Json.t
 val churn_run_json : churn_run -> Ntcu_harness.Report.Json.t

@@ -47,6 +47,26 @@ let split_cases () =
     (Alcotest.pair (Alcotest.list Alcotest.int) (Alcotest.list Alcotest.int))
     "short" ([ 1 ], []) (Workload.split 5 [ 1 ])
 
+let parse_suffix_cases () =
+  let parsed = Alcotest.(result (array int) string) in
+  check parsed "empty" (Ok [||]) (Workload.parse_suffix ~b:16 "");
+  (* Least significant last: index 0 holds the rightmost character. *)
+  check parsed "digit order" (Ok [| 10; 3 |]) (Workload.parse_suffix ~b:16 "3a");
+  let rejected name r = check Alcotest.bool name true (Result.is_error r) in
+  rejected "bad character" (Workload.parse_suffix ~b:16 "3-");
+  rejected "digit >= b" (Workload.parse_suffix ~b:4 "9");
+  rejected "letter >= b" (Workload.parse_suffix ~b:16 "zz");
+  (* The parsed suffix is the textual one: generated ids end with "3a". *)
+  match Workload.parse_suffix ~b:16 "3a" with
+  | Error e -> Alcotest.fail e
+  | Ok suffix ->
+    let ids = Workload.distinct_ids ~suffix (Rng.create 5) (Params.make ~b:16 ~d:4) ~n:5 in
+    List.iter
+      (fun id ->
+        let s = Id.to_string id in
+        check Alcotest.string "textual suffix" "3a" (String.sub s (String.length s - 2) 2))
+      ids
+
 let cdf_points_cumulative () =
   let pts = Experiment.cdf_points [| 3; 1; 1; 2 |] in
   check
@@ -108,6 +128,7 @@ let suites =
         Alcotest.test_case "suffix constraint" `Quick distinct_ids_suffix;
         Alcotest.test_case "space guard" `Quick distinct_ids_space_guard;
         Alcotest.test_case "split" `Quick split_cases;
+        Alcotest.test_case "parse suffix" `Quick parse_suffix_cases;
         Alcotest.test_case "cdf points" `Quick cdf_points_cumulative;
         Alcotest.test_case "join-run report" `Quick join_run_reports;
         Alcotest.test_case "fig15b miniature" `Slow fig15b_small_setup;
