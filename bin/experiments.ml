@@ -6,14 +6,14 @@
    section into CLAIM FAILED lines and the bench's exit status.
 
    The bench sections regenerate every table and figure of the paper's
-   evaluation (Section 5.2, Figure 15), the comparison and ablation
-   experiments of DESIGN.md and the Bechamel microbenchmarks of the core
-   operations. Every independent-run sweep (the four fig15b setups, the
-   300-run Theorem 4 estimator, the size-mode and latency-model ablations,
-   the fault-injection loss x crash grid) goes through Ntcu_std.Parallel.map,
-   which returns results in submission order — so all tables and JSON
-   artifacts are byte-identical across --jobs values; --jobs 1 (the default)
-   is exactly the serial path. *)
+   evaluation (Section 5.2, Figure 15) and the comparison and ablation
+   experiments of DESIGN.md. Every independent-run sweep (the four fig15b
+   setups, the 300-run Theorem 4 estimator, the size-mode and latency-model
+   ablations, the fault-injection loss x crash grid) goes through
+   Ntcu_std.Parallel.map, which returns results in submission order — so all
+   tables and JSON artifacts are byte-identical across --jobs values; --jobs 1
+   (the default) is exactly the serial path. Host time is measured only in
+   scale's host section: ntcubench times everything else. *)
 
 module Id = Ntcu_id.Id
 module Params = Ntcu_id.Params
@@ -143,7 +143,7 @@ let serve pool ~smoke ~out cfg churn_cfg : claims =
    prints) the record-backed memory control, given the last run. With
    [memory], the scale-up must at least halve per-node state: the arena's
    bytes/node at the last config against the control. *)
-let scale ~jobs ~out ~control ?(memory = false) configs =
+let scale ~jobs ~out ~control ?(memory = false) configs : claims =
   let runs =
     List.map
       (fun cfg ->
@@ -154,24 +154,20 @@ let scale ~jobs ~out ~control ?(memory = false) configs =
   in
   let last = List.nth runs (List.length runs - 1) in
   let control = control last in
-  Report.Json.to_file out (Scale_bench.bench_json ?control_bytes_per_node:control runs);
+  Report.Json.to_file out (Scale_bench.bench_json ~control_bytes_per_node:control runs);
   pf "wrote %s@." out;
-  let claims =
-    List.map
-      (fun (r : Scale_bench.run) ->
-        ( Printf.sprintf "scale: n=%d complete and consistent" r.config.Scale_bench.Scale.n,
-          Scale_bench.ok r ))
-      runs
-    @
-    match control with
-    | Some c when memory ->
-      [
-        ( "scale: arena bytes/node at 100k <= half the record control at 10k",
-          Scale_bench.bytes_per_node last.Scale_bench.summary <= c /. 2. );
-      ]
-    | Some _ | None -> []
-  in
-  (runs, claims)
+  List.map
+    (fun (r : Scale_bench.run) ->
+      ( Printf.sprintf "scale: n=%d complete and consistent" r.config.Scale_bench.Scale.n,
+        Scale_bench.ok r ))
+    runs
+  @
+  if memory then
+    [
+      ( "scale: arena bytes/node at 100k <= half the record control at 10k",
+        Scale_bench.bytes_per_node last.Scale_bench.summary <= control /. 2. );
+    ]
+  else []
 
 (* The pluggable-protocol arena: every configured arm on the identical seeded
    topology, join/leave schedule and lookup pairs; writes the paired report
@@ -683,12 +679,11 @@ let scale_section c =
   let control _ =
     let control = Scale_bench.control_bytes_per_node Params.paper_sim_d8 in
     pf "record-backed control at 10k nodes: %.1f bytes/node@." control;
-    Some control
+    control
   in
   claim_all c
-    (snd
-       (scale ~jobs:(Parallel.jobs c.pool) ~out:"BENCH_scale.json" ~control
-          ~memory:(not c.smoke) configs))
+    (scale ~jobs:(Parallel.jobs c.pool) ~out:"BENCH_scale.json" ~control
+       ~memory:(not c.smoke) configs)
 
 (* ---- Protocol arena: paper vs Chord vs baseline, head to head ---- *)
 
@@ -834,184 +829,6 @@ let fault c =
   in
   pf "detail (2%% loss + crash): %a" Report.pp_fault_run detail
 
-(* ---- Performance regression bench: fig15b-style runs, timed ---- *)
-
-(* Times the simulation hot path (event queue, shortest-path latencies,
-   codec-backed size accounting) on fig15b-style workloads and writes the
-   measurements to BENCH_perf.json so CI can archive them and a reviewer can
-   diff runs. Wall time is the regression signal; events/sec normalizes it
-   across scales; top_heap_words and the Dijkstra cache counters explain
-   regressions (allocation blow-up vs cache thrash). *)
-let perf c =
-  section "Performance: fig15b-style runs (writes BENCH_perf.json)";
-  let scale, routers, setups =
-    if c.smoke then
-      ("smoke", Ntcu_topology.Transit_stub.default_config, [ { Experiment.d = 8; n = 150; m = 50 } ])
-    else if c.full then ("full", Ntcu_topology.Transit_stub.paper_config, Experiment.paper_setups)
-    else
-      ( "default",
-        Ntcu_topology.Transit_stub.scaled_config,
-        [ { Experiment.d = 8; n = 3096; m = 1000 }; { Experiment.d = 40; n = 3096; m = 1000 } ] )
-  in
-  let jobs = Parallel.jobs c.pool in
-  pf "scale: %s, %d routers, jobs %d@." scale
-    (Ntcu_topology.Transit_stub.router_count routers)
-    jobs;
-  let module J = Report.Json in
-  let run_one (i, (setup : Experiment.fig15b_setup)) =
-    let (run, hosts), wall =
-      Experiment.timed (fun () ->
-          Experiment.fig15b_instrumented ~routers ~seed:(100 + i) setup)
-    in
-    let gc = Gc.quick_stat () in
-    let dist = Ntcu_topology.Endhosts.distances hosts in
-    let ds = Ntcu_topology.Distances.stats dist in
-    let events_per_s = float_of_int run.events /. wall in
-    let row =
-      [
-        Printf.sprintf "n=%d m=%d d=%d" setup.n setup.m setup.d;
-        Printf.sprintf "%.2f" wall;
-        string_of_int run.events;
-        Printf.sprintf "%.0f" events_per_s;
-        string_of_int gc.top_heap_words;
-        Printf.sprintf "%.4f" (Ntcu_topology.Distances.hit_rate dist);
-        (if Experiment.ok run then "yes" else "NO");
-      ]
-    in
-    let json =
-      J.Obj
-        [
-          ("d", J.Int setup.d);
-          ("n", J.Int setup.n);
-          ("m", J.Int setup.m);
-          ("seed", J.Int (100 + i));
-          ("wall_s", J.Float wall);
-          ("cpu_s", J.Float run.elapsed_cpu);
-          ("events", J.Int run.events);
-          ("events_per_s", J.Float events_per_s);
-          ("top_heap_words", J.Int gc.top_heap_words);
-          ("minor_collections", J.Int gc.minor_collections);
-          ("major_collections", J.Int gc.major_collections);
-          ( "dijkstra",
-            J.Obj
-              [
-                ("queries", J.Int ds.queries);
-                ("settled_hits", J.Int ds.settled_hits);
-                ("state_hits", J.Int ds.state_hits);
-                ("state_misses", J.Int ds.state_misses);
-                ("evictions", J.Int ds.evictions);
-                ("pops", J.Int ds.pops);
-                ("hit_rate", J.Float (Ntcu_topology.Distances.hit_rate dist));
-              ] );
-          ("consistent", J.Bool (Experiment.consistent run));
-          ("all_in_system", J.Bool run.all_in_system);
-        ]
-    in
-    (row, json, wall, Experiment.ok run, setup)
-  in
-  (* Aggregate wall is elapsed time around the whole fan-out; the sum of
-     per-run walls is what a serial execution would have cost (measured
-     in-run, so it slightly inflates under core contention), making
-     [speedup_vs_serial] a conservative estimate at --jobs 1 and an
-     optimistic one beyond the physical core count. *)
-  let results, total_wall =
-    Experiment.timed (fun () ->
-        pmap c run_one (List.mapi (fun i setup -> (i, setup)) setups))
-  in
-  List.iter
-    (fun (_, _, _, ok, (setup : Experiment.fig15b_setup)) ->
-      ignore
-        (claim c (Printf.sprintf "perf: n=%d m=%d d=%d ok" setup.n setup.m setup.d) ok
-          : bool))
-    results;
-  let rows = List.map (fun (r, _, _, _, _) -> r) results in
-  let serial_wall =
-    List.fold_left (fun acc (_, _, w, _, _) -> acc +. w) 0. results
-  in
-  let speedup = if total_wall > 0. then serial_wall /. total_wall else 1. in
-  pf "%a"
-    (Report.table
-       ~header:
-         [ "setup"; "wall s"; "events"; "events/s"; "top heap w"; "dijkstra hit"; "ok" ])
-    rows;
-  pf "total wall: %.2fs (per-run sum %.2fs, %.2fx vs serial at %d jobs)@." total_wall
-    serial_wall speedup jobs;
-  let doc =
-    J.Obj
-      [
-        ("schema", J.String "ntcu-bench-perf/2");
-        ("scale", J.String scale);
-        ("routers", J.Int (Ntcu_topology.Transit_stub.router_count routers));
-        ("jobs", J.Int jobs);
-        ("total_wall_s", J.Float total_wall);
-        ("serial_wall_s", J.Float serial_wall);
-        ("speedup_vs_serial", J.Float speedup);
-        ("runs", J.List (List.map (fun (_, j, _, _, _) -> j) results));
-      ]
-  in
-  J.to_file "BENCH_perf.json" doc;
-  pf "wrote BENCH_perf.json@."
-
-(* ---- Bechamel microbenchmarks ---- *)
-
-let micro _ =
-  section "Bechamel microbenchmarks";
-  let open Bechamel in
-  let p = Params.make ~b:16 ~d:8 in
-  let run = Experiment.concurrent_joins p ~seed:3 ~n:200 ~m:100 () in
-  let ids = Array.of_list (Ntcu_core.Network.ids run.net) in
-  let lookup id = Option.map Ntcu_core.Node.table (Ntcu_core.Network.node run.net id) in
-  let rng = Ntcu_std.Rng.create 9 in
-  let tables = Ntcu_core.Network.tables run.net in
-  let bench_route =
-    Test.make ~name:"route"
-      (Staged.stage (fun () ->
-           let src = Ntcu_std.Rng.pick rng ids and dst = Ntcu_std.Rng.pick rng ids in
-           ignore (Ntcu_routing.Route.route ~lookup ~src ~dst)))
-  in
-  let bench_check =
-    Test.make ~name:"consistency-check-300-nodes"
-      (Staged.stage (fun () -> ignore (Ntcu_table.Check.violations ~limit:1 tables)))
-  in
-  let bench_join =
-    Test.make ~name:"join-into-50-node-network"
-      (Staged.stage
-         (let counter = ref 0 in
-          fun () ->
-            incr counter;
-            ignore (Experiment.concurrent_joins p ~seed:!counter ~n:50 ~m:1 ())))
-  in
-  let bench_bound =
-    Test.make ~name:"theorem5-bound-n100k-d40"
-      (Staged.stage (fun () ->
-           ignore (Join_cost.theorem5_bound (Params.make ~b:16 ~d:40) ~n:100_000 ~m:1000)))
-  in
-  let benchmarks = [ bench_route; bench_check; bench_join; bench_bound ] in
-  let cfg = Benchmark.cfg ~limit:500 ~quota:(Time.second 1.0) () in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let results =
-        Analyze.all
-          (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-          Toolkit.Instance.monotonic_clock results
-      in
-      (* Print in name order; Hashtbl.iter order would vary run to run. *)
-      let rows =
-        (Hashtbl.fold [@ntcu.allow "D002"])
-          (fun name result acc -> (name, result) :: acc)
-          results []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
-      List.iter
-        (fun (name, result) ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] -> pf "%-40s %14.1f ns/run@." name est
-          | Some _ | None -> pf "%-40s (no estimate)@." name)
-        rows)
-    benchmarks
-
 (* ---- The bench ---- *)
 
 (* Every section, in run order, under the names that select it. *)
@@ -1033,8 +850,6 @@ let sections =
     ([ "scale" ], scale_section);
     ([ "arena" ], arena_section);
     ([ "fault" ], fault);
-    ([ "perf" ], perf);
-    ([ "micro" ], micro);
   ]
 
 let section_names = List.concat_map fst sections

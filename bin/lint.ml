@@ -14,7 +14,7 @@ let () =
   let json = ref false in
   let out = ref "" in
   let root = ref "." in
-  let dirs = ref "lib,bin,bench" in
+  let dirs = ref "lib,bin" in
   let baseline_path = ref "lint_baseline.txt" in
   let no_baseline = ref false in
   let update_baseline = ref false in
@@ -28,7 +28,7 @@ let () =
       ("--root", Arg.Set_string root, "DIR repo or build-context root (default .)");
       ( "--dirs",
         Arg.Set_string dirs,
-        "D1,D2 comma-separated dirs to analyze (default lib,bin,bench)" );
+        "D1,D2 comma-separated dirs to analyze (default lib,bin)" );
       ( "--baseline",
         Arg.Set_string baseline_path,
         "FILE baseline of grandfathered findings (default lint_baseline.txt)" );

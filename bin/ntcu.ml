@@ -444,7 +444,7 @@ let serve_cmd =
 let scale_cmd =
   let module Scale = Ntcu_scale.Scale in
   let module Scale_bench = Ntcu_harness.Scale_bench in
-  let run smoke n seeds b d seed shards inject max_epochs jobs no_control out payload_out =
+  let run smoke n seeds b d seed shards inject max_epochs jobs out =
     let base =
       if smoke then { Scale_bench.smoke_config with Scale.seed }
       else Scale_bench.default_config ~seed ~n:(pick n 100_000) ()
@@ -462,45 +462,17 @@ let scale_cmd =
       }
     in
     let control (r : Scale_bench.run) =
-      if no_control then None
-      else begin
-        let c =
-          Scale_bench.control_bytes_per_node
-            ~n:(min 10_000 cfg.Scale.n)
-            ~seed:cfg.Scale.seed cfg.Scale.params
-        in
-        Format.printf "record-backed control: %.1f bytes/node (arena %.1f)@." c
-          (Scale_bench.bytes_per_node r.summary);
-        Some c
-      end
+      let c =
+        Scale_bench.control_bytes_per_node
+          ~n:(min 10_000 cfg.Scale.n)
+          ~seed:cfg.Scale.seed cfg.Scale.params
+      in
+      Format.printf "record-backed control: %.1f bytes/node (arena %.1f)@." c
+        (Scale_bench.bytes_per_node r.summary);
+      c
     in
-    let runs, claims =
-      Experiments.scale ~jobs:(Parallel.resolve_jobs jobs) ~out ~control [ cfg ]
-    in
-    Option.iter
-      (fun path ->
-        List.iter
-          (fun r -> Report.Json.to_file path (Scale_bench.payload_json r))
-          runs;
-        Format.printf "wrote %s@." path)
-      payload_out;
-    Experiments.exit_status claims
-  in
-  let no_control =
-    Arg.(
-      value & flag
-      & info [ "no-control" ]
-          ~doc:"Skip the record-backed memory control (GC-measured, host-side).")
-  in
-  let payload_out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "payload-out" ] ~docv:"FILE"
-          ~doc:
-            "Also write the deterministic payload section alone to $(docv) — \
-             byte-identical for every --jobs value, so two such files can be \
-             compared directly.")
+    Experiments.exit_status
+      (Experiments.scale ~jobs:(Parallel.resolve_jobs jobs) ~out ~control [ cfg ])
   in
   Cmd.v
     (Cmd.info "scale"
@@ -521,7 +493,7 @@ let scale_cmd =
       $ opt_int [ "shards" ] "Logical shard count (power of two)."
       $ opt_int [ "inject" ] "Joiners started per epoch."
       $ opt_int [ "max-epochs" ] "Safety bound on the epoch loop."
-      $ jobs_arg $ no_control $ out_arg "BENCH_scale.json" $ payload_out)
+      $ jobs_arg $ out_arg "BENCH_scale.json")
 
 (* ---- explore ---- *)
 
@@ -790,15 +762,16 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:
          "Regenerate the paper's evaluation (Figure 15, Theorems 3-5) and the \
-          comparison, ablation, churn, serving, scale, arena, fault, perf and \
-          Bechamel micro experiments; the churn-steady, serve, scale, arena and perf \
-          sections write BENCH_*.json in the current directory. Exits 1 if any claim \
-          fails. Tables and artifacts are identical for every --jobs value.")
+          comparison, ablation, churn, serving, scale, arena and fault experiments; \
+          the churn-steady, serve, scale and arena sections write BENCH_*.json in the \
+          current directory. Exits 1 if any claim fails. Output is identical for \
+          every --jobs value and on every rerun, apart from the scale section's host \
+          timings; the benchmark (ntcubench) measures host time.")
     Term.(
       const run
       $ smoke_arg
-          "CI-sized parameters for the churn-steady, serve, scale, arena, fault and \
-           perf sections."
+          "CI-sized parameters for the churn-steady, serve, scale, arena and fault \
+           sections."
       $ full_arg $ jobs_arg $ selected)
 
 let main =

@@ -17,7 +17,6 @@ type join_run = {
   all_in_system : bool;
   quiescent : bool;
   events : int;
-  elapsed_cpu : float;
 }
 
 let consistent run = run.consistent
@@ -37,12 +36,7 @@ let ok ?(claim = Strict) run =
   run.all_in_system && run.quiescent
   && match claim with Strict -> run.consistent | Best_effort -> true
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let x = f () in
-  (x, Unix.gettimeofday () -. t0)
-
-let finish ~t0 net seeds joiners =
+let finish net seeds joiners =
   let stats_of id = Node.stats (Network.node_exn net id) in
   {
     net;
@@ -59,7 +53,6 @@ let finish ~t0 net seeds joiners =
     all_in_system = Network.all_in_system net;
     quiescent = Network.is_quiescent net;
     events = Network.messages_delivered net;
-    elapsed_cpu = Sys.time () -. t0;
   }
 
 let default_latency seed = Ntcu_sim.Latency.uniform ~seed ~lo:1. ~hi:100.
@@ -73,7 +66,6 @@ let make_population p ~seed ~n ~m ~suffix =
   (rng, seeds, joiners)
 
 let concurrent_joins ?latency ?size_mode ?(suffix = [||]) ?(stagger = 0.) p ~seed ~n ~m () =
-  let t0 = Sys.time () in
   let rng, seeds, joiners = make_population p ~seed ~n ~m ~suffix in
   let latency = match latency with Some l -> l | None -> default_latency (seed + 1) in
   let net = Network.create ~latency ?size_mode p in
@@ -84,13 +76,11 @@ let concurrent_joins ?latency ?size_mode ?(suffix = [||]) ?(stagger = 0.) p ~see
        (fun i id -> (float_of_int i *. stagger, id, Rng.pick rng gateways))
        joiners);
   Network.run net;
-  finish ~t0 net seeds joiners
+  finish net seeds joiners
 
-let sequential_joins ?latency ?size_mode p ~seed ~n ~m () =
-  let t0 = Sys.time () in
+let sequential_joins p ~seed ~n ~m () =
   let rng, seeds, joiners = make_population p ~seed ~n ~m ~suffix:[||] in
-  let latency = match latency with Some l -> l | None -> default_latency (seed + 1) in
-  let net = Network.create ~latency ?size_mode p in
+  let net = Network.create ~latency:(default_latency (seed + 1)) p in
   Network.seed_consistent net ~seed:(seed + 2) seeds;
   let gateways = Array.of_list seeds in
   List.iter
@@ -98,15 +88,13 @@ let sequential_joins ?latency ?size_mode p ~seed ~n ~m () =
       Network.start_join net ~id ~gateway:(Rng.pick rng gateways) ();
       Network.run net)
     joiners;
-  finish ~t0 net seeds joiners
+  finish net seeds joiners
 
-let network_init ?latency p ~seed ~n =
+let network_init p ~seed ~n =
   if n < 1 then invalid_arg "Experiment.network_init: n must be >= 1";
-  let t0 = Sys.time () in
   let rng = Rng.create seed in
   let ids = Workload.distinct_ids rng p ~n in
-  let latency = match latency with Some l -> l | None -> default_latency (seed + 1) in
-  let net = Network.create ~latency p in
+  let net = Network.create ~latency:(default_latency (seed + 1)) p in
   let first, joiners = match ids with f :: r -> (f, r) | [] -> assert false in
   Network.add_seed_node net first;
   (* Each joiner is given a random already-present node, as the paper's
@@ -119,7 +107,7 @@ let network_init ?latency p ~seed ~n =
       Network.run net;
       present := Array.append !present [| id |])
     joiners;
-  finish ~t0 net [ first ] joiners
+  finish net [ first ] joiners
 
 type fig15b_setup = { d : int; n : int; m : int }
 
@@ -131,9 +119,8 @@ let paper_setups =
     { d = 40; n = 7192; m = 1000 };
   ]
 
-let fig15b_instrumented ?(routers = Ntcu_topology.Transit_stub.scaled_config) ?size_mode
-    ?(record_trace = false) ~seed setup =
-  let t0 = Sys.time () in
+let fig15b ?(routers = Ntcu_topology.Transit_stub.scaled_config) ?(record_trace = false)
+    ~seed setup =
   let p = Params.make ~b:16 ~d:setup.d in
   let rng, seeds, joiners = make_population p ~seed ~n:setup.n ~m:setup.m ~suffix:[||] in
   let topo = Ntcu_topology.Transit_stub.generate ~seed:(seed + 10) routers in
@@ -141,16 +128,13 @@ let fig15b_instrumented ?(routers = Ntcu_topology.Transit_stub.scaled_config) ?s
     Ntcu_topology.Endhosts.attach ~seed:(seed + 11) topo ~n:(setup.n + setup.m)
   in
   let latency = Ntcu_topology.Endhosts.latency ~seed:(seed + 12) hosts in
-  let net = Network.create ~latency ?size_mode ~record_trace p in
+  let net = Network.create ~latency ~record_trace p in
   (* Hosts are indexed in registration order: seeds first, then joiners. *)
   Network.seed_consistent net ~seed:(seed + 2) seeds;
   let gateways = Array.of_list seeds in
   Network.start_joins net (List.map (fun id -> (0., id, Rng.pick rng gateways)) joiners);
   Network.run net;
-  (finish ~t0 net seeds joiners, hosts)
-
-let fig15b ?routers ?size_mode ?record_trace ~seed setup =
-  fst (fig15b_instrumented ?routers ?size_mode ?record_trace ~seed setup)
+  finish net seeds joiners
 
 let cdf_points counts =
   let sorted = Array.copy counts in
@@ -226,25 +210,19 @@ type fault_run = {
   repair : Ntcu_extensions.Online_repair.report option;
 }
 
-let fault_injection ?latency ?size_mode ?(record_trace = false) ?(reliable = true)
-    ?reliability ?(loss = 0.02) ?(crash_fraction = 0.) ?(crash_at = 150.) p ~seed ~n ~m ()
-    =
-  let t0 = Sys.time () in
+let fault_injection ?(record_trace = false) ?(reliable = true) ?(loss = 0.02)
+    ?(crash_fraction = 0.) p ~seed ~n ~m () =
   let rng, seeds, joiners = make_population p ~seed ~n ~m ~suffix:[||] in
-  let latency = match latency with Some l -> l | None -> default_latency (seed + 1) in
   let reliability =
     if not reliable then None
     else
-      Some
-        (match reliability with
-        | Some r -> r
-        | None ->
-          (* The default latency draws up to 100 ms per hop, so the initial
-             timeout must clear a full round trip. *)
-          { Network.default_reliability with rto = 250.; seed = seed + 4 })
+      (* The latency draws up to 100 ms per hop, so the initial timeout must
+         clear a full round trip. *)
+      Some { Network.default_reliability with rto = 250.; seed = seed + 4 }
   in
   let net =
-    Network.create ~latency ?size_mode ~record_trace ~loss:(loss, seed + 3) ?reliability p
+    Network.create ~latency:(default_latency (seed + 1)) ~record_trace
+      ~loss:(loss, seed + 3) ?reliability p
   in
   let repair =
     if reliable then Some (Ntcu_extensions.Online_repair.attach net) else None
@@ -272,14 +250,14 @@ let fault_injection ?latency ?size_mode ?(record_trace = false) ?(reliable = tru
       let count = max 1 (int_of_float (crash_fraction *. float_of_int n)) in
       let count = min count (Array.length candidates) in
       let victims = Array.to_list (Array.sub candidates 0 count) in
-      Engine.schedule_at (Network.engine net) ~time:crash_at (fun () ->
+      Engine.schedule_at (Network.engine net) ~time:150. (fun () ->
           List.iter (fun id -> Network.fail net id) victims);
       victims
     end
   in
   Network.run net;
   if reliable then detect_failures net ~crashed;
-  let run = finish ~t0 net seeds joiners in
+  let run = finish net seeds joiners in
   let g = Network.global_stats net in
   {
     run;
@@ -314,11 +292,10 @@ type baseline_result = {
   base_messages : int;
 }
 
-let baseline_run ?latency p ~seed ~n ~m ~concurrent =
+let baseline_run p ~seed ~n ~m ~concurrent =
   let module B = Ntcu_baseline.Multicast_join in
   let rng, seeds, joiners = make_population p ~seed ~n ~m ~suffix:[||] in
-  let latency = match latency with Some l -> l | None -> default_latency (seed + 1) in
-  let t = B.create ~latency p in
+  let t = B.create ~latency:(default_latency (seed + 1)) p in
   B.seed_consistent t ~seed:(seed + 2) seeds;
   let gateways = Array.of_list seeds in
   List.iteri

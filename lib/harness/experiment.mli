@@ -17,7 +17,6 @@ type join_run = {
   all_in_system : bool;
   quiescent : bool;
   events : int;  (** Messages delivered. *)
-  elapsed_cpu : float;  (** Host CPU seconds for the run. *)
 }
 
 val consistent : join_run -> bool
@@ -37,10 +36,6 @@ val ok : ?claim:claim -> join_run -> bool
     gate their exit status on this so a regression fails CI instead of just
     printing "NO"; fault and churn modes pass [~claim:Best_effort]. *)
 
-val timed : (unit -> 'a) -> 'a * float
-(** [f ()] and the host wall-clock seconds it took: the perf bench's
-    timings, which are host measurements and never feed a simulation. *)
-
 val concurrent_joins :
   ?latency:Ntcu_sim.Latency.t ->
   ?size_mode:Ntcu_core.Message.size_mode ->
@@ -56,11 +51,10 @@ val concurrent_joins :
     All joins start at time 0 (the paper's setup) unless [stagger > 0.], in
     which case join [i] starts at [i *. stagger]. [suffix] constrains joiner
     IDs to share a suffix — a maximally dependent C-set workload. Gateways
-    are random members of [V]. Deterministic in [seed]. *)
+    are random members of [V]. Latency defaults to uniform 1–100 ms, seeded
+    from [seed]. Deterministic in [seed]. *)
 
 val sequential_joins :
-  ?latency:Ntcu_sim.Latency.t ->
-  ?size_mode:Ntcu_core.Message.size_mode ->
   Ntcu_id.Params.t ->
   seed:int ->
   n:int ->
@@ -70,7 +64,6 @@ val sequential_joins :
 (** Same, but each join runs to quiescence before the next begins. *)
 
 val network_init :
-  ?latency:Ntcu_sim.Latency.t ->
   Ntcu_id.Params.t ->
   seed:int ->
   n:int ->
@@ -92,7 +85,6 @@ val paper_setups : fig15b_setup list
 
 val fig15b :
   ?routers:Ntcu_topology.Transit_stub.config ->
-  ?size_mode:Ntcu_core.Message.size_mode ->
   ?record_trace:bool ->
   seed:int ->
   fig15b_setup ->
@@ -102,17 +94,6 @@ val fig15b :
     end-hosts, use shortest-path latencies, start all joins at time 0. With
     [record_trace] (default false) every delivery is recorded; read it back
     via [Ntcu_core.Network.trace run.net] (golden-trace regression). *)
-
-val fig15b_instrumented :
-  ?routers:Ntcu_topology.Transit_stub.config ->
-  ?size_mode:Ntcu_core.Message.size_mode ->
-  ?record_trace:bool ->
-  seed:int ->
-  fig15b_setup ->
-  join_run * Ntcu_topology.Endhosts.t
-(** Like {!fig15b} but also returns the end-host attachment, whose
-    [Ntcu_topology.Endhosts.distances] exposes the shortest-path cache
-    statistics (hit rate, evictions) for the perf bench. *)
 
 val cdf_points : int array -> (int * float) list
 (** [(value, cumulative fraction <= value)] for each distinct value. *)
@@ -154,14 +135,10 @@ type fault_run = {
 }
 
 val fault_injection :
-  ?latency:Ntcu_sim.Latency.t ->
-  ?size_mode:Ntcu_core.Message.size_mode ->
   ?record_trace:bool ->
   ?reliable:bool ->
-  ?reliability:Ntcu_core.Network.reliability ->
   ?loss:float ->
   ?crash_fraction:float ->
-  ?crash_at:float ->
   Ntcu_id.Params.t ->
   seed:int ->
   n:int ->
@@ -171,10 +148,11 @@ val fault_injection :
 (** Like {!concurrent_joins} (all joins at time 0, random gateways), but with
     [loss] (default 2%) applied to every message and, when
     [crash_fraction > 0], [max 1 (crash_fraction * n)] seed nodes that no
-    joiner uses as gateway fail-stopping at time [crash_at] (default 150).
-    [reliable] (default [true]) enables the ack/retransmit transport and
-    attaches {!Ntcu_extensions.Online_repair}; with [reliable:false] the run
-    reproduces the undefended wedge. Deterministic in [seed]. *)
+    joiner uses as gateway fail-stopping at time 150 ms. [reliable]
+    (default [true]) enables the ack/retransmit transport (initial timeout
+    250 ms) and attaches {!Ntcu_extensions.Online_repair}; with
+    [reliable:false] the run reproduces the undefended wedge. Deterministic
+    in [seed]. *)
 
 val residual_hole : unit -> fault_run
 (** The canonical residual-hole fixture:
@@ -196,7 +174,6 @@ type baseline_result = {
 }
 
 val baseline_run :
-  ?latency:Ntcu_sim.Latency.t ->
   Ntcu_id.Params.t ->
   seed:int ->
   n:int ->

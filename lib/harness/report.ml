@@ -21,14 +21,14 @@ let[@ntcu.allow "D005"] pp_join_run ppf (run : Experiment.join_run) =
   let cw = Ntcu_std.Stats.of_ints run.cp_wait in
   let d = (Ntcu_core.Network.params run.net).d in
   Fmt.pf ppf
-    "|V| = %d, |W| = %d: %s, %s, %d messages, %.2fs cpu@.\
+    "|V| = %d, |W| = %d: %s, %s, %d messages@.\
      JoinNotiMsg per joiner: mean %.3f, median %.1f, p99 %.1f, max %.0f@.\
      CpRst+JoinWait per joiner: mean %.3f, max %.0f (Theorem 3 bound d+1 = %d)@."
     (List.length run.seeds) (List.length run.joiners)
     (if run.all_in_system && run.quiescent then "all in_system" else "LIVENESS FAILURE")
     (if Experiment.consistent run then "consistent"
      else Printf.sprintf "%d VIOLATIONS" (List.length (Lazy.force run.violations)))
-    run.events run.elapsed_cpu (Ntcu_std.Stats.mean j) (Ntcu_std.Stats.median j)
+    run.events (Ntcu_std.Stats.mean j) (Ntcu_std.Stats.median j)
     (Ntcu_std.Stats.percentile j 99.)
     (snd (Ntcu_std.Stats.min_max j))
     (Ntcu_std.Stats.mean cw)

@@ -22,8 +22,8 @@ val table : header:string list -> string list list Fmt.t
 (** Aligned plain-text table. *)
 
 (** Minimal JSON emitter for machine-readable bench artifacts
-    ([BENCH_perf.json] and friends). Emission only — the repo never parses
-    JSON — so a hand-rolled printer keeps the dependency set unchanged.
+    ([BENCH_*.json]). Emission only — the repo never parses JSON — so a
+    hand-rolled printer keeps the dependency set unchanged.
     Floats are rendered with [%.17g] (lossless round-trip); NaN and
     infinities become [null]. *)
 module Json : sig

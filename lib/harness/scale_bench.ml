@@ -24,7 +24,9 @@ let smoke_config =
   { (default_config ~n:2000 ()) with Scale.seeds = 128; shards = 16 }
 
 let measure ~jobs config =
-  let summary, wall_s = Experiment.timed (fun () -> Scale.run ~jobs config) in
+  let t0 = Unix.gettimeofday () in
+  let summary = Scale.run ~jobs config in
+  let wall_s = Unix.gettimeofday () -. t0 in
   { config; jobs; summary; wall_s; top_heap_words = (Gc.quick_stat ()).top_heap_words }
 
 let bytes_per_node (s : Scale.summary) =
@@ -34,21 +36,11 @@ let events_per_s r =
   if r.wall_s > 0. then float_of_int r.summary.events /. r.wall_s else 0.
 
 let control_bytes_per_node ?(n = 10_000) ?(seed = 1) params =
-  let rng = Ntcu_std.Rng.create seed in
-  let ids = ref [] in
-  let seen = Hashtbl.create (2 * n) in
-  while Hashtbl.length seen < n do
-    let id = Ntcu_id.Id.random rng params in
-    let key = Ntcu_id.Id.to_string id in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
-      ids := id :: !ids
-    end
-  done;
+  let ids = Workload.distinct_ids (Ntcu_std.Rng.create seed) params ~n in
   Gc.full_major ();
   let before = (Gc.stat ()).live_words in
   let net = Ntcu_core.Network.create params in
-  Ntcu_core.Network.seed_consistent net ~seed !ids;
+  Ntcu_core.Network.seed_consistent net ~seed ids;
   Gc.full_major ();
   let after = (Gc.stat ()).live_words in
   let net = Sys.opaque_identity net in
@@ -110,17 +102,14 @@ let host_json r =
 
 let run_json r = Json.Obj [ ("payload", payload_json r); ("host", host_json r) ]
 
-let bench_json ?control_bytes_per_node runs =
+let bench_json ~control_bytes_per_node runs =
   Json.Obj
-    ([
-       ("schema", Json.String "ntcu-bench-scale/1");
-       ("runs", Json.List (List.map run_json runs));
-     ]
-    @
-    match control_bytes_per_node with
-    | None -> []
-    | Some c ->
-      [ ("control", Json.Obj [ ("record_bytes_per_node", Json.Float c) ]) ])
+    [
+      ("schema", Json.String "ntcu-bench-scale/1");
+      ("runs", Json.List (List.map run_json runs));
+      ( "control",
+        Json.Obj [ ("record_bytes_per_node", Json.Float control_bytes_per_node) ] );
+    ]
 
 (* ---- plain text ---- *)
 

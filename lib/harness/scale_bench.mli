@@ -45,7 +45,7 @@ val ok : run -> bool
 val payload_json : run -> Report.Json.t
 (** The deterministic section only — identical for every [jobs]. *)
 
-val bench_json : ?control_bytes_per_node:float -> run list -> Report.Json.t
+val bench_json : control_bytes_per_node:float -> run list -> Report.Json.t
 (** The full [ntcu-bench-scale/1] artifact. *)
 
 val pp_run : run Fmt.t

@@ -38,9 +38,7 @@ let of_source source =
     source;
     in_lib = starts_with "lib/" source;
     in_test = starts_with "test/" source;
-    clock_allowed =
-      starts_with "lib/harness/" source || starts_with "bench/" source
-      || starts_with "test/" source;
+    clock_allowed = starts_with "lib/harness/" source || starts_with "test/" source;
     emitter = List.mem (basename source) emitter_basenames;
     codec = List.mem (basename source) codec_basenames;
     dispatch = List.exists (fun p -> starts_with p source) dispatch_prefixes;

@@ -105,7 +105,7 @@ let lint_cmt ?classify path =
   | None -> []
   | Some u -> Rules.run_all u.u_cls u.u_str
 
-let run ?classify ?(dirs = [ "lib"; "bin"; "bench" ]) ~baseline ~root () =
+let run ?classify ?(dirs = [ "lib"; "bin" ]) ~baseline ~root () =
   let build_root = build_root root in
   let cmts = find_cmts ~build_root ~dirs in
   let units = List.filter_map (fun cmt -> load_cmt ?classify cmt) cmts in

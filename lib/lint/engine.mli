@@ -59,8 +59,7 @@ val run :
   root:string ->
   unit ->
   report
-(** Lint every target under [root]; [dirs] defaults to
-    [["lib"; "bin"; "bench"]]. *)
+(** Lint every target under [root]; [dirs] defaults to [["lib"; "bin"]]. *)
 
 val pp_report : report Fmt.t
 (** Human-readable report (findings with traces, baseline stats, verdict). *)

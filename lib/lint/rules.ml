@@ -154,7 +154,7 @@ let d003_check (cls : Classify.t) str =
         | Texp_ident (path, _, _) when d003_target (path_name path) ->
           acc :=
             finding ~code:"D003" ~cls ~loc:e.exp_loc
-              "%s in protocol code; thread an Ntcu_std.Rng.t / simulated clock instead (harness and bench are allowlisted)"
+              "%s in protocol code; thread an Ntcu_std.Rng.t / simulated clock instead (harness and tests are allowlisted)"
               (path_name path)
             :: !acc
         | _ -> ());

@@ -14,7 +14,7 @@
       stable. Sort the keys, or annotate sites that are provably
       order-insensitive.
     - {b D003} wall clock ([Sys.time], [Unix.gettimeofday], …) or the global
-      [Random] state in protocol code; the harness/bench allowlist is
+      [Random] state in protocol code; the harness/test allowlist is
       expressed through {!Classify.t.clock_allowed}.
     - {b D004} toplevel mutable state ([ref], [Hashtbl.create],
       [Buffer.create]) in library code shared across the [Parallel] domain

@@ -12,7 +12,7 @@
    either the T-code or the corresponding D-code justifies the source — one
    visible annotation covers both the local and interprocedural form. This
    matters for D003 in particular: [Classify.clock_allowed] scopes the local
-   rule out of harness/bench/test code, but a clock read there that flows
+   rule out of harness and test code, but a clock read there that flows
    into an emitter is still flagged (T003) until annotated. *)
 
 type source = {

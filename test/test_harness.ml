@@ -74,9 +74,14 @@ let cdf_points_cumulative () =
     "cdf" [ (1, 0.5); (2, 0.75); (3, 1.0) ] pts
 
 let join_run_reports () =
-  let run = Experiment.concurrent_joins p ~seed:5 ~n:10 ~m:5 () in
-  let s = Fmt.str "%a" Report.pp_join_run run in
-  check Alcotest.bool "mentions consistency" true (String.length s > 40)
+  let render () =
+    Fmt.str "%a" Report.pp_join_run (Experiment.concurrent_joins p ~seed:5 ~n:10 ~m:5 ())
+  in
+  let s = render () in
+  check Alcotest.bool "mentions consistency" true (String.length s > 40);
+  (* The report carries no host timing, so a second run of the seed renders
+     the same text. *)
+  check Alcotest.string "rerun renders identically" s (render ())
 
 let fig15b_small_setup () =
   (* A miniature Figure 15(b): tiny topology, tiny network, full pipeline. *)

@@ -5,12 +5,13 @@
    owner-domain guards that make accidental sharing of Engine/Distances an
    error instead of silent corruption, and the headline guarantee: a small
    fig15b sweep and a fault-injection grid emit byte-identical Report.Json
-   payloads at --jobs 1 and --jobs 4. *)
+   payloads (and the grid identical report text) at --jobs 1 and --jobs 4. *)
 
 module Parallel = Ntcu_std.Parallel
 module Experiment = Ntcu_harness.Experiment
 module Params = Ntcu_id.Params
-module J = Ntcu_harness.Report.Json
+module Report = Ntcu_harness.Report
+module J = Report.Json
 
 let check = Alcotest.check
 
@@ -92,8 +93,8 @@ let distances_cross_domain_guard () =
 
    Mirrors the bench harness wiring: independent seeded runs fanned out with
    Parallel.map, deterministic result fields serialized with Report.Json.
-   Wall/CPU-time fields are exactly what the guarantee excludes, so they are
-   not part of the payload. *)
+   A run carries no host timing, so the text Report prints for it must match
+   too. *)
 
 let join_run_payload (setup : Experiment.fig15b_setup) (run : Experiment.join_run) =
   J.Obj
@@ -130,10 +131,13 @@ let fault_payload ~jobs =
       let cells =
         Parallel.map pool
           (fun (loss, crash_fraction) ->
-            Experiment.fault_injection ~loss ~crash_fraction p ~seed:91 ~n:60 ~m:8 ())
+            let f =
+              Experiment.fault_injection ~loss ~crash_fraction p ~seed:91 ~n:60 ~m:8 ()
+            in
+            (f, Fmt.str "%a" Report.pp_fault_run f))
           grid
       in
-      let cell_payload (f : Experiment.fault_run) =
+      let cell_payload ((f : Experiment.fault_run), _) =
         J.Obj
           [
             ("crashed", J.Int (List.length f.crashed));
@@ -149,7 +153,7 @@ let fault_payload ~jobs =
             ("all_in_system", J.Bool f.run.all_in_system);
           ]
       in
-      J.to_string (J.List (List.map cell_payload cells)))
+      (J.to_string (J.List (List.map cell_payload cells)), List.map snd cells))
 
 let fig15b_deterministic_across_jobs () =
   let serial = fig15b_payload ~jobs:1 in
@@ -157,9 +161,12 @@ let fig15b_deterministic_across_jobs () =
   check Alcotest.string "fig15b payload byte-identical" serial parallel
 
 let fault_grid_deterministic_across_jobs () =
-  let serial = fault_payload ~jobs:1 in
-  let parallel = fault_payload ~jobs:4 in
-  check Alcotest.string "fault-grid payload byte-identical" serial parallel
+  let serial, serial_reports = fault_payload ~jobs:1 in
+  let parallel, parallel_reports = fault_payload ~jobs:4 in
+  check Alcotest.string "fault-grid payload byte-identical" serial parallel;
+  check
+    Alcotest.(list string)
+    "fault-grid reports identical" serial_reports parallel_reports
 
 let suites =
   [
