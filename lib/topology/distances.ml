@@ -21,50 +21,47 @@ type frontier = {
   mutable exhausted : bool;
 }
 
-(* ---- clustered mode ----
-
-   Transit-stub geometry, precomputed once: every stub cluster hangs off the
-   transit core by exactly one gateway edge and clusters never touch each
-   other, so a shortest path is [within-source-cluster] -> [core] ->
-   [one gateway edge] -> [within-target-cluster]. Per-source state is then a
-   Dijkstra over (own cluster + core) — a ~100-vertex graph instead of the
-   full router graph — plus per-target-cluster "tails" materialized on
-   demand by continuing the settled core distance through the target's
-   gateway edge. All arrays are indexed by compact per-cluster positions, so
-   a query is array reads, not hashtable probes. *)
-type cgeo = {
-  cluster : int array; (* cluster id per vertex; -1 = core (transit) *)
-  core : int array; (* core slot -> vertex *)
-  core_slot : int array; (* vertex -> core slot, -1 for stub vertices *)
-  local : int array; (* vertex -> index within its cluster, -1 for core *)
-  members : int array array; (* cluster -> vertices *)
-  gw_core_slot : int array; (* cluster -> core slot of its transit router *)
-  gw_stub_local : int array; (* cluster -> local index of its gateway vertex *)
-  gw_weight : float array; (* cluster -> gateway edge weight *)
-  core_adj : (int * float) list array; (* core slot -> core-slot edges *)
-  cadj : (int * float) list array array; (* cluster -> local -> intra edges *)
-}
-
-(* Per-source distances, all exact full-graph values:
-   [base.(k)] for core slot [k]; [base.(ncore + li)] for local index [li] in
-   the source's own cluster; [tails.(c).(li)] for cluster [c] elsewhere. *)
-type cstate = {
-  sc : int; (* source's cluster; -1 if the source is a core vertex *)
-  base : float array;
-  tails : float array option array;
-}
-
-type mode =
-  | Plain of (int, frontier) Hashtbl.t
-  | Clustered of cgeo * (int, cstate) Hashtbl.t
-
-type t = {
+type plain = {
   graph : Graph.t;
-  mode : mode;
   cache_sources : int;
-  owner : Domain.id; (* creating domain; queries from any other raise *)
+  frontiers : (int, frontier) Hashtbl.t;
   last_use : (int, int) Hashtbl.t; (* source -> LRU stamp *)
   mutable tick : int;
+}
+
+(* ---- clustered mode: shortest-path trees over the segments ----
+
+   Every stub cluster hangs off the transit core by exactly one gateway edge
+   and clusters never touch each other, so a shortest path crosses at most
+   three segments: its source's cluster up to the gateway, the core, and
+   the target's cluster down from its gateway. Each segment keeps its own
+   vertex indexing: core slots for the core, local indices for a cluster. *)
+
+(* A shortest-path tree over one segment. Vertices the root does not reach
+   hang off it by an infinite edge, so every fold through them gives
+   [infinity]. *)
+type tree = {
+  parent : int array; (* next vertex toward the root; the root is its own *)
+  weight : float array; (* weight of the edge to [parent] *)
+}
+
+type clustered = {
+  cluster : int array; (* cluster id per vertex; -1 = core (transit) *)
+  index : int array; (* vertex -> core slot, or index within its cluster *)
+  core_adj : (int * float) list array; (* core slot -> core-slot edges *)
+  cadj : (int * float) list array array; (* cluster -> local -> intra edges *)
+  gw_slot : int array; (* cluster -> core slot of its transit router *)
+  gw_local : int array; (* cluster -> local index of its gateway vertex *)
+  gw_weight : float array; (* cluster -> gateway edge weight *)
+  core_trees : tree option array; (* core slot r -> tree rooted at r *)
+  cluster_trees : tree option array; (* cluster -> tree rooted at its gateway *)
+}
+
+type mode = Plain of plain | Clustered of clustered
+
+type t = {
+  mode : mode;
+  owner : Domain.id; (* creating domain; queries from any other raise *)
   mutable queries : int;
   mutable settled_hits : int;
   mutable state_hits : int;
@@ -73,15 +70,10 @@ type t = {
   mutable pops : int;
 }
 
-let make_t graph mode cache_sources =
-  if cache_sources < 1 then invalid_arg "Distances: cache_sources must be >= 1";
+let make_t mode =
   {
-    graph;
     mode;
-    cache_sources;
     owner = Domain.self ();
-    last_use = Hashtbl.create 64;
-    tick = 0;
     queries = 0;
     settled_hits = 0;
     state_hits = 0;
@@ -91,132 +83,182 @@ let make_t graph mode cache_sources =
   }
 
 let create ?(cache_sources = 1024) graph =
-  make_t graph (Plain (Hashtbl.create 64)) cache_sources
+  if cache_sources < 1 then invalid_arg "Distances: cache_sources must be >= 1";
+  make_t
+    (Plain
+       {
+         graph;
+         cache_sources;
+         frontiers = Hashtbl.create 64;
+         last_use = Hashtbl.create 64;
+         tick = 0;
+       })
+
+(* Dijkstra over one segment's adjacency from [src] started at [x0], stopped
+   once [target] is settled ([-1] runs to exhaustion). Besides the distances
+   it returns the tree of last improving edges, in which
+   [dist.(v) = dist.(parent.(v)) +. weight.(v)] for every reached [v], and
+   its number of heap pops. *)
+let sweep adj src x0 ~target =
+  let n = Array.length adj in
+  let dist = Array.make n infinity in
+  let tree = { parent = Array.make n src; weight = Array.make n infinity } in
+  let queue = Pq.create () in
+  dist.(src) <- x0;
+  Pq.push queue x0 src;
+  let pops = ref 0 and continue = ref true in
+  while !continue do
+    match Pq.pop queue with
+    | None -> continue := false
+    | Some (du, u) ->
+      incr pops;
+      if u = target then continue := false
+      else if du <= dist.(u) then
+        List.iter
+          (fun (v, w) ->
+            let alt = du +. w in
+            if alt < dist.(v) then begin
+              dist.(v) <- alt;
+              tree.parent.(v) <- u;
+              tree.weight.(v) <- w;
+              Pq.push queue alt v
+            end)
+          adj.(u)
+  done;
+  (dist, tree, !pops)
+
+(* The tree of the segment [adj] rooted at [root], kept only if it is
+   robust: every non-tree edge [q -> v] has [D(q) +. w >= D(v) +. margin].
+   Its paths are then shorter than every other path by more than the
+   rounding of any fold, so a fold along one, from any start value and in
+   either direction, is the minimum over all paths of the segment. *)
+let robust_tree adj root margin =
+  let dist, tree, _ = sweep adj root 0. ~target:(-1) in
+  let on_tree q v w =
+    (tree.parent.(v) = q && tree.weight.(v) = w)
+    || (tree.parent.(q) = v && tree.weight.(q) = w)
+  in
+  let robust = ref true in
+  Array.iteri
+    (fun q edges ->
+      List.iter
+        (fun (v, w) ->
+          if (not (on_tree q v w)) && dist.(q) +. w < dist.(v) +. margin then
+            robust := false)
+        edges)
+    adj;
+  if !robust then Some tree else None
 
 (* Verify the transit-stub invariant — the decomposition is silently wrong
-   without it — and precompute the cluster geometry in the same pass. *)
-let geometry graph cluster =
+   without it — index every vertex within its segment in the same pass, and
+   build the trees. *)
+let create_clustered graph ~cluster =
   let n = Graph.n_vertices graph in
   if Array.length cluster <> n then
     invalid_arg "Distances.create_clustered: cluster array size mismatch";
   let n_clusters = Array.fold_left (fun acc c -> max acc (c + 1)) 0 cluster in
-  let core = ref [] and ncore = ref 0 in
-  let core_slot = Array.make n (-1) in
-  let local = Array.make n (-1) in
-  let members = Array.make n_clusters [] in
-  let csize = Array.make n_clusters 0 in
-  for v = n - 1 downto 0 do
-    let c = cluster.(v) in
-    if c < 0 then begin
-      core := v :: !core;
-      incr ncore
-    end
-    else members.(c) <- v :: members.(c)
-  done;
-  let core = Array.of_list !core in
-  Array.iteri (fun k v -> core_slot.(v) <- k) core;
-  let members =
-    Array.mapi
-      (fun c vs ->
-        let a = Array.of_list vs in
-        Array.iteri
-          (fun li v ->
-            local.(v) <- li;
-            csize.(c) <- csize.(c) + 1)
-          a;
-        a)
-      members
+  (* Segment [c + 1] is cluster [c]; segment 0 is the core. *)
+  let size = Array.make (n_clusters + 1) 0 in
+  let index =
+    Array.map
+      (fun c ->
+        let i = size.(c + 1) in
+        size.(c + 1) <- i + 1;
+        i)
+      cluster
   in
-  let gw_core_slot = Array.make n_clusters (-1) in
-  let gw_stub_local = Array.make n_clusters (-1) in
+  let adj = Array.map (fun k -> Array.make k []) size in
+  let gw_slot = Array.make n_clusters (-1) in
+  let gw_local = Array.make n_clusters (-1) in
   let gw_weight = Array.make n_clusters 0. in
-  let core_adj = Array.make !ncore [] in
-  let cadj = Array.map (fun m -> Array.make (Array.length m) []) members in
-  for u = 0 to n - 1 do
+  let total = ref 0. in
+  for u = n - 1 downto 0 do
     let cu = cluster.(u) in
     List.iter
       (fun (v, w) ->
         let cv = cluster.(v) in
-        if cu >= 0 && cv >= 0 && cu <> cv then
-          invalid_arg "Distances.create_clustered: edge between distinct clusters";
-        if cu < 0 && cv < 0 then
-          core_adj.(core_slot.(u)) <- (core_slot.(v), w) :: core_adj.(core_slot.(u));
-        if cu >= 0 && cv >= 0 then
-          cadj.(cu).(local.(u)) <- (local.(v), w) :: cadj.(cu).(local.(u));
-        if cu >= 0 && cv < 0 then begin
+        if u < v then total := !total +. w;
+        if cu = cv then
+          adj.(cu + 1).(index.(u)) <- (index.(v), w) :: adj.(cu + 1).(index.(u))
+        else if cu >= 0 && cv >= 0 then
+          invalid_arg "Distances.create_clustered: edge between distinct clusters"
+        else if cu >= 0 then begin
           (* Gateway edge, seen once from its stub endpoint. *)
-          if gw_stub_local.(cu) >= 0 then
+          if gw_local.(cu) >= 0 then
             invalid_arg
               (Printf.sprintf
                  "Distances.create_clustered: cluster %d has several core links (need 1)"
                  cu);
-          gw_core_slot.(cu) <- core_slot.(v);
-          gw_stub_local.(cu) <- local.(u);
+          gw_slot.(cu) <- index.(v);
+          gw_local.(cu) <- index.(u);
           gw_weight.(cu) <- w
         end)
       (Graph.neighbors graph u)
   done;
   Array.iteri
     (fun c gw ->
-      if gw < 0 && Array.length members.(c) > 0 then
+      if gw < 0 && size.(c + 1) > 0 then
         invalid_arg
           (Printf.sprintf "Distances.create_clustered: cluster %d has no core link" c))
-    gw_stub_local;
-  {
-    cluster;
-    core;
-    core_slot;
-    local;
-    members;
-    gw_core_slot;
-    gw_stub_local;
-    gw_weight;
-    core_adj;
-    cadj;
-  }
-
-let create_clustered ?(cache_sources = 1024) graph ~cluster =
-  make_t graph (Clustered (geometry graph cluster, Hashtbl.create 64)) cache_sources
+    gw_local;
+  (* [n * W * 2^-53] bounds the rounding of a fold over at most [n] edges
+     whose partial sums stay below the total edge weight [W]. The check
+     must cover little more than four such errors (the two root distances
+     it reads, the two folds it separates); the margin is 32 of them. *)
+  let margin = Float.ldexp (float_of_int n *. !total) (-48) in
+  let core_adj = adj.(0) and cadj = Array.sub adj 1 n_clusters in
+  make_t
+    (Clustered
+       {
+         cluster;
+         index;
+         core_adj;
+         cadj;
+         gw_slot;
+         gw_local;
+         gw_weight;
+         core_trees = Array.init size.(0) (fun r -> robust_tree core_adj r margin);
+         cluster_trees =
+           Array.mapi
+             (fun c gw -> if gw < 0 then None else robust_tree cadj.(c) gw margin)
+             gw_local;
+       })
 
 (* ---- LRU bookkeeping (batched eviction amortizes the stamp scan) ---- *)
 
-let touch t src =
-  t.tick <- t.tick + 1;
-  Hashtbl.replace t.last_use src t.tick
+let touch p src =
+  p.tick <- p.tick + 1;
+  Hashtbl.replace p.last_use src p.tick
 
 let cached_sources t =
   match t.mode with
-  | Plain states -> Hashtbl.length states
-  | Clustered (_, states) -> Hashtbl.length states
+  | Plain p -> Hashtbl.length p.frontiers
+  | Clustered _ -> 0
 
-let drop_source t src =
-  (match t.mode with
-  | Plain states -> Hashtbl.remove states src
-  | Clustered (_, states) -> Hashtbl.remove states src);
-  Hashtbl.remove t.last_use src
-
-let ensure_capacity t =
-  if cached_sources t >= t.cache_sources then begin
-    let entries = Array.make (Hashtbl.length t.last_use) (0, 0) in
+let ensure_capacity t p =
+  if Hashtbl.length p.frontiers >= p.cache_sources then begin
+    let entries = Array.make (Hashtbl.length p.last_use) (0, 0) in
     let i = ref 0 in
     (* Iteration order is erased by the full sort on (stamp, src) below. *)
     (Hashtbl.iter [@ntcu.allow "D002"])
       (fun src stamp ->
         entries.(!i) <- (stamp, src);
         incr i)
-      t.last_use;
+      p.last_use;
     Array.sort compare entries;
-    let k = max 1 (t.cache_sources / 4) in
+    let k = max 1 (p.cache_sources / 4) in
     for j = 0 to min k (Array.length entries) - 1 do
-      drop_source t (snd entries.(j));
+      let src = snd entries.(j) in
+      Hashtbl.remove p.frontiers src;
+      Hashtbl.remove p.last_use src;
       t.evictions <- t.evictions + 1
     done
   end
 
 (* ---- plain mode ---- *)
 
-let new_frontier t src =
-  let n = Graph.n_vertices t.graph in
+let new_frontier p src =
+  let n = Graph.n_vertices p.graph in
   let dist = Array.make n infinity in
   let queue = Pq.create () in
   dist.(src) <- 0.;
@@ -229,7 +271,7 @@ let is_settled f v = Bytes.get f.settled v <> '\000'
    frontier is exhausted (remaining vertices unreachable). Resumable: the
    frontier keeps its heap across calls, so over the life of one source the
    total work never exceeds a single full Dijkstra run. *)
-let advance_until t f dst =
+let advance_until t p f dst =
   let continue = ref (not (is_settled f dst)) in
   while !continue do
     match Pq.pop f.queue with
@@ -247,139 +289,81 @@ let advance_until t f dst =
               f.dist.(v) <- alt;
               Pq.push f.queue alt v
             end)
-          (Graph.neighbors t.graph u);
+          (Graph.neighbors p.graph u);
         if u = dst then continue := false
       end
   done
 
-let plain_distance t states src dst =
+let plain_distance t p src dst =
   let f =
-    match Hashtbl.find_opt states src with
+    match Hashtbl.find_opt p.frontiers src with
     | Some f ->
       t.state_hits <- t.state_hits + 1;
       f
     | None ->
       t.state_misses <- t.state_misses + 1;
-      ensure_capacity t;
-      let f = new_frontier t src in
-      Hashtbl.add states src f;
+      ensure_capacity t p;
+      let f = new_frontier p src in
+      Hashtbl.add p.frontiers src f;
       f
   in
-  touch t src;
+  touch p src;
   if is_settled f dst || f.exhausted then t.settled_hits <- t.settled_hits + 1
-  else advance_until t f dst;
+  else advance_until t p f dst;
   if is_settled f dst then f.dist.(dst) else infinity
 
 (* ---- clustered mode ---- *)
 
-(* Dijkstra over (own cluster + core) in mixed indexing: slots [0, ncore)
-   are the core, [ncore, ncore + |cluster|) the source's cluster. Exact for
-   every vertex in scope: a path detouring through a foreign cluster enters
-   and leaves it by the same single gateway edge, so it is dominated
-   (float [+.] of positive weights is monotone) and dropping it never
-   changes the min. *)
-let build_base t g src =
-  let ncore = Array.length g.core in
-  let sc = g.cluster.(src) in
-  let csize = if sc < 0 then 0 else Array.length g.members.(sc) in
-  let dist = Array.make (ncore + csize) infinity in
-  let queue = Pq.create () in
-  let start = if sc < 0 then g.core_slot.(src) else ncore + g.local.(src) in
-  dist.(start) <- 0.;
-  Pq.push queue 0. start;
-  let relax du v w =
-    let alt = du +. w in
-    if alt < dist.(v) then begin
-      dist.(v) <- alt;
-      Pq.push queue alt v
+(* [x] folded along the tree path from [v] up to the root. *)
+let rec fold_up tree x v =
+  let p = tree.parent.(v) in
+  if p = v then x else fold_up tree (x +. tree.weight.(v)) p
+
+(* [x] folded along the tree path from the root down to [v]. *)
+let rec fold_down tree x v =
+  let p = tree.parent.(v) in
+  if p = v then x else fold_down tree x p +. tree.weight.(v)
+
+(* [x] carried along the shortest path from [a] to [b] within one segment:
+   folded along [tree], rooted at [a] when [down] and at [b] otherwise, if
+   the tree is robust; else by a Dijkstra over the segment started at [x]. *)
+let leg t adj tree x a b ~down =
+  if a = b then x
+  else
+    match tree with
+    | Some tree -> if down then fold_down tree x b else fold_up tree x a
+    | None ->
+      let dist, _, pops = sweep adj a x ~target:b in
+      t.pops <- t.pops + pops;
+      dist.(b)
+
+(* The same [+.] sequence a full-graph Dijkstra from [src] takes: up to the
+   source's gateway, across the core, down from the target's gateway. *)
+let clustered_distance t g src dst =
+  let pops = t.pops in
+  let cs = g.cluster.(src) and cd = g.cluster.(dst) in
+  let i = g.index.(src) and j = g.index.(dst) in
+  let d =
+    (* A path between two routers of one cluster never leaves it. *)
+    if cs >= 0 && cs = cd then leg t g.cadj.(cs) None 0. i j ~down:false
+    else begin
+      let x =
+        if cs < 0 then 0.
+        else
+          leg t g.cadj.(cs) g.cluster_trees.(cs) 0. i g.gw_local.(cs) ~down:false
+          +. g.gw_weight.(cs)
+      in
+      let k = if cs < 0 then i else g.gw_slot.(cs) in
+      let kd = if cd < 0 then j else g.gw_slot.(cd) in
+      let x = leg t g.core_adj g.core_trees.(kd) x k kd ~down:false in
+      if cd < 0 then x
+      else
+        leg t g.cadj.(cd) g.cluster_trees.(cd) (x +. g.gw_weight.(cd)) g.gw_local.(cd) j
+          ~down:true
     end
   in
-  let continue = ref true in
-  while !continue do
-    match Pq.pop queue with
-    | None -> continue := false
-    | Some (du, u) ->
-      t.pops <- t.pops + 1;
-      if du <= dist.(u) then
-        if u < ncore then begin
-          List.iter (fun (v, w) -> relax du v w) g.core_adj.(u);
-          if sc >= 0 && u = g.gw_core_slot.(sc) then
-            relax du (ncore + g.gw_stub_local.(sc)) g.gw_weight.(sc)
-        end
-        else begin
-          let li = u - ncore in
-          List.iter (fun (lv, w) -> relax du (ncore + lv) w) g.cadj.(sc).(li);
-          if li = g.gw_stub_local.(sc) then relax du g.gw_core_slot.(sc) g.gw_weight.(sc)
-        end
-  done;
-  { sc; base = dist; tails = Array.make (Array.length g.members) None }
-
-(* Continue the settled core distances into target cluster [tc]: a shortest
-   path enters [tc] only through its single gateway edge, so seeding the
-   gateway vertex with [base(transit router) +. gateway weight] and running
-   Dijkstra within the cluster reproduces the full-graph folds exactly. *)
-let build_tail t g base tc =
-  let csize = Array.length g.members.(tc) in
-  let dist = Array.make csize infinity in
-  let d0 = base.(g.gw_core_slot.(tc)) +. g.gw_weight.(tc) in
-  if d0 < infinity then begin
-    let queue = Pq.create () in
-    dist.(g.gw_stub_local.(tc)) <- d0;
-    Pq.push queue d0 g.gw_stub_local.(tc);
-    let adj = g.cadj.(tc) in
-    let continue = ref true in
-    while !continue do
-      match Pq.pop queue with
-      | None -> continue := false
-      | Some (du, u) ->
-        t.pops <- t.pops + 1;
-        if du <= dist.(u) then
-          List.iter
-            (fun (v, w) ->
-              let alt = du +. w in
-              if alt < dist.(v) then begin
-                dist.(v) <- alt;
-                Pq.push queue alt v
-              end)
-            adj.(u)
-    done
-  end;
-  dist
-
-let clustered_distance t g states src dst =
-  let s, had_state =
-    match Hashtbl.find_opt states src with
-    | Some s ->
-      t.state_hits <- t.state_hits + 1;
-      (s, true)
-    | None ->
-      t.state_misses <- t.state_misses + 1;
-      ensure_capacity t;
-      let s = build_base t g src in
-      Hashtbl.add states src s;
-      (s, false)
-  in
-  touch t src;
-  let ncore = Array.length g.core in
-  let tc = g.cluster.(dst) in
-  if tc < 0 || tc = s.sc then begin
-    (* A settled hit is a query answered with no fresh Dijkstra work. *)
-    if had_state then t.settled_hits <- t.settled_hits + 1;
-    if tc < 0 then s.base.(g.core_slot.(dst)) else s.base.(ncore + g.local.(dst))
-  end
-  else begin
-    let tail =
-      match s.tails.(tc) with
-      | Some tail ->
-        if had_state then t.settled_hits <- t.settled_hits + 1;
-        tail
-      | None ->
-        let tail = build_tail t g s.base tc in
-        s.tails.(tc) <- Some tail;
-        tail
-    in
-    tail.(g.local.(dst))
-  end
+  if t.pops = pops then t.settled_hits <- t.settled_hits + 1;
+  d
 
 (* ---- public interface ---- *)
 
@@ -395,8 +379,8 @@ let distance t u v =
     t.queries <- t.queries + 1;
     let src = min u v and dst = max u v in
     match t.mode with
-    | Plain states -> plain_distance t states src dst
-    | Clustered (g, states) -> clustered_distance t g states src dst
+    | Plain p -> plain_distance t p src dst
+    | Clustered g -> clustered_distance t g src dst
   end
 
 let stats t =

@@ -1,28 +1,52 @@
-(** Lazy shortest-path distances with bounded per-source caching.
+(** Shortest-path distances between routers, bit-identical to
+    [Graph.dijkstra].
 
-    Replaces the eager Dijkstra-per-source cache (one [n]-float array per
-    distinct source, kept forever) with:
+    Two modes:
 
-    - {b Early termination}: a query [distance t u v] runs Dijkstra from
-      [min u v] only until [max u v] is settled.
-    - {b Resumable frontiers}: the partial heap and tentative distances are
-      kept per source, so later queries from the same source continue where
-      the previous one stopped; total work per source never exceeds one full
-      Dijkstra run.
-    - {b LRU cap}: at most [cache_sources] per-source states are retained;
-      the least-recently-queried source is evicted when the cap is hit.
-    - {b Clustered mode} ({!create_clustered}): for transit-stub topologies,
-      per-source state is restricted to the source's own cluster plus the
-      transit core — O(cluster + core) instead of O(n) — with per-target-
-      cluster tails materialized on demand.
+    - {b Plain} ({!create}), for any graph: a query [distance t u v] runs
+      Dijkstra from [min u v] only until [max u v] is settled. The partial
+      heap and tentative distances are kept per source, so later queries
+      from the same source continue where the previous one stopped; total
+      work per source never exceeds one full Dijkstra run. At most
+      [cache_sources] per-source frontiers are retained; the
+      least-recently-queried sources are evicted when the cap is hit.
+    - {b Clustered} ({!create_clustered}), for transit-stub topologies,
+      where every stub cluster hangs off the transit core by one gateway
+      edge. A shortest path then crosses at most three segments: the
+      source's cluster up to its gateway, the core, and the target's
+      cluster down from its gateway. {!create_clustered} builds, once, a
+      shortest-path tree over the core rooted at each core router and one
+      per cluster rooted at its gateway, each kept as parent and
+      parent-edge-weight arrays. A query folds [+.] from [0.] along at most
+      three tree paths plus the two gateway edges, with no heap, hashtable
+      or per-source state. Memory is quadratic in the core routers and
+      linear in the rest.
 
-    All modes return floats {e bit-identical} to a full-graph
-    [Graph.dijkstra]: Dijkstra's computed distance is the minimum over paths
-    of the left-folded [+.] sum, early termination only stops after that
-    minimum is final, and the clustered decomposition removes only path
-    candidates that are pointwise dominated (float [+.] is monotone), so the
-    minimum is unchanged. Simulation traces therefore cannot shift by even
-    one ulp.
+    All answers are {e bit-identical} to a full-graph [Graph.dijkstra] from
+    [min u v], so simulation traces cannot shift by even one ulp.
+    Dijkstra's computed distance is the minimum over paths of the
+    left-folded [+.] sum, because [+.] of a positive weight is monotone and
+    never decreases. Early termination only stops after that minimum is
+    final. A path that detours through a foreign cluster enters and leaves
+    it by the same gateway edge, so it is dominated and the segment
+    decomposition never changes the minimum. Since the fold is monotone in
+    its start value, the minimum over whole paths is the minimum within
+    each segment in turn, each started from the previous segment's result.
+
+    A tree answers for its segment only if it is robust: every non-tree
+    edge [(q -> v)] of the segment has [D(q) +. w >= D(v) +. margin], where
+    [D] is the tree's root distance and [margin = n * W * 2^-48] ([n]
+    routers, [W] total edge weight). A fold over at most [n] edges with
+    partial sums below [W] rounds by at most [n * W * 2^-53], and the
+    margin exceeds, more than six times over, the four such errors of the
+    two root distances the check reads and the two folds it separates. So
+    every other path of the segment is longer than the tree path by more
+    than any fold can round, and the tree path's fold is the strict
+    minimum for every start value, in either direction. Pairs in the
+    same cluster, and segments whose tree fails the check (real-valued ties
+    such as [0.1 +. 0.2] against [0.3] do), run a small Dijkstra over that
+    one cluster or the core, seeded with the fold's current value, which is
+    exact by the same monotonicity argument.
 
     A [t] is single-domain mutable state (frontiers, LRU stamps, counters):
     {!distance} raises [Invalid_argument] when called from a domain other
@@ -38,7 +62,7 @@ val create : ?cache_sources:int -> Graph.t -> t
     (default 1024) bounds the number of retained per-source frontiers.
     @raise Invalid_argument if [cache_sources < 1]. *)
 
-val create_clustered : ?cache_sources:int -> Graph.t -> cluster:int array -> t
+val create_clustered : Graph.t -> cluster:int array -> t
 (** [create_clustered graph ~cluster] uses the transit-stub decomposition.
     [cluster.(v)] is [v]'s stub-cluster id, or [-1] for transit (core)
     routers. Requires — and verifies — that no edge joins two distinct
@@ -50,20 +74,31 @@ val distance : t -> int -> int -> float
 (** Shortest-path distance between two routers; [infinity] if disconnected.
     Symmetry is exploited by always working from the smaller endpoint.
     @raise Invalid_argument when called from a domain other than the
-    creator's (the cache is single-domain mutable state). *)
+    creator's (the counters and plain mode's cache are single-domain
+    mutable state). *)
 
 val cached_sources : t -> int
-(** Number of per-source states currently retained (memory diagnostics). *)
+(** Number of per-source frontiers currently retained in plain mode
+    (memory diagnostics); always [0] in clustered mode. *)
 
 type stats = {
   queries : int;  (** [distance] calls with [u <> v]. *)
   settled_hits : int;
-      (** Queries answered from already-computed state, with no new Dijkstra
-          work beyond a lookup. *)
-  state_hits : int;  (** Queries that found per-source state cached. *)
-  state_misses : int;  (** Queries that had to build per-source state. *)
-  evictions : int;  (** Sources dropped by the LRU cap. *)
-  pops : int;  (** Total heap pops across all Dijkstra work (cost proxy). *)
+      (** Queries answered with no new Dijkstra work: in plain mode, from an
+          already-settled frontier; in clustered mode, by tree folds alone. *)
+  state_hits : int;
+      (** Plain mode: queries that found their source's frontier cached.
+          Always [0] in clustered mode, which keeps no per-source state. *)
+  state_misses : int;
+      (** Plain mode: queries that had to start a frontier. Always [0] in
+          clustered mode. *)
+  evictions : int;
+      (** Plain mode: frontiers dropped by the LRU cap. Always [0] in
+          clustered mode. *)
+  pops : int;
+      (** Heap pops of the Dijkstra work done by queries (cost proxy): the
+          frontiers in plain mode; in clustered mode the same-cluster and
+          fragile-segment Dijkstras (building the trees is not counted). *)
 }
 
 val stats : t -> stats

@@ -14,8 +14,8 @@ val attach : seed:int -> Transit_stub.t -> n:int -> t
 val count : t -> int
 
 val distances : t -> Distances.t
-(** The underlying router-distance oracle (clustered, lazily computed); use
-    {!Distances.stats} for cache diagnostics. *)
+(** The underlying router-distance oracle, in clustered mode; use
+    {!Distances.stats} for its query counters. *)
 
 val router_of : t -> int -> int
 (** Attachment router of a host index. *)

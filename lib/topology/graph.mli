@@ -27,4 +27,7 @@ val is_connected : t -> bool
 
 val dijkstra : t -> int -> float array
 (** [dijkstra g src] returns the array of shortest-path distances from [src];
-    [infinity] for unreachable vertices. *)
+    [infinity] for unreachable vertices. It is the independent reference
+    that the tests hold {!Distances} to, bit for bit, so it stays a plain
+    textbook run on {!Ntcu_std.Pqueue} and shares no code with
+    {!Distances}' frontiers and trees. *)

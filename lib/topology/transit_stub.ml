@@ -176,8 +176,7 @@ let is_transit t v = t.transit_flags.(v)
 
 let cluster_assignment t = t.cluster_of
 
-let distances ?cache_sources t =
-  Distances.create_clustered ?cache_sources t.graph ~cluster:t.cluster_of
+let distances t = Distances.create_clustered t.graph ~cluster:t.cluster_of
 
 let pp_summary ppf t =
   Fmt.pf ppf "transit-stub topology: %d routers (%d transit, %d stub), %d links"

@@ -30,8 +30,8 @@ val paper_config : config
     transit routers, 7 stubs per transit router x 37 routers. *)
 
 val scaled_config : config
-(** 2048 routers with the same shape; the default for benchmarks (quarter
-    scale keeps the all-pairs distance cache small). *)
+(** 2048 routers with the same shape, a quarter of the paper's; the
+    default for benchmarks. *)
 
 val router_count : config -> int
 
@@ -54,9 +54,9 @@ val cluster_assignment : t -> int array
     internally connected and attached to the transit core by exactly one
     gateway edge. Do not mutate. *)
 
-val distances : ?cache_sources:int -> t -> Distances.t
-(** A {!Distances.t} in clustered mode over this topology's graph, so
-    per-source shortest-path state is O(cluster + core) instead of
-    O(routers). *)
+val distances : t -> Distances.t
+(** A {!Distances.t} in clustered mode over this topology's graph: its
+    queries fold along shortest-path trees built once over the core and
+    each cluster. *)
 
 val pp_summary : t Fmt.t

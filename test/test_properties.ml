@@ -1,6 +1,6 @@
 (* Seed-swept property tests over the subsystems the performance work
    touches: identifier suffix algebra, the wire codec, the indexed event
-   queue, the lazy/clustered shortest-path cache, and end-to-end churn
+   queue, the lazy and clustered shortest-path modes, and end-to-end churn
    schedules. Every test draws its randomness from Ntcu_std.Rng with fixed
    seeds, so failures reproduce exactly. *)
 
@@ -288,6 +288,66 @@ let distances_exact () =
       done)
     seeds
 
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Every pair [(src, v)] with [src <= v] of full Dijkstra rows, asked in both
+   argument orders, must match the row bit for bit. [after] sees each pair
+   with the pop count from before its two queries. *)
+let check_rows ?(after = fun _ _ _ -> ()) g d sources =
+  let nv = Graph.n_vertices g in
+  List.iter
+    (fun src ->
+      let reference = Graph.dijkstra g src in
+      for v = src to nv - 1 do
+        let pops = (Distances.stats d).Distances.pops in
+        let got = Distances.distance d src v and got' = Distances.distance d v src in
+        if not (same_bits reference.(v) got && same_bits reference.(v) got') then
+          Alcotest.failf "distance %d %d = %h, %h; Dijkstra %h" src v got got'
+            reference.(v);
+        after src v pops
+      done)
+    sources
+
+(* At paper scale (8 320 routers; seed 112 is the topology fig15b builds for
+   its seed 102) clustered answers are bit-identical to full Dijkstra, and a
+   query that leaves its cluster is answered by tree folds alone. *)
+let distances_paper_scale () =
+  let topo = Transit_stub.generate ~seed:112 Transit_stub.paper_config in
+  let g = Transit_stub.graph topo in
+  let cluster = Transit_stub.cluster_assignment topo in
+  let d = Transit_stub.distances topo in
+  check_rows g d
+    [ 0; 9; 31; 32; 33; 700; 1801; 3650; 5120; 7777 ]
+    ~after:(fun src v pops ->
+      if cluster.(src) < 0 || cluster.(src) <> cluster.(v) then
+        check Alcotest.int "cross-cluster query added no pops" pops
+          (Distances.stats d).Distances.pops)
+
+(* A real-valued tie folds differently in floats: from the gateway the tree
+   takes g-v (0.3 < 0.1 +. 0.2), but from T0, 10.0 away, the shortest fold
+   goes through a. The same tie sits in the core between T0 and T1. The
+   robustness check must reject both trees so every answer stays exact.
+   Vertices: T0 0, X 1, T1 2; cluster {g 3, a 4, v 5} under T0 and
+   cluster {h 6, k 7} under T1. *)
+let distances_fragile_tree () =
+  let g = Graph.create 8 in
+  List.iter
+    (fun (u, v, w) -> Graph.add_edge g u v w)
+    [
+      (0, 1, 0.1); (1, 2, 0.2); (0, 2, 0.3); (0, 3, 10.0); (3, 4, 0.1); (4, 5, 0.2);
+      (3, 5, 0.3); (2, 6, 1.0); (6, 7, 1.0);
+    ];
+  check Alcotest.bool "cluster tie folds differently" false
+    (same_bits ((10.0 +. 0.1) +. 0.2) (10.0 +. 0.3));
+  check Alcotest.bool "tree takes the direct edge" true (0.3 < 0.1 +. 0.2);
+  check Alcotest.bool "core tie folds differently" false
+    (same_bits (((10.0 +. 0.1) +. 0.2) +. 1.0) ((10.0 +. 0.3) +. 1.0));
+  check (Alcotest.float 0.) "T0 to v goes through a"
+    ((10.0 +. 0.1) +. 0.2)
+    (Graph.dijkstra g 0).(5);
+  let d = Distances.create_clustered g ~cluster:[| -1; -1; -1; 0; 0; 0; 1; 1 |] in
+  check_rows g d (List.init 8 Fun.id)
+
 (* The LRU cap bounds live state without affecting answers, and eviction
    really happens under source-heavy workloads. *)
 let distances_lru () =
@@ -457,6 +517,8 @@ let suites =
         Alcotest.test_case "codec total under bit flips" `Quick bit_flips_total;
         Alcotest.test_case "pqueue matches model" `Quick pqueue_vs_model;
         Alcotest.test_case "distances exact" `Quick distances_exact;
+        Alcotest.test_case "distances paper scale" `Quick distances_paper_scale;
+        Alcotest.test_case "distances fragile tree" `Quick distances_fragile_tree;
         Alcotest.test_case "distances lru" `Quick distances_lru;
         limit_agrees_with_full_scan;
         Alcotest.test_case "churn oracle" `Quick churn_oracle;
