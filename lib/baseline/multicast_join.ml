@@ -2,7 +2,7 @@ module Id = Ntcu_id.Id
 module Table = Ntcu_table.Table
 module Snapshot = Table.Snapshot
 module Engine = Ntcu_sim.Engine
-module Latency = Ntcu_sim.Latency
+module Transport = Ntcu_sim.Transport
 module Rng = Ntcu_std.Rng
 
 type upstream = Up_node of Id.t | Up_joiner
@@ -29,43 +29,49 @@ type msg =
   | B_info of { about : Id.t }
   | B_done
 
+let pp_msg ppf = function
+  | B_cp_rst { level } -> Fmt.pf ppf "CpRst(level=%d)" level
+  | B_cp_rly { table } -> Fmt.pf ppf "CpRly(%d cells)" (Snapshot.cell_count table)
+  | B_join_rst -> Fmt.string ppf "JoinRst"
+  | B_announce { joiner; level } -> Fmt.pf ppf "Announce(%a, level=%d)" Id.pp joiner level
+  | B_ack { joiner } -> Fmt.pf ppf "Ack(%a)" Id.pp joiner
+  | B_info { about } -> Fmt.pf ppf "Info(%a)" Id.pp about
+  | B_done -> Fmt.string ppf "Done"
+
+(* Announcements and the contacted nodes' replies decide who learns of whom
+   first — the mutual-discovery race concurrent joins lose. The table-copy
+   walk and the acknowledgement wave only pace a join. *)
+let critical = function
+  | B_join_rst | B_announce _ | B_info _ -> true
+  | B_cp_rst _ | B_cp_rly _ | B_ack _ | B_done -> false
+
 type message_counts = { copies : int; announces : int; acks : int; infos : int }
 
 type t = {
   params : Ntcu_id.Params.t;
-  engine : Engine.t;
-  latency : Latency.t;
-  nodes : bnode Id.Tbl.t;
-  host_of : int Id.Tbl.t;
-  mutable next_host : int;
-  mutable order : Id.t list;
+  wire : (bnode, msg) Transport.t;
   mutable counts : message_counts;
   mutable pending_slots : int;
 }
 
-let create ?latency params =
-  let latency = match latency with Some l -> l | None -> Latency.constant 1.0 in
+let label ~src ~dst msg = Fmt.str "%a -> %a : %a" Id.pp src Id.pp dst pp_msg msg
+
+let create ?latency ?record_trace params =
   {
     params;
-    engine = Engine.create ();
-    latency;
-    nodes = Id.Tbl.create 256;
-    host_of = Id.Tbl.create 256;
-    next_host = 0;
-    order = [];
+    wire = Transport.create ?latency ?record_trace ~label ();
     counts = { copies = 0; announces = 0; acks = 0; infos = 0 };
     pending_slots = 0;
   }
 
-let register t node =
-  if Id.Tbl.mem t.nodes node.id then invalid_arg "Multicast_join: duplicate node";
-  Id.Tbl.add t.nodes node.id node;
-  Id.Tbl.add t.host_of node.id t.next_host;
-  t.next_host <- t.next_host + 1;
-  t.order <- node.id :: t.order
+let engine t = Transport.engine t.wire
+let trace t = Transport.trace t.wire
+let set_delay_hook t hook = Transport.set_hook t.wire hook
+
+let register t node = Transport.register t.wire node.id node
 
 let find t id =
-  match Id.Tbl.find_opt t.nodes id with
+  match Transport.find t.wire id with
   | Some n -> n
   | None -> invalid_arg (Fmt.str "Multicast_join: unknown node %a" Id.pp id)
 
@@ -96,10 +102,8 @@ let count_msg t msg =
 
 let rec send t ~src ~dst msg =
   count_msg t msg;
-  let hsrc = Id.Tbl.find t.host_of src and hdst = Id.Tbl.find t.host_of dst in
-  let delay = Latency.sample t.latency ~src:hsrc ~dst:hdst in
-  let delay = if delay <= 0. then 1e-6 else delay in
-  Engine.schedule t.engine ~delay (fun () -> deliver t ~src ~dst msg)
+  Transport.send t.wire ~critical:(critical msg) ~src ~dst (fun () ->
+      deliver t ~src ~dst msg)
 
 (* Forward targets of the suffix-set multicast from [u] at [level]: the heads
    of each disjoint one-digit suffix extension, recursing through u's own
@@ -186,6 +190,7 @@ and handle_cp_rly t x snapshot =
   | Some _ | None -> finish_copying t x ~surrogate:snapshot.owner
 
 and deliver t ~src ~dst msg =
+  Transport.arrive t.wire ~src ~dst msg;
   let u = find t dst in
   match msg with
   | B_cp_rst { level = _ } ->
@@ -230,15 +235,15 @@ let start_join t ?at ~id ~gateway () =
   let joiner = make_node t ~seed:false id in
   register t joiner;
   ignore (find t gateway);
-  let time = match at with Some time -> time | None -> Engine.now t.engine in
-  Engine.schedule_at t.engine ~time (fun () ->
+  let time = match at with Some time -> time | None -> Engine.now (engine t) in
+  Engine.schedule_at (engine t) ~time (fun () ->
       joiner.copy_level <- 0;
       joiner.copy_from <- Some gateway;
       send t ~src:id ~dst:gateway (B_cp_rst { level = 0 }))
 
-let run ?max_events t = Engine.run ?max_events t.engine
+let run ?max_events t = Engine.run ?max_events (engine t)
 
-let all_nodes t = List.rev_map (fun id -> find t id) t.order
+let all_nodes t = List.map (find t) (Transport.ids t.wire)
 
 let tables t = List.map (fun n -> n.table) (all_nodes t)
 
@@ -246,14 +251,12 @@ let check_consistent t = Ntcu_table.Check.violations (tables t)
 
 let all_done t = List.for_all (fun n -> n.seed || n.completed) (all_nodes t)
 
-let table t id = Option.map (fun n -> n.table) (Id.Tbl.find_opt t.nodes id)
+let table t id = Option.map (fun n -> n.table) (Transport.find t.wire id)
 
 let members t =
   List.filter_map
     (fun n -> if n.seed || n.completed then Some n.id else None)
     (all_nodes t)
-
-let engine t = t.engine
 
 let message_counts t = t.counts
 

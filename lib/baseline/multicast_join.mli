@@ -26,7 +26,17 @@ type message_counts = {
   infos : int;  (** Contacted node -> joiner notifications. *)
 }
 
-val create : ?latency:Ntcu_sim.Latency.t -> Ntcu_id.Params.t -> t
+val create : ?latency:Ntcu_sim.Latency.t -> ?record_trace:bool -> Ntcu_id.Params.t -> t
+(** A baseline network on its own {!Ntcu_sim.Transport.t}. Default latency:
+    constant 1.0 ms. With [record_trace] every delivery is a trace line. *)
+
+val trace : t -> Ntcu_sim.Trace.t option
+
+val set_delay_hook : t -> Ntcu_sim.Transport.hook option -> unit
+(** Install (or clear) the wire's delay hook. The join announcements, the
+    joiner's multicast request and the contacted nodes' replies to the
+    joiner are the ordering-critical frames: they decide who learns of whom
+    first. The table-copy walk and the acknowledgement wave are not. *)
 
 val seed_consistent : t -> seed:int -> Ntcu_id.Id.t list -> unit
 (** Same seeding as [Ntcu_core.Network.seed_consistent]. *)

@@ -1,8 +1,7 @@
 module Id = Ntcu_id.Id
 module Params = Ntcu_id.Params
 module Engine = Ntcu_sim.Engine
-module Latency = Ntcu_sim.Latency
-module Trace = Ntcu_sim.Trace
+module Transport = Ntcu_sim.Transport
 module Protocol = Ntcu_protocol.Protocol
 
 type config = {
@@ -31,7 +30,6 @@ type status = Joining | Active | Dead
 type cnode = {
   id : Id.t;
   key : int;
-  host : int;
   mutable status : status;
   mutable succs : Id.t list; (* nearest first; correct mode keeps it live *)
   mutable pred : Id.t option;
@@ -83,15 +81,7 @@ type t = {
   space : int; (* b^d ring positions *)
   bits : int; (* finger-table size: ceil(log2 space) *)
   hop_limit : int;
-  engine : Engine.t;
-  latency : Latency.t;
-  trace : Trace.t option;
-  nodes : cnode Id.Tbl.t;
-  mutable order : Id.t list; (* registration order, newest first *)
-  mutable next_host : int;
-  mutable hook : Protocol.delay_hook option;
-  mutable seq : int;
-  mutable delivered : int;
+  wire : (cnode, msg) Transport.t;
   mutable join_msgs : int;
   mutable maintain_msgs : int;
 }
@@ -111,8 +101,9 @@ let key_of (p : Params.t) id =
   done;
   !k
 
-let create ?latency ?(record_trace = false) (cfg : config) =
-  let latency = match latency with Some l -> l | None -> Latency.constant 1.0 in
+let label ~src ~dst msg = Fmt.str "%a>%a %s" Id.pp src Id.pp dst (msg_label msg)
+
+let create ?latency ?record_trace (cfg : config) =
   let space = key_space cfg.params in
   let bits =
     let rec go b = if 1 lsl b >= space then b else go (b + 1) in
@@ -129,32 +120,24 @@ let create ?latency ?(record_trace = false) (cfg : config) =
     space;
     bits;
     hop_limit = 8 * bits;
-    engine = Engine.create ();
-    latency;
-    trace = (if record_trace then Some (Trace.create ()) else None);
-    nodes = Id.Tbl.create 256;
-    order = [];
-    next_host = 0;
-    hook = None;
-    seq = 0;
-    delivered = 0;
+    wire = Transport.create ?latency ?record_trace ~label ();
     join_msgs = 0;
     maintain_msgs = 0;
   }
 
-let engine t = t.engine
-let trace t = t.trace
-let set_delay_hook t hook = t.hook <- hook
+let engine t = Transport.engine t.wire
+let trace t = Transport.trace t.wire
+let set_delay_hook t hook = Transport.set_hook t.wire hook
 
 let find t id =
-  match Id.Tbl.find_opt t.nodes id with
+  match Transport.find t.wire id with
   | Some n -> n
   | None -> invalid_arg (Fmt.str "Chord: unknown node %a" Id.pp id)
 
 let key t id = (find t id).key
 
 let alive t id =
-  match Id.Tbl.find_opt t.nodes id with
+  match Transport.find t.wire id with
   | Some n -> ( match n.status with Dead -> false | Joining | Active -> true)
   | None -> false
 
@@ -174,17 +157,12 @@ let first_succ t u =
   if t.naive then (match u.succs with s :: _ -> Some s | [] -> None)
   else List.find_opt (fun s -> alive t s) u.succs
 
-let register t node =
-  if Id.Tbl.mem t.nodes node.id then invalid_arg "Chord: duplicate node";
-  Id.Tbl.add t.nodes node.id node;
-  t.order <- node.id :: t.order;
-  t.next_host <- t.next_host + 1
+let register t node = Transport.register t.wire node.id node
 
 let make_node t ~status id =
   {
     id;
     key = key_of t.params id;
-    host = t.next_host;
     status;
     succs = [];
     pred = None;
@@ -204,25 +182,13 @@ let count_msg t msg =
 
 let rec send t ~src ~dst msg =
   count_msg t msg;
-  let a = find t src and b = find t dst in
-  let delay = Latency.sample t.latency ~src:a.host ~dst:b.host in
-  let seq = t.seq in
-  t.seq <- seq + 1;
-  let delay =
-    match t.hook with
-    | None -> delay
-    | Some h -> h ~critical:(critical_msg msg) ~src ~dst ~seq delay
-  in
-  let delay = if delay <= 0. then Latency.min_delay else delay in
-  Engine.schedule t.engine ~delay (fun () -> deliver t ~src ~dst msg)
+  Transport.send t.wire ~critical:(critical_msg msg) ~src ~dst (fun () ->
+      deliver t ~src ~dst msg)
 
+(* Every arrival counts, dead receivers included: the frame reached the
+   wire's end even though a fail-stop node ignores it. *)
 and deliver t ~src ~dst msg =
-  t.delivered <- t.delivered + 1;
-  (match t.trace with
-  | Some tr ->
-    Trace.record tr (Engine.now t.engine)
-      (Fmt.str "%a>%a %s" Id.pp src Id.pp dst (msg_label msg))
-  | None -> ());
+  Transport.arrive t.wire ~src ~dst msg;
   let v = find t dst in
   match v.status with
   | Dead -> () (* fail-stop: inbound frames vanish *)
@@ -240,7 +206,7 @@ and deliver t ~src ~dst msg =
 (* Greedy routing: the finger (or successor) most closely preceding [target].
    Correct mode routes around dead entries; naive mode trusts its state. *)
 and closest_preceding t u ~target =
-  let ok id = if t.naive then Id.Tbl.mem t.nodes id else alive t id in
+  let ok id = if t.naive then Transport.mem t.wire id else alive t id in
   let rec scan i =
     if i < 0 then None
     else
@@ -402,9 +368,9 @@ let fix_fingers t u =
 let schedule_rounds t u ~from =
   (* Deterministic per-node phase: registration order staggers rounds so the
      population does not stabilize in lockstep. *)
-  let phase = float_of_int u.host *. 1e-3 in
+  let phase = float_of_int (Transport.host t.wire u.id) *. 1e-3 in
   for r = 1 to t.rounds do
-    Engine.schedule_at t.engine
+    Engine.schedule_at (engine t)
       ~time:(from +. (float_of_int r *. t.stabilize_every) +. phase)
       (fun () ->
         if is_active u then begin
@@ -444,7 +410,7 @@ let seed_ring t ids =
         u.fingers.(b) <- Some (succ_of_key target).id
       done)
     ring;
-  Array.iter (fun u -> schedule_rounds t u ~from:(Engine.now t.engine)) ring
+  Array.iter (fun u -> schedule_rounds t u ~from:(Engine.now (engine t))) ring
 
 let start_join t ?at ~id ~gateway () =
   let u = make_node t ~status:Joining id in
@@ -452,7 +418,7 @@ let start_join t ?at ~id ~gateway () =
   ignore (find t gateway);
   u.gateway <- Some gateway;
   u.retries_left <- t.join_retries;
-  let time = match at with Some time -> time | None -> Engine.now t.engine in
+  let time = match at with Some time -> time | None -> Engine.now (engine t) in
   let ask () =
     if (match u.status with Joining -> true | Active | Dead -> false) then
       match u.gateway with
@@ -461,9 +427,9 @@ let start_join t ?at ~id ~gateway () =
           (C_find_succ { target = u.key; origin = u.id; purpose = P_join; hops = 0 })
       | Some _ | None -> ()
   in
-  Engine.schedule_at t.engine ~time ask;
+  Engine.schedule_at (engine t) ~time ask;
   for r = 1 to t.join_retries do
-    Engine.schedule_at t.engine ~time:(time +. (float_of_int r *. t.stabilize_every))
+    Engine.schedule_at (engine t) ~time:(time +. (float_of_int r *. t.stabilize_every))
       (fun () ->
         if
           (match u.status with Joining -> true | Active | Dead -> false)
@@ -477,8 +443,8 @@ let start_join t ?at ~id ~gateway () =
 
 let leave t ?at id =
   let u = find t id in
-  let time = match at with Some time -> time | None -> Engine.now t.engine in
-  Engine.schedule_at t.engine ~time (fun () ->
+  let time = match at with Some time -> time | None -> Engine.now (engine t) in
+  Engine.schedule_at (engine t) ~time (fun () ->
       if is_active u then begin
         (if not t.naive then begin
            (match u.pred with
@@ -496,11 +462,11 @@ let leave t ?at id =
 
 let crash t id = (find t id).status <- Dead
 
-let run ?max_events t = Engine.run ?max_events t.engine
+let run ?max_events t = Engine.run ?max_events (engine t)
 
 (* ---- end-state queries ---- *)
 
-let all_nodes t = List.rev_map (find t) t.order
+let all_nodes t = List.map (find t) (Transport.ids t.wire)
 
 let live_nodes t =
   List.filter (fun u -> match u.status with Dead -> false | _ -> true) (all_nodes t)
@@ -511,7 +477,7 @@ let members t =
   List.sort Id.compare (List.map (fun u -> u.id) (actives t))
 
 let is_member t id =
-  match Id.Tbl.find_opt t.nodes id with Some u -> is_active u | None -> false
+  match Transport.find t.wire id with Some u -> is_active u | None -> false
 
 (* The live head of a node's successor list — monitor-side semantics, the
    same in both modes (monitors judge the state, not the protocol). *)
@@ -682,7 +648,7 @@ let lookup t ~src ~target =
     walk u [ src ] 0
   end
 
-let messages_delivered t = t.delivered
+let messages_delivered t = Transport.delivered t.wire
 
 let traffic t =
   {

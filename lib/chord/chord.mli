@@ -50,9 +50,9 @@ val engine : t -> Ntcu_sim.Engine.t
 val trace : t -> Ntcu_sim.Trace.t option
 
 val set_delay_hook : t -> Protocol.delay_hook option -> unit
-(** Same contract as [Ntcu_core.Network.set_delay_hook]: frames are numbered
-    by [seq] in scheduling order; join lookups and notifies are the
-    ordering-critical frames. *)
+(** Install (or clear) the wire's delay hook ({!Ntcu_sim.Transport.hook}).
+    Join lookups, their answers and notifies are the ordering-critical
+    frames. *)
 
 val seed_ring : t -> Ntcu_id.Id.t list -> unit
 (** Install the initial members with exact successor lists, predecessors and
@@ -92,6 +92,8 @@ val lookup : t -> src:Ntcu_id.Id.t -> target:Ntcu_id.Id.t -> Ntcu_id.Id.t list o
     at [target] iff the lookup is correct. *)
 
 val messages_delivered : t -> int
+(** Frames that reached their receiver, crashed receivers included. *)
+
 val traffic : t -> Protocol.traffic
 
 val protocol : ?naive:bool -> unit -> (module Protocol.S)

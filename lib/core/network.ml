@@ -1,7 +1,7 @@
 module Id = Ntcu_id.Id
 module Table = Ntcu_table.Table
 module Engine = Ntcu_sim.Engine
-module Latency = Ntcu_sim.Latency
+module Transport = Ntcu_sim.Transport
 
 type reliability = {
   rto : float;
@@ -23,23 +23,12 @@ type pending = {
   mutable timer : Engine.handle option;
 }
 
-(* One frame on the simulated wire, as seen by the scheduler hook: a protocol
-   message, or a transport-level ack (which carries no Message.t). *)
-type wire = Protocol of Message.t | Ack
-
 type t = {
   params : Ntcu_id.Params.t;
   node_config : Node.config;
   fault : Node.fault option; (* test-only protocol bug, applied to every node *)
-  engine : Engine.t;
-  latency : Latency.t;
-  nodes : Node.t Id.Tbl.t;
-  host_of : int Id.Tbl.t; (* dense host index for the latency model *)
-  mutable next_host : int;
-  mutable order : Id.t list; (* registration order, newest first *)
+  wire : (Node.t, Message.t) Transport.t;
   global : Stats.t;
-  trace : Ntcu_sim.Trace.t option;
-  mutable delivered : int;
   failed : unit Id.Tbl.t;
   (* Departure telemetry: the two ways a node can go away. [remove] is the
      graceful path (leave protocols repair first, then unregister); [fail] is
@@ -61,16 +50,12 @@ type t = {
   mutable suspicion_handler : (reporter:Id.t -> suspect:Id.t -> unit) option;
   mutable acks_sent : int;
   mutable acks_lost : int;
-  (* Adversarial-scheduler hook: rewrites the sampled delay of each frame put
-     on the wire. [wire_seq] numbers the hook's calls, giving schedulers a
-     stable, deterministic key per scheduling decision (replayable repros). *)
-  mutable delay_hook : (wire:wire -> src:Id.t -> dst:Id.t -> seq:int -> float -> float) option;
-  mutable wire_seq : int;
 }
+
+let label ~src ~dst msg = Fmt.str "%a -> %a : %a" Id.pp src Id.pp dst Message.pp msg
 
 let create ?latency ?(size_mode = Message.Full) ?(record_trace = false) ?loss ?reliability
     ?fault params =
-  let latency = match latency with Some l -> l | None -> Latency.constant 1.0 in
   let loss =
     match loss with
     | None -> None
@@ -93,15 +78,8 @@ let create ?latency ?(size_mode = Message.Full) ?(record_trace = false) ?loss ?r
     params;
     node_config = { Node.params; size_mode };
     fault;
-    engine = Engine.create ();
-    latency;
-    nodes = Id.Tbl.create 1024;
-    host_of = Id.Tbl.create 1024;
-    next_host = 0;
-    order = [];
+    wire = Transport.create ?latency ~record_trace ~label ();
     global = Stats.create ();
-    trace = (if record_trace then Some (Ntcu_sim.Trace.create ()) else None);
-    delivered = 0;
     failed = Id.Tbl.create 16;
     removed_count = 0;
     failed_count = 0;
@@ -116,36 +94,26 @@ let create ?latency ?(size_mode = Message.Full) ?(record_trace = false) ?loss ?r
     suspicion_handler = None;
     acks_sent = 0;
     acks_lost = 0;
-    delay_hook = None;
-    wire_seq = 0;
   }
 
 let params t = t.params
-let engine t = t.engine
-let trace t = t.trace
+let engine t = Transport.engine t.wire
+let trace t = Transport.trace t.wire
 let reliable t = Option.is_some t.rel
 
 let set_suspicion_handler t f = t.suspicion_handler <- Some f
 
 let is_suspected t id = Id.Tbl.mem t.suspected id
 
-let register t node =
-  let id = Node.id node in
-  if Id.Tbl.mem t.nodes id then
-    invalid_arg (Fmt.str "Network: node %a already registered" Id.pp id);
-  Id.Tbl.add t.nodes id node;
-  Id.Tbl.add t.host_of id t.next_host;
-  t.next_host <- t.next_host + 1;
-  t.order <- id :: t.order
+let register t node = Transport.register t.wire (Node.id node) node
 
-let node t id = Id.Tbl.find_opt t.nodes id
+let node t id = Transport.find t.wire id
+let mem t id = Transport.mem t.wire id
 
 let node_exn t id =
   match node t id with
   | Some n -> n
   | None -> invalid_arg (Fmt.str "Network: unknown node %a" Id.pp id)
-
-let host t id = Id.Tbl.find t.host_of id
 
 let is_failed t id = Id.Tbl.mem t.failed id
 
@@ -154,24 +122,7 @@ let draw_loss t =
   | Some (probability, rng) -> Ntcu_std.Rng.float rng 1.0 < probability
   | None -> false
 
-let delay_between t ~src ~dst =
-  let delay = Latency.sample t.latency ~src:(host t src) ~dst:(host t dst) in
-  if delay <= 0. then Latency.min_delay else delay
-
-let set_delay_hook t hook = t.delay_hook <- hook
-
-(* Delay for one frame actually scheduled on the wire. The hook is consulted
-   (and [wire_seq] advanced) only for scheduled frames, so a run replayed with
-   identical seeds consults it in an identical sequence. *)
-let wire_delay t ~wire ~src ~dst =
-  let delay = delay_between t ~src ~dst in
-  match t.delay_hook with
-  | None -> delay
-  | Some f ->
-    let seq = t.wire_seq in
-    t.wire_seq <- seq + 1;
-    let d = f ~wire ~src ~dst ~seq delay in
-    if d <= 0. then Latency.min_delay else d
+let set_delay_hook t hook = Transport.set_hook t.wire hook
 
 let rec send t ~src ~dst msg =
   if Id.equal src dst then
@@ -185,8 +136,8 @@ let rec send t ~src ~dst msg =
   | None ->
     if draw_loss t then t.lost <- t.lost + 1
     else
-      Engine.schedule t.engine ~delay:(wire_delay t ~wire:(Protocol msg) ~src ~dst)
-        (fun () -> deliver t ~src ~dst ~bytes msg)
+      Transport.send t.wire ~critical:(Message.ordering_critical msg) ~src ~dst (fun () ->
+          deliver t ~src ~dst ~bytes msg)
   | Some _ ->
     let seq = t.next_seq in
     t.next_seq <- seq + 1;
@@ -202,19 +153,18 @@ and transmit t seq p =
   let r, rng = match t.rel with Some x -> x | None -> assert false in
   if draw_loss t then t.lost <- t.lost + 1
   else
-    Engine.schedule t.engine
-      ~delay:(wire_delay t ~wire:(Protocol p.p_msg) ~src:p.p_src ~dst:p.p_dst)
-      (fun () -> deliver_reliable t seq p);
+    Transport.send t.wire ~critical:(Message.ordering_critical p.p_msg) ~src:p.p_src
+      ~dst:p.p_dst (fun () -> deliver_reliable t seq p);
   let timeout =
     r.rto
     *. (r.backoff ** float_of_int p.attempt)
     *. (1. +. (r.jitter *. Ntcu_std.Rng.float rng 1.0))
   in
-  p.timer <- Some (Engine.schedule_cancellable t.engine ~delay:timeout (fun () ->
+  p.timer <- Some (Engine.schedule_cancellable (engine t) ~delay:timeout (fun () ->
       on_timeout t seq))
 
 and deliver_reliable t seq p =
-  match Id.Tbl.find_opt t.nodes p.p_dst with
+  match node t p.p_dst with
   | None -> t.dropped <- t.dropped + 1 (* departed: no ack, the timer will fire *)
   | Some _ when Id.Tbl.mem t.failed p.p_dst -> t.dropped <- t.dropped + 1
   | Some receiver ->
@@ -224,9 +174,8 @@ and deliver_reliable t seq p =
     t.acks_sent <- t.acks_sent + 1;
     if draw_loss t then t.acks_lost <- t.acks_lost + 1
     else
-      Engine.schedule t.engine
-        ~delay:(wire_delay t ~wire:Ack ~src:p.p_dst ~dst:p.p_src)
-        (fun () -> on_ack t seq);
+      Transport.send t.wire ~critical:false ~src:p.p_dst ~dst:p.p_src (fun () ->
+          on_ack t seq);
     if Hashtbl.mem t.seen seq then begin
       Stats.record_duplicate (Node.stats receiver);
       Stats.record_duplicate t.global
@@ -240,7 +189,7 @@ and on_ack t seq =
   match Hashtbl.find_opt t.pending seq with
   | None -> () (* already acked *)
   | Some p ->
-    (match p.timer with Some h -> Engine.cancel t.engine h | None -> ());
+    (match p.timer with Some h -> Engine.cancel (engine t) h | None -> ());
     Hashtbl.remove t.pending seq
 
 and on_timeout t seq =
@@ -275,7 +224,7 @@ and on_timeout t seq =
            | Some f -> f ~reporter:p.p_src ~suspect:p.p_dst
            | None -> ());
         let actions =
-          Node.on_suspect sender ~now:(Engine.now t.engine) ~peer:p.p_dst
+          Node.on_suspect sender ~now:(Engine.now (engine t)) ~peer:p.p_dst
             ~failed:(Some p.p_msg)
         in
         List.iter (fun { Node.dst = d; msg = m } -> send t ~src:p.p_src ~dst:d m) actions
@@ -285,7 +234,7 @@ and on_timeout t seq =
       Hashtbl.remove t.pending seq)
 
 and deliver t ~src ~dst ~bytes msg =
-  match Id.Tbl.find_opt t.nodes dst with
+  match node t dst with
   | None ->
     (* Destination departed while the message was in flight. *)
     t.dropped <- t.dropped + 1
@@ -293,15 +242,10 @@ and deliver t ~src ~dst ~bytes msg =
   | Some receiver -> deliver_live t ~src ~dst ~bytes receiver msg
 
 and deliver_live t ~src ~dst ~bytes receiver msg =
-  t.delivered <- t.delivered + 1;
+  Transport.arrive t.wire ~src ~dst msg;
   Stats.record_received (Node.stats receiver) msg ~bytes;
   Stats.record_received t.global msg ~bytes;
-  (match t.trace with
-  | Some tr ->
-    Ntcu_sim.Trace.record tr (Engine.now t.engine)
-      (Fmt.str "%a -> %a : %a" Id.pp src Id.pp dst Message.pp msg)
-  | None -> ());
-  let actions = Node.handle receiver ~now:(Engine.now t.engine) ~src msg in
+  let actions = Node.handle receiver ~now:(Engine.now (engine t)) ~src msg in
   List.iter (fun { Node.dst = d; msg = m } -> send t ~src:dst ~dst:d m) actions
 
 let inject t ~src actions =
@@ -369,54 +313,39 @@ let seed_consistent t ~seed ids =
       done)
     ids
 
-let start_join t ?at ~id ~gateway () =
-  if Id.Tbl.mem t.nodes id then
-    invalid_arg (Fmt.str "Network.start_join: %a already present" Id.pp id);
-  ignore (node_exn t gateway);
-  let joiner = Node.create_joiner t.node_config id in
-  Node.set_fault joiner t.fault;
-  register t joiner;
-  let time = match at with Some time -> time | None -> Engine.now t.engine in
-  Engine.schedule_at t.engine ~time (fun () ->
-      let actions = Node.begin_join joiner ~now:(Engine.now t.engine) ~gateway in
-      List.iter (fun { Node.dst = d; msg = m } -> send t ~src:id ~dst:d m) actions)
-
-(* Bulk variant: same observable behavior as calling {!start_join} on each
-   triple left to right (registration emits no events, and
-   [Engine.schedule_batch] assigns the same tie-break sequence numbers as
-   per-join pushes would), but the event population is heapified in O(n). *)
+(* Registration emits no events and [Engine.schedule_batch] assigns the same
+   tie-break sequence numbers as per-join pushes would, so a batch behaves
+   exactly like its joins started one by one; it only heapifies the event
+   population in O(n). *)
 let start_joins t joins =
   let events =
     List.map
       (fun (at, id, gateway) ->
-        if Id.Tbl.mem t.nodes id then
-          invalid_arg (Fmt.str "Network.start_joins: %a already present" Id.pp id);
         ignore (node_exn t gateway);
         let joiner = Node.create_joiner t.node_config id in
         Node.set_fault joiner t.fault;
         register t joiner;
         ( at,
           fun () ->
-            let actions = Node.begin_join joiner ~now:(Engine.now t.engine) ~gateway in
+            let actions = Node.begin_join joiner ~now:(Engine.now (engine t)) ~gateway in
             List.iter (fun { Node.dst = d; msg = m } -> send t ~src:id ~dst:d m) actions ))
       joins
   in
-  Engine.schedule_batch t.engine events
+  Engine.schedule_batch (engine t) events
 
-let run ?max_events t = Engine.run ?max_events t.engine
+let start_join t ?at ~id ~gateway () =
+  let at = match at with Some time -> time | None -> Engine.now (engine t) in
+  start_joins t [ (at, id, gateway) ]
+
+let run ?max_events t = Engine.run ?max_events (engine t)
 
 let remove t id =
-  if not (Id.Tbl.mem t.nodes id) then
-    invalid_arg (Fmt.str "Network.remove: unknown node %a" Id.pp id);
-  Id.Tbl.remove t.nodes id;
+  Transport.remove t.wire id;
   Id.Tbl.remove t.failed id;
-  t.removed_count <- t.removed_count + 1;
-  (* The host index stays allocated: latency models may be keyed by it, and
-     indices are never reused. *)
-  t.order <- List.filter (fun other -> not (Id.equal other id)) t.order
+  t.removed_count <- t.removed_count + 1
 
 let fail t id =
-  if not (Id.Tbl.mem t.nodes id) then
+  if not (mem t id) then
     invalid_arg (Fmt.str "Network.fail: unknown node %a" Id.pp id);
   if Id.Tbl.mem t.failed id then
     invalid_arg (Fmt.str "Network.fail: %a already failed" Id.pp id);
@@ -433,9 +362,8 @@ let messages_lost t = t.lost
 let acks_sent t = t.acks_sent
 let acks_lost t = t.acks_lost
 
-let size t = Id.Tbl.length t.nodes
-let mem t id = Id.Tbl.mem t.nodes id
-let ids t = List.rev t.order
+let size t = Transport.size t.wire
+let ids t = Transport.ids t.wire
 
 let live_ids t = List.filter (fun id -> not (is_failed t id)) (ids t)
 
@@ -455,10 +383,10 @@ let stuck_joiners t =
     (fun n -> Node.is_joiner n && not (Node.status_equal (Node.status n) Node.In_system))
     (nodes t)
 
-let is_quiescent t = Engine.pending t.engine = 0
+let is_quiescent t = Engine.pending (engine t) = 0
 
 let check_consistent ?limit t = Ntcu_table.Check.violations ?limit (tables t)
 
 let global_stats t = t.global
 
-let messages_delivered t = t.delivered
+let messages_delivered t = Transport.delivered t.wire

@@ -1,9 +1,11 @@
-(** A simulated hypercube-routing network: node registry, message transport
-    over the discrete-event engine, and experiment entry points.
+(** A simulated hypercube-routing network: the paper's join protocol on the
+    simulated wire, and experiment entry points.
 
-    Nodes are {!Node.t} state machines; this module delivers their messages
-    with latencies drawn from a {!Ntcu_sim.Latency.t} model and keeps global
-    statistics. *)
+    Nodes are {!Node.t} state machines registered on a
+    {!Ntcu_sim.Transport.t}, which owns the engine, host indices, latency
+    model, delay hook and delivery trace. This module layers on it what is
+    the protocol's own: the loss model, the optional ack/retransmit
+    transport, per-node and global {!Stats}, and crash bookkeeping. *)
 
 type t
 
@@ -81,7 +83,8 @@ val start_joins : t -> (float * Ntcu_id.Id.t * Ntcu_id.Id.t) list -> unit
     {!start_join} on each triple left to right — same registration order,
     same event tie-break order — but seeds the event queue in O(n)
     ({!Ntcu_sim.Engine.schedule_batch}) instead of n heap pushes. Preferred
-    for large concurrent-join populations. *)
+    for large concurrent-join populations; {!start_join} is its one-element
+    case. *)
 
 val run : ?max_events:int -> t -> unit
 (** Run the simulation to quiescence. *)
@@ -97,7 +100,8 @@ val remove : t -> Ntcu_id.Id.t -> unit
 val fail : t -> Ntcu_id.Id.t -> unit
 (** Crash a node: it stays registered (so its identity and host index
     survive) but never processes another message; deliveries to it are
-    dropped. Models fail-stop failures for the recovery extension.
+    dropped and not counted by {!messages_delivered}. Models fail-stop
+    failures for the recovery extension.
     @raise Invalid_argument if unknown or already failed. *)
 
 val is_failed : t -> Ntcu_id.Id.t -> bool
@@ -148,23 +152,17 @@ val acks_lost : t -> int
 
 (** {1 Adversarial scheduling} *)
 
-(** One frame put on the simulated wire, as seen by the delay hook: a
-    protocol message, or a transport-level ack (reliable mode only). *)
-type wire = Protocol of Message.t | Ack
-
-val set_delay_hook :
-  t ->
-  (wire:wire -> src:Ntcu_id.Id.t -> dst:Ntcu_id.Id.t -> seq:int -> float -> float) option ->
-  unit
-(** Install (or clear) a hook that rewrites the sampled latency of every
-    frame actually scheduled on the wire (frames dropped by the loss model
-    are not seen). The hook receives the sampled delay last and returns the
-    delay to use; non-positive results are clamped to
-    {!Ntcu_sim.Latency.min_delay}. [seq] numbers hook invocations from 0 in
-    scheduling order — because the simulation is deterministic, the same
-    seeds yield the same sequence, so a scheduler keyed on [seq] is exactly
-    replayable. Adversarial schedulers (random permuters, PCT-style priority
-    schedulers, targeted reorderers) are built on this single hook. *)
+val set_delay_hook : t -> Ntcu_sim.Transport.hook option -> unit
+(** Install (or clear) the {!Ntcu_sim.Transport.hook} that rewrites the
+    sampled latency of every frame actually scheduled on the wire: each copy
+    of a protocol message (first sends and, in reliable mode,
+    retransmissions) with [critical = Message.ordering_critical msg], and
+    each transport ack with [critical = false]. Frames the loss model drops
+    are never shown to the hook, and [seq] numbers hook calls from 0, so the
+    same seeds yield the same sequence. Adversarial schedulers (random
+    permuters, PCT-style priority schedulers, targeted reorderers) are built
+    on this single hook. Leave-protocol traffic is not on the wire
+    ([Ntcu_extensions.Leave_protocol]). *)
 
 val stuck_joiners : t -> Node.t list
 (** Joiners that never reached [in_system] (possible only when an assumption
@@ -198,3 +196,6 @@ val global_stats : t -> Stats.t
     received). *)
 
 val messages_delivered : t -> int
+(** Messages handed to a live receiver (duplicates suppressed by the
+    reliable transport excluded); with [record_trace] each one is a trace
+    line. *)

@@ -70,6 +70,19 @@ type outcome = {
 
 exception Midflight of Invariants.violation
 
+(* Every episode records its delivery trace; the outcome carries its digest
+   and what the scheduler did. *)
+let outcome config sched ~violations ~events trace =
+  let digest = match trace with Some tr -> Trace.digest tr | None -> assert false in
+  {
+    config;
+    violations;
+    interventions = Scheduler.recorded sched;
+    frames = Scheduler.frames_seen sched;
+    events;
+    digest;
+  }
+
 (* Constants of the Fault scenario, mirroring Experiment.fault_injection. *)
 let loss_probability = 0.02
 let crash_fraction = 0.05
@@ -132,17 +145,8 @@ let run_churn config =
       Invariants.quiescent ~expect_budget:false ~expect_consistency:false ~net ~seeds
         ~joiners:[] ()
   in
-  let digest =
-    match Network.trace net with Some tr -> Trace.digest tr | None -> assert false
-  in
-  {
-    config;
-    violations;
-    interventions = Scheduler.recorded sched;
-    frames = Scheduler.frames_seen sched;
-    events = Network.messages_delivered net;
-    digest;
-  }
+  outcome config sched ~violations ~events:(Network.messages_delivered net)
+    (Network.trace net)
 
 let run_join config =
   let p = Params.make ~b:config.b ~d:config.d in
@@ -227,17 +231,8 @@ let run_join config =
     | None ->
       Invariants.quiescent ~expect_budget ~expect_consistency ~net ~seeds ~joiners ()
   in
-  let digest =
-    match Network.trace net with Some tr -> Trace.digest tr | None -> assert false
-  in
-  {
-    config;
-    violations;
-    interventions = Scheduler.recorded sched;
-    frames = Scheduler.frames_seen sched;
-    events = Network.messages_delivered net;
-    digest;
-  }
+  outcome config sched ~violations ~events:(Network.messages_delivered net)
+    (Network.trace net)
 
 (* Constants of the Chord scenario. Each joiner's gateway is its
    key-predecessor seed, so an unperturbed join lookup is exactly two frames
@@ -264,7 +259,7 @@ let run_chord config =
   let ccfg = { (Chord.default_config p) with Chord.naive = config.chord_naive } in
   let t = Chord.create ~latency ~record_trace:true ccfg in
   let sched = Scheduler.make ~seed:config.sched_seed config.scheduler in
-  Chord.set_delay_hook t (Some (Scheduler.generic_hook sched));
+  Chord.set_delay_hook t (Some (Scheduler.hook sched));
   Chord.seed_ring t seeds;
   (* Key order coincides with [Id.compare] (Chord keys are the numeric value
      of the digits), so the key-predecessor gateway is the largest seed below
@@ -290,23 +285,8 @@ let run_chord config =
   Engine.schedule_at (Chord.engine t) ~time:chord_crash_at (fun () ->
       List.iter (fun id -> Chord.crash t id) victims);
   Chord.run t;
-  let violations =
-    List.map
-      (fun (v : Ntcu_protocol.Protocol.violation) ->
-        { Invariants.name = v.name; detail = v.detail })
-      (Chord.check t)
-  in
-  let digest =
-    match Chord.trace t with Some tr -> Trace.digest tr | None -> assert false
-  in
-  {
-    config;
-    violations;
-    interventions = Scheduler.recorded sched;
-    frames = Scheduler.frames_seen sched;
-    events = Chord.messages_delivered t;
-    digest;
-  }
+  outcome config sched ~violations:(Chord.check t) ~events:(Chord.messages_delivered t)
+    (Chord.trace t)
 
 let run config =
   match config.scenario with

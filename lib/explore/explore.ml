@@ -1,5 +1,6 @@
 module Parallel = Ntcu_std.Parallel
 module Json = Ntcu_harness.Report.Json
+module Arena = Ntcu_harness.Arena
 
 type settings = {
   base_seed : int;
@@ -149,9 +150,6 @@ let run settings =
     found;
   }
 
-let violation_json (v : Invariants.violation) =
-  Json.Obj [ ("name", Json.String v.name); ("detail", Json.String v.detail) ]
-
 let intervention_json (i : Scheduler.intervention) =
   Json.Obj [ ("seq", Json.Int i.seq); ("factor", Json.Float i.factor) ]
 
@@ -163,7 +161,7 @@ let found_json f =
       ("scheduler", Json.String (Scheduler.kind_name o.config.Episode.scheduler));
       ("seed", Json.Int o.config.Episode.seed);
       ("sched_seed", Json.Int o.config.Episode.sched_seed);
-      ("violations", Json.List (List.map violation_json o.violations));
+      ("violations", Json.List (List.map Arena.violation_json o.violations));
       ("frames", Json.Int o.frames);
       ("events", Json.Int o.events);
       ("interventions", Json.Int (List.length o.interventions));
@@ -176,7 +174,8 @@ let found_json f =
               ("minimal", Json.List (List.map intervention_json minimal));
               ("probes", Json.Int probes);
               ("digest", Json.String final.Episode.digest);
-              ("violations", Json.List (List.map violation_json final.Episode.violations));
+              ( "violations",
+                Json.List (List.map Arena.violation_json final.Episode.violations) );
             ] );
       ("replay_ok", Json.Bool f.replay_ok);
     ]
@@ -219,7 +218,7 @@ let pp_report ppf r =
       let o = f.outcome in
       Fmt.pf ppf "  [%a]@." Episode.pp_config o.Episode.config;
       List.iter
-        (fun v -> Fmt.pf ppf "    %a@." Invariants.pp_violation v)
+        (fun v -> Fmt.pf ppf "    %a@." Ntcu_protocol.Protocol.pp_violation v)
         o.Episode.violations;
       match f.shrunk with
       | None -> Fmt.pf ppf "    (not shrunk: over --max-shrinks budget)@."

@@ -7,9 +7,7 @@ module Network = Ntcu_core.Network
 module Node = Ntcu_core.Node
 module Stats = Ntcu_core.Stats
 
-type violation = { name : string; detail : string }
-
-let pp_violation ppf v = Fmt.pf ppf "%s: %s" v.name v.detail
+type violation = Ntcu_protocol.Protocol.violation = { name : string; detail : string }
 
 let signature v = v.name ^ ": " ^ v.detail
 

@@ -8,16 +8,13 @@
     must hold at {e every} instant of a run — anything they catch is a bug
     even while joins are still in flight. *)
 
-type violation = {
-  name : string;
-      (** Stable category: ["liveness"], ["consistency"], ["cset"],
-          ["reverse"], ["reliability"] or ["budget"]. Delta debugging
-          considers a probe a reproduction when it yields a violation with
-          the same name. *)
-  detail : string;  (** Human-readable specifics of the first offence. *)
-}
-
-val pp_violation : violation Fmt.t
+type violation = Ntcu_protocol.Protocol.violation = { name : string; detail : string }
+(** The protocols' violation record ({!Ntcu_protocol.Protocol.pp_violation}
+    prints it). [name] is a stable category: here ["liveness"],
+    ["consistency"], ["cset"], ["reverse"], ["reliability"] or ["budget"],
+    and the ["chord-"] ones of {!Ntcu_chord.Chord.check}. Delta debugging
+    considers a probe a reproduction when it yields a violation with the
+    same name. [detail] gives the specifics of the first offence. *)
 
 val signature : violation -> string
 (** ["name: detail"] — the exact-match identity used by repro replay. *)

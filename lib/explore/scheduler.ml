@@ -1,6 +1,4 @@
 module Rng = Ntcu_std.Rng
-module Network = Ntcu_core.Network
-module Message = Ntcu_core.Message
 
 type intervention = { seq : int; factor : float }
 
@@ -60,7 +58,7 @@ let factor_of t ~critical ~seq =
     else if coin then stretch
     else 1. /. stretch
 
-let generic_hook t ~critical ~src:_ ~dst:_ ~seq delay =
+let hook t ~critical ~src:_ ~dst:_ ~seq delay =
   t.frames <- t.frames + 1;
   let factor = factor_of t ~critical ~seq in
   if factor = 1.0 then delay
@@ -68,14 +66,6 @@ let generic_hook t ~critical ~src:_ ~dst:_ ~seq delay =
     t.recorded <- { seq; factor } :: t.recorded;
     delay *. factor
   end
-
-let hook t ~wire ~src ~dst ~seq delay =
-  let critical =
-    match wire with
-    | Network.Protocol m -> Message.ordering_critical m
-    | Network.Ack -> false
-  in
-  generic_hook t ~critical ~src ~dst ~seq delay
 
 let recorded t = List.rev t.recorded
 

@@ -2,11 +2,12 @@
 
     The simulator delivers messages in sampled-latency order, so "schedule"
     here means the multiset of per-frame delays. A scheduler perturbs the
-    sampled delay of selected frames by a multiplicative factor, via
-    {!Ntcu_core.Network.set_delay_hook}; because the hook numbers frames
-    deterministically ([seq]), every perturbation is an {!intervention}
-    [(seq, factor)] that can be recorded, minimized by delta debugging, and
-    replayed exactly with {!Fixed}. *)
+    sampled delay of selected frames by a multiplicative factor, through the
+    simulated wire's delay hook ({!Ntcu_sim.Transport.hook}), which the
+    paper's network, Chord and the multicast baseline all send through;
+    because the hook numbers frames deterministically ([seq]), every
+    perturbation is an {!intervention} [(seq, factor)] that can be recorded,
+    minimized by delta debugging, and replayed exactly with {!Fixed}. *)
 
 type intervention = { seq : int; factor : float }
 
@@ -23,11 +24,12 @@ type kind =
           probability [invert] a frame is instead rushed ([x1/16]) — the
           analogue of PCT's priority-change points. *)
   | Targeted of { probability : float; stretch : float }
-      (** Reorders only protocol-critical frames
-          ({!Ntcu_core.Message.ordering_critical}): each such frame is, with
-          the given probability, either delayed by [stretch] or rushed by
-          [1/stretch] (fair coin). Acks and copy-phase traffic are left
-          alone, so interventions stay sparse and shrink well. *)
+      (** Reorders only the frames the protocol calls ordering-critical
+          ({!Ntcu_core.Message.ordering_critical} for the paper's protocol):
+          each such frame is, with the given probability, either delayed by
+          [stretch] or rushed by [1/stretch] (fair coin). Acks and
+          copy-phase traffic are left alone, so interventions stay sparse
+          and shrink well. *)
   | Fixed of intervention list
       (** Replay: frame [seq] gets the recorded factor, every other frame is
           untouched. This is the scheduler delta debugging probes with and
@@ -43,30 +45,10 @@ val make : seed:int -> kind -> t
     [seed] and [kind] against the same deterministic run perturb identically.
     ([Nop] and [Fixed] ignore the seed.) *)
 
-val hook :
-  t ->
-  wire:Ntcu_core.Network.wire ->
-  src:Ntcu_id.Id.t ->
-  dst:Ntcu_id.Id.t ->
-  seq:int ->
-  float ->
-  float
+val hook : t -> Ntcu_sim.Transport.hook
 (** The delay-rewriting function to install with
-    [Network.set_delay_hook net (Some (Scheduler.hook t))]. *)
-
-val generic_hook :
-  t ->
-  critical:bool ->
-  src:Ntcu_id.Id.t ->
-  dst:Ntcu_id.Id.t ->
-  seq:int ->
-  float ->
-  float
-(** Protocol-agnostic form of {!hook} for simulations that classify their own
-    ordering-critical frames (e.g. {!Ntcu_chord.Chord.set_delay_hook} /
-    {!Ntcu_protocol.Protocol.delay_hook}); {!hook} is this with [critical]
-    derived from the wire message. Both share the scheduler's frame counter
-    and RNG stream. *)
+    [Network.set_delay_hook net (Some (Scheduler.hook t))] (or the
+    [set_delay_hook] of Chord or any {!Ntcu_protocol.Protocol.S}). *)
 
 val recorded : t -> intervention list
 (** Every intervention applied so far (factor <> 1), in [seq] order. Running

@@ -62,8 +62,7 @@ let engine t = Network.engine t.net
 
 let send t f =
   t.messages <- t.messages + 1;
-  let delay = Latency.sample t.latency ~src:0 ~dst:0 in
-  Engine.schedule (engine t) ~delay:(if delay <= 0. then 1e-6 else delay) f
+  Engine.schedule (engine t) ~delay:(Latency.sample t.latency ~src:0 ~dst:0) f
 
 let usable t id =
   Network.mem t.net id

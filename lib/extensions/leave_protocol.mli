@@ -43,7 +43,11 @@ type t
 
 val create : ?latency:Ntcu_sim.Latency.t -> Ntcu_core.Network.t -> t
 (** The latency model is sampled with abstract endpoints (use constant or
-    uniform models here). Default: uniform 1–10 ms, seed 0. *)
+    uniform models here). Default: uniform 1–10 ms, seed 0. LeaveMsg and
+    its acknowledgements are scheduled on the network's engine directly,
+    not sent through its {!Ntcu_sim.Transport.t}: the delay hook never sees
+    them, the delivery trace does not record them and
+    [Network.messages_delivered] does not count them. *)
 
 val request_leave : t -> ?at:float -> Ntcu_id.Id.t -> unit
 (** Schedule a departure. The node must exist and be [in_system] when the

@@ -78,6 +78,10 @@ val run : ?jobs:int -> config -> report
 (** Execute all arms (fanned over a {!Ntcu_std.Parallel} pool); the report is
     independent of [jobs]. *)
 
+val violation_json : Ntcu_protocol.Protocol.violation -> Report.Json.t
+(** [{"name": …, "detail": …}] — the one JSON form of a violation, shared
+    by arena artifacts and explore reports. *)
+
 val to_json : report -> Report.Json.t
 (** Schema ["ntcu-bench-arena/1"]; contains no timing or host-dependent
     fields. *)

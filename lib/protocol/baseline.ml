@@ -8,14 +8,11 @@ let supports_leave = false
 type t = Mj.t
 
 let create ?latency ?record_trace (cfg : Protocol.config) =
-  (* The baseline predates the trace/hook instrumentation; the arena only
-     needs its costs and final tables, so both knobs are inert. *)
-  ignore record_trace;
-  Mj.create ?latency cfg.params
+  Mj.create ?latency ?record_trace cfg.params
 
 let engine = Mj.engine
-let trace (_ : t) = None
-let set_delay_hook (_ : t) (_ : Protocol.delay_hook option) = ()
+let trace = Mj.trace
+let set_delay_hook = Mj.set_delay_hook
 let seed_network t ~seed ids = Mj.seed_consistent t ~seed ids
 let start_join t ~at ~id ~gateway = Mj.start_join t ~at ~id ~gateway ()
 

@@ -25,17 +25,7 @@ let create ?latency ?record_trace (cfg : Protocol.config) =
 let engine t = Network.engine t.net
 let trace t = Network.trace t.net
 
-let set_delay_hook t hook =
-  Network.set_delay_hook t.net
-    (Option.map
-       (fun h ~wire ~src ~dst ~seq delay ->
-         let critical =
-           match wire with
-           | Network.Protocol m -> Message.ordering_critical m
-           | Network.Ack -> false
-         in
-         h ~critical ~src ~dst ~seq delay)
-       hook)
+let set_delay_hook t hook = Network.set_delay_hook t.net hook
 
 let seed_network t ~seed ids = Network.seed_consistent t.net ~seed ids
 

@@ -11,13 +11,7 @@ let pp_violation ppf v = Fmt.pf ppf "%s: %s" v.name v.detail
 
 type traffic = { join : int; maintain : int; total : int }
 
-type delay_hook =
-  critical:bool ->
-  src:Ntcu_id.Id.t ->
-  dst:Ntcu_id.Id.t ->
-  seq:int ->
-  float ->
-  float
+type delay_hook = Ntcu_sim.Transport.hook
 
 module type S = sig
   val name : string

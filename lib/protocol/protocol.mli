@@ -27,10 +27,10 @@ type config = {
 }
 
 type violation = { name : string; detail : string }
-(** An invariant breach, in the same shape as
-    [Ntcu_explore.Invariants.violation]: [name] is a stable category
-    (protocols prefix theirs, e.g. ["chord-ring"]), [detail] the first
-    offence. *)
+(** An invariant breach: [name] is a stable category (protocols prefix
+    theirs, e.g. ["chord-ring"]), [detail] the first offence. The explore
+    layer's monitors report the same record
+    ([Ntcu_explore.Invariants.violation]). *)
 
 val pp_violation : violation Fmt.t
 
@@ -40,18 +40,11 @@ type traffic = { join : int; maintain : int; total : int }
     fixing, leave handoff). [total >= join + maintain] — classes a protocol
     cannot attribute stay in [total] only. *)
 
-type delay_hook =
-  critical:bool ->
-  src:Ntcu_id.Id.t ->
-  dst:Ntcu_id.Id.t ->
-  seq:int ->
-  float ->
-  float
-(** Adversarial delay rewriting, protocol-agnostic: the protocol samples its
-    latency model, then passes the delay through the hook together with the
-    frame's deterministic sequence number and whether the frame is
-    ordering-critical for the protocol's own correctness argument. Mirrors
-    [Ntcu_core.Network.set_delay_hook] without depending on its wire type. *)
+type delay_hook = Ntcu_sim.Transport.hook
+(** Adversarial delay rewriting, protocol-agnostic: the one hook type of
+    the simulated wire ({!Ntcu_sim.Transport.hook}). Each protocol
+    classifies its own ordering-critical frames; [seq] numbers the hook's
+    calls from 0. *)
 
 module type S = sig
   val name : string

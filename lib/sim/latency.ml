@@ -8,7 +8,6 @@ type t =
       jitter : float;
       rng : Ntcu_std.Rng.t;
     }
-  | Perturbed of { base : t; f : src:int -> dst:int -> float -> float }
 
 let constant delay =
   if delay <= 0. then invalid_arg "Latency.constant: delay must be positive";
@@ -22,9 +21,7 @@ let of_distance ?(jitter = 0.) ?(seed = 0) distance =
   if jitter < 0. then invalid_arg "Latency.of_distance: negative jitter";
   Distance { distance; jitter; rng = Ntcu_std.Rng.create seed }
 
-let perturbed base ~f = Perturbed { base; f }
-
-let rec sample t ~src ~dst =
+let sample t ~src ~dst =
   match t with
   | Constant delay -> delay
   | Uniform { lo; hi; rng } -> lo +. Ntcu_std.Rng.float rng (hi -. lo)
@@ -32,6 +29,3 @@ let rec sample t ~src ~dst =
     let base = distance ~src ~dst in
     let base = if base <= 0. then min_delay else base in
     if jitter = 0. then base else base *. (1. +. Ntcu_std.Rng.float rng jitter)
-  | Perturbed { base; f } ->
-    let d = f ~src ~dst (sample base ~src ~dst) in
-    if d <= 0. then min_delay else d

@@ -1,10 +1,10 @@
 (** Message-latency models for the simulated network.
 
-    Endpoints are identified by dense integer indices (end-host indices
-    assigned by the harness). The consistency results do not depend on timing,
-    but the latency model shapes the event interleavings that exercise the
-    concurrent-join paths; the paper used shortest-path distances over GT-ITM
-    transit-stub topologies. *)
+    Endpoints are identified by dense integer indices: the host indices
+    {!Transport} assigns in registration order. The consistency results do
+    not depend on timing, but the latency model shapes the event
+    interleavings that exercise the concurrent-join paths; the paper used
+    shortest-path distances over GT-ITM transit-stub topologies. *)
 
 type t
 
@@ -13,7 +13,8 @@ val min_delay : float
     models clamp to it, so two co-located endpoints (distance [0.], no
     jitter) still exchange messages with strictly positive delay — virtual
     time always advances and same-host messages keep FIFO order via the
-    engine's tie-break rather than a zero-delay shortcut. *)
+    engine's tie-break rather than a zero-delay shortcut. {!Transport}
+    clamps a delay hook's non-positive result to it too. *)
 
 val constant : float -> t
 (** Every message takes the same time. The degenerate (most synchronous)
@@ -27,13 +28,8 @@ val of_distance : ?jitter:float -> ?seed:int -> (src:int -> dst:int -> float) ->
     optional multiplicative jitter: the delay is scaled by a factor uniform in
     [\[1, 1 +. jitter)]. [seed] defaults to [0]; [jitter] to [0.]. *)
 
-val perturbed : t -> f:(src:int -> dst:int -> float -> float) -> t
-(** [perturbed base ~f] samples [base] and passes the result through [f] —
-    the delay-perturbation hook used by adversarial schedulers to stretch,
-    shrink or permute message delays without touching the base model. A
-    non-positive result is clamped to {!min_delay}, so perturbation can never
-    stall virtual time. A stateful [f] (e.g. driven by a seeded RNG) is
-    sampled in network send order, which is deterministic. *)
-
 val sample : t -> src:int -> dst:int -> float
-(** Draw the delay for one message from [src] to [dst]. Always [> 0.]. *)
+(** Draw the delay for one message from [src] to [dst]. Always [> 0.] by
+    construction (constant and uniform models are built positive, distances
+    are clamped), so callers need no clamp of their own. Adversarial
+    perturbation is not a latency model: it is {!Transport}'s delay hook. *)

@@ -1,5 +1,11 @@
+module Id = Ntcu_id.Id
 module Params = Ntcu_id.Params
+module Rng = Ntcu_std.Rng
+module Trace = Ntcu_sim.Trace
 module Experiment = Ntcu_harness.Experiment
+module Workload = Ntcu_harness.Workload
+module Baseline = Ntcu_protocol.Baseline
+module Scheduler = Ntcu_explore.Scheduler
 
 let check = Alcotest.check
 let p = Params.make ~b:4 ~d:6
@@ -49,6 +55,52 @@ let message_counts_populated () =
   let r = Experiment.baseline_run p ~seed:4 ~n:20 ~m:10 ~concurrent:false in
   check Alcotest.bool "messages counted" true (r.base_messages > 0)
 
+(* ---- The baseline on the shared wire: trace and delay hook ---- *)
+
+(* Concurrent joins into a small baseline network through the Protocol.S
+   adapter, optionally under a scheduler; returns the delivery trace. *)
+let baseline_trace ?scheduler ~record_trace () =
+  let rng = Rng.create 5 in
+  let seeds = Workload.distinct_ids rng p ~n:12 in
+  let joiners = Workload.distinct_ids ~avoid:(Id.Set.of_list seeds) rng p ~n:6 in
+  let t =
+    Baseline.create
+      ~latency:(Ntcu_sim.Latency.uniform ~seed:6 ~lo:1. ~hi:100.)
+      ~record_trace
+      { Ntcu_protocol.Protocol.params = p; seed = 7; maintain_every = 500.; rounds = 4 }
+  in
+  Option.iter
+    (fun kind ->
+      Baseline.set_delay_hook t (Some (Scheduler.hook (Scheduler.make ~seed:0 kind))))
+    scheduler;
+  Baseline.seed_network t ~seed:8 seeds;
+  List.iter (fun id -> Baseline.start_join t ~at:0. ~id ~gateway:(List.hd seeds)) joiners;
+  Baseline.run t;
+  Baseline.trace t
+
+let baseline_records_trace () =
+  check Alcotest.bool "no trace unless requested" true
+    (Option.is_none (baseline_trace ~record_trace:false ()));
+  match baseline_trace ~record_trace:true () with
+  | None -> Alcotest.fail "record_trace ignored"
+  | Some tr -> check Alcotest.bool "deliveries recorded" true (Trace.length tr > 0)
+
+(* The hook reaches the baseline's frames: stretching its first frame (a
+   joiner's first table-copy request) moves the schedule, and the same
+   schedule replays bit for bit. *)
+let baseline_obeys_delay_hook () =
+  let digest ?scheduler () =
+    match baseline_trace ?scheduler ~record_trace:true () with
+    | Some tr -> Trace.digest tr
+    | None -> Alcotest.fail "no trace"
+  in
+  let stretched = Scheduler.Fixed [ { Scheduler.seq = 0; factor = 50. } ] in
+  let nop = digest ~scheduler:Scheduler.Nop () in
+  check Alcotest.string "nop hook leaves the schedule alone" (digest ()) nop;
+  let once = digest ~scheduler:stretched () in
+  check Alcotest.bool "stretched frame changes the digest" true (once <> nop);
+  check Alcotest.string "same schedule, same run" once (digest ~scheduler:stretched ())
+
 let suites =
   [
     ( "baseline.multicast",
@@ -60,5 +112,7 @@ let suites =
         Alcotest.test_case "ours: no state at existing nodes" `Quick
           our_protocol_has_no_state_at_existing_nodes;
         Alcotest.test_case "message counting" `Quick message_counts_populated;
+        Alcotest.test_case "trace on request" `Quick baseline_records_trace;
+        Alcotest.test_case "delay hook reaches its frames" `Quick baseline_obeys_delay_hook;
       ] );
   ]

@@ -1,6 +1,8 @@
 module Engine = Ntcu_sim.Engine
 module Latency = Ntcu_sim.Latency
 module Trace = Ntcu_sim.Trace
+module Transport = Ntcu_sim.Transport
+module Id = Ntcu_id.Id
 
 let check = Alcotest.check
 
@@ -236,6 +238,114 @@ let trace_equality () =
   check Alcotest.int "length" 2 (Trace.length a);
   check Alcotest.bool "ordering" true (Trace.to_list a = [ (1., "x"); (2., "y") ])
 
+(* ---- Transport: the simulated wire ---- *)
+
+let wire_ids =
+  let p = Ntcu_id.Params.make ~b:4 ~d:4 in
+  List.map (Id.of_string p) [ "0000"; "1111"; "2222"; "3333" ]
+
+let id_list = Alcotest.testable (Fmt.Dump.list Id.pp) (List.equal Id.equal)
+
+let plain_wire ?latency ?record_trace () =
+  Transport.create ?latency ?record_trace
+    ~label:(fun ~src ~dst tag -> Fmt.str "%a>%a %s" Id.pp src Id.pp dst tag)
+    ()
+
+let transport_registry () =
+  let a, b, c, d =
+    match wire_ids with [ a; b; c; d ] -> (a, b, c, d) | _ -> assert false
+  in
+  let t = plain_wire () in
+  List.iter (fun x -> Transport.register t x ()) [ a; b; c ];
+  check Alcotest.(list int) "hosts in registration order" [ 0; 1; 2 ]
+    (List.map (Transport.host t) [ a; b; c ]);
+  Transport.remove t b;
+  check Alcotest.bool "removed is gone" false (Transport.mem t b);
+  check Alcotest.int "removed keeps its host" 1 (Transport.host t b);
+  Transport.register t d ();
+  check Alcotest.int "no reuse after remove" 3 (Transport.host t d);
+  Transport.register t b ();
+  check Alcotest.int "re-registration gets a fresh host" 4 (Transport.host t b);
+  check id_list "ids in registration order" [ a; c; d; b ] (Transport.ids t);
+  check Alcotest.int "size" 4 (Transport.size t);
+  (try
+     Transport.register t a ();
+     Alcotest.fail "duplicate registration accepted"
+   with Invalid_argument _ -> ());
+  try
+    Transport.remove t (Id.of_string (Ntcu_id.Params.make ~b:4 ~d:4) "0123");
+    Alcotest.fail "unknown removal accepted"
+  with Invalid_argument _ -> ()
+
+(* The hook sees each scheduled frame once, numbered from 0 in send order,
+   with the sender's classification and the sampled delay; frames sent
+   before it is installed are not numbered. *)
+let transport_hook_seq () =
+  let a, b = match wire_ids with a :: b :: _ -> (a, b) | _ -> assert false in
+  let t = plain_wire ~latency:(Latency.constant 2.) () in
+  List.iter (fun x -> Transport.register t x ()) [ a; b ];
+  Transport.send t ~critical:true ~src:a ~dst:b ignore;
+  let calls = ref [] in
+  Transport.set_hook t
+    (Some
+       (fun ~critical ~src ~dst:_ ~seq delay ->
+         check (Alcotest.float 0.) "sampled delay passed in" 2. delay;
+         calls := (seq, critical, Id.equal src a) :: !calls;
+         delay));
+  Transport.send t ~critical:true ~src:a ~dst:b ignore;
+  Transport.send t ~critical:false ~src:a ~dst:b ignore;
+  Transport.send t ~critical:true ~src:b ~dst:a ignore;
+  check
+    Alcotest.(list (triple int bool bool))
+    "one call per frame, seq from 0"
+    [ (0, true, true); (1, false, true); (2, true, false) ]
+    (List.rev !calls);
+  check Alcotest.int "every frame scheduled" 4 (Engine.pending (Transport.engine t))
+
+let transport_clamps_hook () =
+  let a, b = match wire_ids with a :: b :: _ -> (a, b) | _ -> assert false in
+  let t = plain_wire () in
+  List.iter (fun x -> Transport.register t x ()) [ a; b ];
+  let e = Transport.engine t in
+  let arrivals = ref [] in
+  List.iter
+    (fun rewritten ->
+      Transport.set_hook t (Some (fun ~critical:_ ~src:_ ~dst:_ ~seq:_ _ -> rewritten));
+      Transport.send t ~critical:false ~src:a ~dst:b (fun () ->
+          arrivals := Engine.now e :: !arrivals);
+      Engine.run e)
+    [ 0.; -3.; 5. ];
+  check
+    Alcotest.(list (float 0.))
+    "non-positive results become min_delay"
+    [ Latency.min_delay; 2. *. Latency.min_delay; (2. *. Latency.min_delay) +. 5. ]
+    (List.rev !arrivals)
+
+let transport_trace_on_request () =
+  let a, b = match wire_ids with a :: b :: _ -> (a, b) | _ -> assert false in
+  let run record_trace =
+    let t = plain_wire ?record_trace () in
+    List.iter (fun x -> Transport.register t x ()) [ a; b ];
+    Transport.send t ~critical:false ~src:a ~dst:b (fun () ->
+        Transport.arrive t ~src:a ~dst:b "hello");
+    Engine.run (Transport.engine t);
+    t
+  in
+  let untraced = run None in
+  check Alcotest.bool "no trace by default" true
+    (Option.is_none (Transport.trace untraced));
+  check Alcotest.int "arrival counted anyway" 1 (Transport.delivered untraced);
+  let traced = run (Some true) in
+  match Transport.trace traced with
+  | None -> Alcotest.fail "trace requested but absent"
+  | Some tr ->
+    check Alcotest.int "arrival counted" 1 (Transport.delivered traced);
+    check
+      Alcotest.(list (pair (float 0.) string))
+      "labelled at arrival time"
+      [ (1., Fmt.str "%a>%a hello" Id.pp a Id.pp b) ]
+      (Trace.to_list tr)
+
 let suites =
   [
     ( "sim.engine",
@@ -263,5 +373,12 @@ let suites =
         Alcotest.test_case "same-host delivery order" `Quick same_host_delivery_order;
         Alcotest.test_case "validation" `Quick latency_validation;
         Alcotest.test_case "trace" `Quick trace_equality;
+      ] );
+    ( "sim.transport",
+      [
+        Alcotest.test_case "registry and host indices" `Quick transport_registry;
+        Alcotest.test_case "hook sees each frame once" `Quick transport_hook_seq;
+        Alcotest.test_case "hook result clamped" `Quick transport_clamps_hook;
+        Alcotest.test_case "trace only on request" `Quick transport_trace_on_request;
       ] );
   ]

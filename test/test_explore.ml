@@ -93,22 +93,52 @@ let fixed_replay_identical () =
   check Alcotest.string "replay digest" live.Episode.digest replay.Episode.digest;
   check Alcotest.int "replay events" live.Episode.events replay.Episode.events
 
-(* A perturbed latency model is itself deterministic: the same stateful
-   perturbation sampled twice over the same send sequence gives the same
-   delays. *)
-let perturbed_latency_deterministic () =
-  let sample_all seed =
-    let rng = Rng.create seed in
-    let base = Latency.uniform ~seed:7 ~lo:1. ~hi:100. in
-    let model =
-      Latency.perturbed base ~f:(fun ~src:_ ~dst:_ d -> d *. (0.5 +. Rng.float rng 2.))
-    in
-    List.init 200 (fun i -> Latency.sample model ~src:(i mod 5) ~dst:(i mod 7))
+(* Pinned hook-perturbed schedules: every scenario under both random
+   schedulers, at a size where the reliable transport's acks and
+   retransmissions (fault, churn) go through the hook. A change to how frames
+   are numbered or which frames the hook sees moves a digest or a count here,
+   even where no hunt finds a violation. *)
+let pinned_schedules () =
+  let config scenario scheduler =
+    {
+      Episode.scenario;
+      b = 4;
+      d = 6;
+      n = 24;
+      m = 10;
+      seed = 1;
+      sched_seed = 1;
+      scheduler;
+      fault = None;
+      chord_naive = false;
+      midflight = true;
+    }
   in
-  check (Alcotest.list (Alcotest.float 0.)) "same delays" (sample_all 3) (sample_all 3);
+  let targeted = Scheduler.Targeted { probability = 0.25; stretch = 32. } in
+  let random = Scheduler.Random_delay { scale = 16. } in
   List.iter
-    (fun d -> check Alcotest.bool "positive" true (d >= Latency.min_delay))
-    (sample_all 4)
+    (fun (scenario, scheduler, digest, frames, interventions) ->
+      let o = Episode.run (config scenario scheduler) in
+      let what =
+        Printf.sprintf "%s/%s" (Episode.scenario_name scenario)
+          (Scheduler.kind_name scheduler)
+      in
+      check Alcotest.string (what ^ " digest") digest o.Episode.digest;
+      check Alcotest.int (what ^ " frames") frames o.Episode.frames;
+      check Alcotest.int (what ^ " interventions") interventions
+        (List.length o.Episode.interventions))
+    [
+      (Episode.Concurrent, targeted, "5b535df0e318ad3838d76c6c8fb7e33b", 271, 52);
+      (Episode.Dependent, targeted, "704f77610cd07b5e43a024a0f5068a39", 242, 43);
+      (Episode.Fault, targeted, "ff1b9d286cb74a43dfcc631d08c7fd21", 617, 68);
+      (Episode.Churn, targeted, "75e44dae87c97833107188505dcc8ea6", 2803, 519);
+      (Episode.Chord, targeted, "53f4c9217839dff1ade227728c3399a4", 2924, 129);
+      (Episode.Concurrent, random, "588b7bb4bccf6e308fc85eec41c5228d", 273, 273);
+      (Episode.Dependent, random, "2e7e811775d5e9b9bf992ce142c20c4f", 228, 228);
+      (Episode.Fault, random, "579e5196689383ff18647251cbfb3048", 693, 693);
+      (Episode.Churn, random, "fe9c881afa8de604c714b3a372c38c40", 2781, 2781);
+      (Episode.Chord, random, "14573fcda7b074faa5295a0f3e1d14d9", 2922, 2922);
+    ]
 
 (* ---- The full hunt: clean protocol, determinism, injected bug ---- *)
 
@@ -201,8 +231,7 @@ let suites =
         Alcotest.test_case "trace round-trip" `Quick trace_roundtrip;
         Alcotest.test_case "episode rerun identical" `Quick episode_rerun_identical;
         Alcotest.test_case "fixed replay identical" `Quick fixed_replay_identical;
-        Alcotest.test_case "perturbed latency deterministic" `Quick
-          perturbed_latency_deterministic;
+        Alcotest.test_case "pinned hook-perturbed schedules" `Quick pinned_schedules;
         Alcotest.test_case "clean smoke finds nothing" `Quick clean_smoke_finds_nothing;
         Alcotest.test_case "report deterministic across jobs" `Quick
           report_deterministic_across_jobs;
