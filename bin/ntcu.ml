@@ -631,7 +631,7 @@ let explore_cmd =
       value
       & opt (some string) None
       & info [ "out" ] ~docv:"DIR"
-          ~doc:"Write explore_report.json and repro_$(i).txt files to $(docv).")
+          ~doc:"Write explore_report.json and repro_$(i,K).txt files to $(docv).")
   in
   let max_shrinks =
     Arg.(

@@ -211,25 +211,15 @@ and deliver t ~src ~dst msg =
 
 let seed_consistent t ~seed ids =
   if List.is_empty ids then invalid_arg "Multicast_join.seed_consistent: empty node list";
-  let rng = Rng.create seed in
-  List.iter (fun id -> register t (make_node t ~seed:true id)) ids;
-  let index = Ntcu_table.Suffix_index.of_ids ~params:t.params ids in
-  List.iter
-    (fun id ->
-      let node = find t id in
-      for level = 0 to t.params.d - 1 do
-        for digit = 0 to t.params.b - 1 do
-          if digit <> Id.digit id level then begin
-            let suffix = Table.required_suffix node.table ~level ~digit in
-            match Ntcu_table.Suffix_index.members index suffix with
-            | [] -> ()
-            | members ->
-              let chosen = Rng.pick rng (Array.of_list members) in
-              Table.set node.table ~level ~digit chosen S
-          end
-        done
-      done)
-    ids
+  let tables =
+    List.map
+      (fun id ->
+        let node = make_node t ~seed:true id in
+        register t node;
+        node.table)
+      ids
+  in
+  Ntcu_table.Suffix_index.fill_consistent ~rng:(Rng.create seed) ~reverse:false tables
 
 let start_join t ?at ~id ~gateway () =
   let joiner = make_node t ~seed:false id in

@@ -39,7 +39,11 @@ val set_delay_hook : t -> Ntcu_sim.Transport.hook option -> unit
     first. The table-copy walk and the acknowledgement wave are not. *)
 
 val seed_consistent : t -> seed:int -> Ntcu_id.Id.t list -> unit
-(** Same seeding as [Ntcu_core.Network.seed_consistent]. *)
+(** The seeding of [Ntcu_core.Network.seed_consistent]: same visit order,
+    same carrier order, one [Rng.int] draw per filled entry, so the same ids
+    and [seed] give the same primary entries. The baseline registers no
+    reverse neighbors.
+    @raise Invalid_argument on duplicate IDs or an empty list. *)
 
 val start_join : t -> ?at:float -> id:Ntcu_id.Id.t -> gateway:Ntcu_id.Id.t -> unit -> unit
 

@@ -159,6 +159,19 @@ let first_succ t u =
 
 let register t node = Transport.register t.wire node.id node
 
+(* [u]'s successor list from candidates in ring order: the first [succ_len]
+   that are alive, not [u] itself and not repeats. *)
+let successor_list t u candidates =
+  let rec take seen n = function
+    | [] -> []
+    | _ when n >= t.succ_len -> []
+    | x :: rest ->
+      if alive t x && (not (Id.equal x u.id)) && not (Id.Set.mem x seen) then
+        x :: take (Id.Set.add x seen) (n + 1) rest
+      else take seen n rest
+  in
+  take Id.Set.empty 0 candidates
+
 let make_node t ~status id =
   {
     id;
@@ -200,7 +213,7 @@ and deliver t ~src ~dst msg =
     | C_get_state -> send t ~src:dst ~dst:src (C_state { pred = v.pred; succs = v.succs })
     | C_state { pred; succs } -> if is_active v then handle_state t v ~from:src ~pred ~succs
     | C_notify -> handle_notify t v ~candidate:src
-    | C_leave_pred { succs } -> handle_leave_pred t v ~leaver:src ~succs
+    | C_leave_pred { succs } -> handle_leave_pred t v ~succs
     | C_leave_succ { pred } -> handle_leave_succ t v ~leaver:src ~pred)
 
 (* Greedy routing: the finger (or successor) most closely preceding [target].
@@ -274,24 +287,8 @@ and handle_state t u ~from ~pred ~succs =
        | Some w when between (key t w) u.key vkey && alive t w -> [ w ]
        | Some _ | None -> []
      in
-     (* Refresh the successor list through the live head, keeping entries in
-        ring order and dropping the dead, the self and duplicates. *)
-     let merged = adopted @ (from :: succs) in
-     let seen = ref Id.Set.empty in
-     let cleaned =
-       List.filter
-         (fun x ->
-           alive t x
-           && (not (Id.equal x u.id))
-           &&
-           if Id.Set.mem x !seen then false
-           else begin
-             seen := Id.Set.add x !seen;
-             true
-           end)
-         merged
-     in
-     u.succs <- List.filteri (fun i _ -> i < t.succ_len) cleaned
+     (* Refresh the successor list through the live head. *)
+     u.succs <- successor_list t u (adopted @ (from :: succs))
    end);
   match first_succ t u with
   | Some s when not (Id.equal s u.id) -> send t ~src:u.id ~dst:s C_notify
@@ -315,26 +312,10 @@ and handle_notify t v ~candidate =
         v.pred <- Some candidate
   end
 
-and handle_leave_pred t p ~leaver ~succs =
-  if is_active p then begin
-    let merged = p.succs @ succs in
-    let seen = ref Id.Set.empty in
-    let cleaned =
-      List.filter
-        (fun x ->
-          (not (Id.equal x leaver))
-          && alive t x
-          && (not (Id.equal x p.id))
-          &&
-          if Id.Set.mem x !seen then false
-          else begin
-            seen := Id.Set.add x !seen;
-            true
-          end)
-        merged
-    in
-    p.succs <- List.filteri (fun i _ -> i < t.succ_len) cleaned
-  end
+(* [leave] marks the leaver dead right after sending, so [alive] already
+   drops it from the merged list. *)
+and handle_leave_pred t p ~succs =
+  if is_active p then p.succs <- successor_list t p (p.succs @ succs)
 
 and handle_leave_succ t s ~leaver ~pred =
   match s.pred with

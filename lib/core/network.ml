@@ -251,67 +251,18 @@ and deliver_live t ~src ~dst ~bytes receiver msg =
 let inject t ~src actions =
   List.iter (fun { Node.dst = d; msg = m } -> send t ~src ~dst:d m) actions
 
-let add_seed_node t id =
+let seed_node t id =
   let node = Node.create_seed t.node_config id in
   Node.set_fault node t.fault;
-  register t node
+  register t node;
+  node
 
-(* Map from suffix to the members carrying it, for consistent seeding. *)
-let suffix_members ids =
-  let members : (int array, Id.t list ref) Hashtbl.t = Hashtbl.create 4096 in
-  List.iter
-    (fun id ->
-      for len = 1 to Id.length id do
-        let suffix = Id.suffix id len in
-        match Hashtbl.find_opt members suffix with
-        | Some l -> l := id :: !l
-        | None -> Hashtbl.add members suffix (ref [ id ])
-      done)
-    ids;
-  members
+let add_seed_node t id = ignore (seed_node t id)
 
 let seed_consistent t ~seed ids =
   if List.is_empty ids then invalid_arg "Network.seed_consistent: empty node list";
-  let rng = Ntcu_std.Rng.create seed in
-  List.iter (fun id -> add_seed_node t id) ids;
-  let members = suffix_members ids in
-  (* Freeze each member list into an array once: [candidates_of] runs for
-     every (node, level, digit) cell, and re-materializing the big
-     short-suffix lists there dominated seeding time. *)
-  let frozen : (int array, Id.t array) Hashtbl.t =
-    Hashtbl.create (Hashtbl.length members)
-  in
-  (* Key-by-key copy into another table: iteration order cannot be observed
-     because [frozen] is only read back through [Hashtbl.find_opt]. *)
-  (Hashtbl.iter [@ntcu.allow "D002"])
-    (fun suffix l -> Hashtbl.add frozen suffix (Array.of_list !l))
-    members;
-  let candidates_of suffix =
-    match Hashtbl.find_opt frozen suffix with
-    | Some a -> a
-    | None -> [||]
-  in
-  List.iter
-    (fun id ->
-      let n = node_exn t id in
-      let table = Node.table n in
-      for level = 0 to t.params.d - 1 do
-        for digit = 0 to t.params.b - 1 do
-          if digit <> Id.digit id level then begin
-            let suffix = Table.required_suffix table ~level ~digit in
-            let cands = candidates_of suffix in
-            if Array.length cands > 0 then begin
-              let chosen = Ntcu_std.Rng.pick rng cands in
-              Table.set table ~level ~digit chosen S;
-              (* Register the storer as a reverse neighbor of the chosen
-                 node, as the protocol's RvNghNotiMsg traffic would have. *)
-              let chosen_table = Node.table (node_exn t chosen) in
-              Table.add_reverse chosen_table ~level ~digit id
-            end
-          end
-        done
-      done)
-    ids
+  let tables = List.map (fun id -> Node.table (seed_node t id)) ids in
+  Ntcu_table.Suffix_index.fill_consistent ~rng:(Ntcu_std.Rng.create seed) ~reverse:true tables
 
 (* Registration emits no events and [Engine.schedule_batch] assigns the same
    tie-break sequence numbers as per-join pushes would, so a batch behaves

@@ -64,11 +64,16 @@ val add_seed_node : t -> Ntcu_id.Id.t -> unit
     tables are completed by {!seed_consistent}. *)
 
 val seed_consistent : t -> seed:int -> Ntcu_id.Id.t list -> unit
-(** Install the given nodes as a consistent network [<V, N(V)>]: every entry
-    whose required suffix is carried by some member is filled with a
-    pseudo-randomly chosen such member (deterministic in [seed]), and reverse
-    neighbor sets are registered accordingly. This stands in for a network
-    built by prior joins, as in the paper's simulation setup.
+(** Install the given nodes as a consistent network [<V, N(V)>], standing in
+    for a network built by prior joins, as in the paper's simulation setup.
+    Each node is registered in list order with its self-entries; then
+    {!Ntcu_table.Suffix_index.fill_consistent} visits the nodes in list
+    order, each by level then digit, and fills every entry whose required
+    suffix some member carries with one of those carriers: one
+    [Rng.int] draw (from [Rng.create seed]) per filled entry, over the
+    carriers in reverse list order. Each storer is registered as a reverse
+    neighbor of the node it chose, as the protocol's RvNghNotiMsg traffic
+    would have done.
     @raise Invalid_argument on duplicate IDs or an empty list. *)
 
 (** {1 Joins} *)

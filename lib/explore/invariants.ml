@@ -43,7 +43,7 @@ let consistency net =
    version of this walk). *)
 let cset net ~seeds ~joiners =
   let p = Network.params net in
-  let idx = Suffix_index.of_ids ~params:p seeds in
+  let idx = Suffix_index.of_ids seeds in
   let lookup x = Option.map Node.table (Network.node net x) in
   let groups = ref [] in
   List.iter

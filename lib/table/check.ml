@@ -16,101 +16,14 @@ let pp_violation ppf = function
     Fmt.pf ppf "wrong suffix: (%d,%d)-entry of %a stores %a" level digit Id.pp node Id.pp
       stored
 
-(* Map from suffix (int array, index 0 = rightmost) to a witness node carrying
-   it. Structural hashing of small int arrays is well distributed. *)
-let suffix_witnesses tables =
-  let witnesses : (int array, Id.t) Hashtbl.t = Hashtbl.create 1024 in
-  List.iter
-    (fun table ->
-      let id = Table.owner table in
-      for len = 1 to Id.length id do
-        let suffix = Id.suffix id len in
-        if not (Hashtbl.mem witnesses suffix) then Hashtbl.add witnesses suffix id
-      done)
-    tables;
-  witnesses
-
-(* General path: suffix arrays as structural hash keys, membership via
-   Id.Set. Reaching [limit] aborts the remaining scan (via [Exit]), so a
-   [~limit:1] yes/no probe of an inconsistent network stops at the first
-   offending entry instead of walking every table. *)
-let scan_violations_general ~add tables =
-  let witnesses = suffix_witnesses tables in
-  let members =
-    List.fold_left (fun acc t -> Id.Set.add (Table.owner t) acc) Id.Set.empty tables
-  in
-  List.iter
-    (fun table ->
-      let p = Table.params table in
-      let node = Table.owner table in
-      for level = 0 to p.d - 1 do
-        for digit = 0 to p.b - 1 do
-          let suffix = Table.required_suffix table ~level ~digit in
-          match Table.neighbor table ~level ~digit with
-          | None -> begin
-            match Hashtbl.find_opt witnesses suffix with
-            | Some witness -> add (False_negative { node; level; digit; witness })
-            | None -> ()
-          end
-          | Some stored ->
-            if not (Id.Set.mem stored members) then
-              add (Dangling { node; level; digit; stored })
-            else if not (Id.has_suffix stored suffix) then
-              add (Wrong_suffix { node; level; digit; stored })
-        done
-      done)
-    tables
-
-(* Packed fast path, taken when the id space fits tagged ints: witnesses live
-   in per-length int-keyed tables, membership is an int-keyed table, and the
-   required-suffix / wrong-suffix logic is shift-and-mask arithmetic on packed
-   values — no per-entry array allocation or structural hashing. Witness
-   choice (first table in list order carrying the suffix) and scan order match
-   the general path exactly, so both paths report identical violation lists. *)
-let scan_violations_packed l ~add tables =
-  let module Packed = Ntcu_id.Packed in
-  let d = (Packed.params l).Ntcu_id.Params.d in
-  let witnesses : (int, Id.t) Hashtbl.t array =
-    Array.init (d + 1) (fun _ -> Hashtbl.create 64)
-  in
-  let members : (int, unit) Hashtbl.t = Hashtbl.create 1024 in
-  let packed = List.map (fun t -> (t, Packed.of_id l (Table.owner t))) tables in
-  List.iter
-    (fun (table, x) ->
-      let id = Table.owner table in
-      for len = 1 to d do
-        let key = Packed.suffix_value l x len in
-        if not (Hashtbl.mem witnesses.(len) key) then Hashtbl.add witnesses.(len) key id
-      done;
-      Hashtbl.replace members (x :> int) ())
-    packed;
-  let bits = Packed.bits l in
-  List.iter
-    (fun (table, x) ->
-      let p = Table.params table in
-      let node = Table.owner table in
-      for level = 0 to p.d - 1 do
-        let low = Packed.suffix_value l x level in
-        for digit = 0 to p.b - 1 do
-          (* Required suffix of the (level, digit) entry, packed: the owner's
-             low [level] digits with [digit] prepended on the left. *)
-          let required = low lor (digit lsl (level * bits)) in
-          match Table.neighbor table ~level ~digit with
-          | None -> begin
-            match Hashtbl.find_opt witnesses.(level + 1) required with
-            | Some witness -> add (False_negative { node; level; digit; witness })
-            | None -> ()
-          end
-          | Some stored ->
-            let sx = Packed.of_id l stored in
-            if not (Hashtbl.mem members (sx :> int)) then
-              add (Dangling { node; level; digit; stored })
-            else if Packed.suffix_value l sx (level + 1) <> required then
-              add (Wrong_suffix { node; level; digit; stored })
-        done
-      done)
-    packed
-
+(* One pass over the tables in list order, each by level then digit, walking
+   the owner's suffix groups alongside: the group of an entry's required
+   suffix is the owner's group at [level] extended by [digit], and its first
+   carrier (first table in list order) is the false-negative witness. The
+   owner's own group stays non-empty to the last level, so a cleared
+   self-entry is reported with the owner as witness. Reaching [limit] aborts
+   the remaining scan (via [Exit]), so a [~limit:1] yes/no probe of an
+   inconsistent network stops at the first offending entry. *)
 let scan_violations ~limit tables =
   let found = ref [] in
   let count = ref 0 in
@@ -119,12 +32,31 @@ let scan_violations ~limit tables =
     incr count;
     if !count >= limit then raise Exit
   in
+  let index = Suffix_index.of_ids (List.map Table.owner tables) in
   (try
-     match tables with
-     | [] -> ()
-     | t0 :: _ when Ntcu_id.Packed.packable (Table.params t0) ->
-       scan_violations_packed (Ntcu_id.Packed.layout (Table.params t0)) ~add tables
-     | _ -> scan_violations_general ~add tables
+     List.iter
+       (fun table ->
+         let p = Table.params table in
+         let node = Table.owner table in
+         let group = ref (Suffix_index.root index) in
+         for level = 0 to p.d - 1 do
+           for digit = 0 to p.b - 1 do
+             match Table.neighbor table ~level ~digit with
+             | None -> begin
+               let carriers = Suffix_index.child index !group ~level digit in
+               match Suffix_index.first index carriers with
+               | Some witness -> add (False_negative { node; level; digit; witness })
+               | None -> ()
+             end
+             | Some stored ->
+               if not (Suffix_index.mem_id index stored) then
+                 add (Dangling { node; level; digit; stored })
+               else if not (Table.admits table ~level ~digit stored) then
+                 add (Wrong_suffix { node; level; digit; stored })
+           done;
+           group := Suffix_index.child index !group ~level (Id.digit node level)
+         done)
+       tables
    with Exit -> ());
   List.rev !found
 

@@ -32,8 +32,10 @@ val pp_violation : violation Fmt.t
 
 val violations : ?limit:int -> Table.t list -> violation list
 (** All violations over the network formed by the given tables (their owners
-    are the node set [V]), up to [limit] (default 100). Empty iff the network
-    is consistent. *)
+    are the node set [V]), up to [limit] (default 100), in table order, then
+    level, then digit. Empty iff the network is consistent. One scan, for any
+    [d], over a {!Suffix_index} of the owners: a false negative's witness is
+    the first table in list order whose owner carries the required suffix. *)
 
 val is_consistent : Table.t list -> bool
 

@@ -58,13 +58,27 @@ let required_suffix t ~level ~digit =
   ignore (index t ~level ~digit);
   Array.init (level + 1) (fun i -> if i = level then digit else Id.digit t.owner i)
 
+let rec same_digits_below x y i =
+  i < 0 || (Id.digit x i = Id.digit y i && same_digits_below x y (i - 1))
+
+(* Does [node] end with [required_suffix t ~level ~digit]? Compared in place,
+   for callers that have validated the range. *)
+let carries t ~level ~digit node =
+  level < Id.length node
+  && Id.digit node level = digit
+  && same_digits_below node t.owner (level - 1)
+
+let admits t ~level ~digit node =
+  ignore (index t ~level ~digit);
+  carries t ~level ~digit node
+
 let set t ~level ~digit node state =
   let i = index t ~level ~digit in
-  let suffix = required_suffix t ~level ~digit in
-  if not (Id.has_suffix node suffix) then
+  if not (carries t ~level ~digit node) then
     invalid_arg
       (Fmt.str "Table.set: node %a lacks required suffix %a for (%d,%d)-entry of %a"
-         Id.pp node Id.pp_suffix suffix level digit Id.pp t.owner);
+         Id.pp node Id.pp_suffix (required_suffix t ~level ~digit) level digit Id.pp
+         t.owner);
   if Option.is_none t.slots.(i) then t.filled <- t.filled + 1;
   t.slots.(i) <- Some { node; state }
 
@@ -106,14 +120,13 @@ let backup_capacity t = t.backup_capacity
 
 let add_backup t ~level ~digit id =
   let i = index t ~level ~digit in
-  let suffix = required_suffix t ~level ~digit in
   let is_primary =
     match t.slots.(i) with Some { node; _ } -> Id.equal node id | None -> false
   in
   if
     Id.equal id t.owner || is_primary
     || List.exists (Id.equal id) t.backup.(i)
-    || (not (Id.has_suffix id suffix))
+    || (not (carries t ~level ~digit id))
     || List.length t.backup.(i) >= t.backup_capacity
   then false
   else begin
@@ -143,6 +156,10 @@ let promote_backup t ~level ~digit =
 let add_reverse t ~level ~digit id =
   let i = index t ~level ~digit in
   t.reverse.(i) <- Id.Set.add id t.reverse.(i)
+
+let add_reverses t ~level ~digit ids =
+  let i = index t ~level ~digit in
+  t.reverse.(i) <- Id.Set.union t.reverse.(i) (Id.Set.of_list ids)
 
 let remove_reverse t id =
   Array.iteri (fun i set -> t.reverse.(i) <- Id.Set.remove id set) t.reverse

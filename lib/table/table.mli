@@ -48,6 +48,11 @@ val required_suffix : t -> level:int -> digit:int -> int array
 (** The suffix (length [level + 1], index 0 = rightmost) that any occupant of
     the entry must have: [digit . owner[level-1 .. 0]]. *)
 
+val admits : t -> level:int -> digit:int -> Ntcu_id.Id.t -> bool
+(** Does the node's ID end with the entry's {!required_suffix}? Compares
+    digits in place, building no suffix.
+    @raise Invalid_argument if out of range. *)
+
 val iter : t -> (level:int -> digit:int -> Ntcu_id.Id.t -> nstate -> unit) -> unit
 (** Visit every filled entry, by increasing level then digit. *)
 
@@ -92,6 +97,10 @@ val promote_backup : t -> level:int -> digit:int -> Ntcu_id.Id.t option
 (** {1 Reverse neighbors} *)
 
 val add_reverse : t -> level:int -> digit:int -> Ntcu_id.Id.t -> unit
+
+val add_reverses : t -> level:int -> digit:int -> Ntcu_id.Id.t list -> unit
+(** {!add_reverse} of every listed node, as one set union. *)
+
 val remove_reverse : t -> Ntcu_id.Id.t -> unit
 (** Remove the node from every reverse set. *)
 

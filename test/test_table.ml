@@ -23,10 +23,18 @@ let set_get () =
 let set_validates_suffix () =
   let t = Table.create p ~owner:(id "21233") in
   (* (2, 1)-entry requires suffix 133; 03201 does not end with 133. *)
-  try
-    Table.set t ~level:2 ~digit:1 (id "03201") S;
-    Alcotest.fail "wrong suffix accepted"
-  with Invalid_argument _ -> ()
+  (try
+     Table.set t ~level:2 ~digit:1 (id "03201") S;
+     Alcotest.fail "wrong suffix accepted"
+   with Invalid_argument _ -> ());
+  (* 00123 has the entry's digit 1 at level 2 but ends in 23, not 33. *)
+  Alcotest.check_raises "lower digits checked"
+    (Invalid_argument
+       "Table.set: node 00123 lacks required suffix 133 for (2,1)-entry of 21233")
+    (fun () -> Table.set t ~level:2 ~digit:1 (id "00123") S);
+  check Alcotest.bool "admits 00133" true (Table.admits t ~level:2 ~digit:1 (id "00133"));
+  check Alcotest.bool "backup needs the suffix" false
+    (Table.add_backup t ~level:2 ~digit:1 (id "00123"))
 
 let required_suffix_examples () =
   let t = Table.create p ~owner:(id "21233") in
@@ -129,6 +137,48 @@ let suffix_index_queries () =
   | Some w -> check Alcotest.string "witness ends with 0" "13120" (Id.to_string w)
   | None -> Alcotest.fail "witness missing"
 
+(* Every query against a filter of the id list: members newest first, the
+   witness their head. Suffixes: every one of length 0 to 3 over digits
+   [0, b] (b itself out of range), each id's full suffix and one digit past
+   it. The ids include a duplicate and share suffixes several digits deep. *)
+let suffix_index_brute_force () =
+  let rng = Ntcu_std.Rng.create 17 in
+  let ids = List.init 40 (fun _ -> Id.random_with_suffix rng p [| 2 |]) in
+  let ids = (id "21233" :: ids) @ [ id "01233"; id "21233" ] in
+  let idx = Suffix_index.of_ids ids in
+  let expect suffix = List.rev (List.filter (fun x -> Id.has_suffix x suffix) ids) in
+  let query suffix =
+    let what = Fmt.str "suffix [%a]" Fmt.(array ~sep:semi int) suffix in
+    let e = expect suffix in
+    let names = List.map Id.to_string in
+    check Alcotest.(list string) (what ^ " members") (names e)
+      (names (Suffix_index.members idx suffix));
+    check Alcotest.int (what ^ " count") (List.length e) (Suffix_index.count idx suffix);
+    check Alcotest.bool (what ^ " mem") (not (List.is_empty e)) (Suffix_index.mem idx suffix);
+    check
+      Alcotest.(option string)
+      (what ^ " witness")
+      (Option.map Id.to_string (List.nth_opt e 0))
+      (Option.map Id.to_string (Suffix_index.witness idx suffix))
+  in
+  let rec all len = if len = 0 then [ [||] ] else
+      List.concat_map (fun s -> List.init (p.b + 1) (fun j -> Array.append s [| j |])) (all (len - 1))
+  in
+  List.iter (fun len -> List.iter query (all len)) [ 0; 1; 2; 3 ];
+  List.iter
+    (fun x ->
+      let full = Id.suffix x p.d in
+      query full;
+      query (Array.append full [| 0 |]))
+    ids;
+  query [| -1 |];
+  check Alcotest.bool "indexed id" true (Suffix_index.mem_id idx (id "01233"));
+  check Alcotest.bool "absent id" false (Suffix_index.mem_id idx (id "01232"));
+  check Alcotest.int "empty index" 0 (Suffix_index.count (Suffix_index.of_ids []) [||]);
+  Alcotest.check_raises "mixed lengths"
+    (Invalid_argument "Suffix_index.of_ids: identifiers of different lengths") (fun () ->
+      ignore (Suffix_index.of_ids [ id "21233"; Id.of_string (Params.make ~b:4 ~d:4) "1233" ]))
+
 (* --- consistency checker --- *)
 
 (* A hand-built consistent 3-node network over b=2, d=2: 00, 01, 10. *)
@@ -174,6 +224,22 @@ let checker_detects_dangling () =
   let violations = Check.violations tables in
   check Alcotest.bool "found dangling" true
     (List.exists (function Check.Dangling _ -> true | _ -> false) violations)
+
+(* 01 is alone in its group from level 1 up (the only id ending in 1), so
+   only 01 itself can fill its (1,0) self-entry: clearing it is a false
+   negative whose witness is the owner. *)
+let checker_self_entry_witness () =
+  let tables = build_tiny_consistent () in
+  let t01 = List.nth tables 1 in
+  Table.clear t01 ~level:1 ~digit:0;
+  match Check.violations tables with
+  | [ Check.False_negative { node; level = 1; digit = 0; witness } ] ->
+    check Alcotest.string "node" "01" (Id.to_string node);
+    check Alcotest.string "witness" "01" (Id.to_string witness)
+  | vs ->
+    Alcotest.failf "expected one false negative, got [%a]"
+      Fmt.(list ~sep:semi Check.pp_violation)
+      vs
 
 let checker_limit () =
   let tables = build_tiny_consistent () in
@@ -228,12 +294,16 @@ let suites =
         Alcotest.test_case "pp" `Quick pp_table_renders;
       ] );
     ( "table.suffix_index",
-      [ Alcotest.test_case "queries" `Quick suffix_index_queries ] );
+      [
+        Alcotest.test_case "queries" `Quick suffix_index_queries;
+        Alcotest.test_case "brute force" `Quick suffix_index_brute_force;
+      ] );
     ( "table.check",
       [
         Alcotest.test_case "accepts consistent" `Quick checker_accepts_consistent;
         Alcotest.test_case "false negative" `Quick checker_detects_false_negative;
         Alcotest.test_case "dangling" `Quick checker_detects_dangling;
+        Alcotest.test_case "cleared self-entry" `Quick checker_self_entry_witness;
         Alcotest.test_case "limit" `Quick checker_limit;
         Alcotest.test_case "reachability" `Quick reachability_on_consistent;
         Alcotest.test_case "reachability break" `Quick reachability_detects_break;
