@@ -47,12 +47,19 @@ let u16 (w : writer) v =
   u8 w (v lsr 8)
 
 (* A packable id's wire image is exactly its packed value, little-endian:
-   both lay digit i at bits [i*bpd, (i+1)*bpd). *)
+   both lay digit i at bits [i*bpd, (i+1)*bpd). Four bytes per store while
+   four remain, then single bytes: the same image for every width. *)
 let put_raw_id (w : writer) c v =
-  let v = ref v in
-  for _ = 1 to c.idb do
+  let v = ref v and left = ref c.idb in
+  while !left >= 4 do
+    Buffer.add_int32_le w (Int32.of_int !v);
+    v := !v lsr 32;
+    left := !left - 4
+  done;
+  while !left > 0 do
     Buffer.add_char w (Char.unsafe_chr (!v land 0xff));
-    v := !v lsr 8
+    v := !v lsr 8;
+    decr left
   done
 
 (* Digits packed LSB-first: digit i occupies bits [i*bpd, (i+1)*bpd). The
@@ -148,9 +155,15 @@ let get_id r c =
    non-power-of-two bases) is the caller's via [Packed.of_int]. *)
 let get_raw_id r c =
   need r c.idb;
-  let v = ref 0 in
-  for i = 0 to c.idb - 1 do
-    v := !v lor (Char.code r.data.[r.pos + i] lsl (8 * i))
+  let v = ref 0 and i = ref 0 in
+  while !i + 4 <= c.idb do
+    let chunk = Int32.to_int (String.get_int32_le r.data (r.pos + !i)) land 0xffff_ffff in
+    v := !v lor (chunk lsl (8 * !i));
+    i := !i + 4
+  done;
+  while !i < c.idb do
+    v := !v lor (Char.code r.data.[r.pos + !i] lsl (8 * !i));
+    incr i
   done;
   r.pos <- r.pos + c.idb;
   let id_bits = c.p.d * c.bpd in
@@ -158,26 +171,38 @@ let get_raw_id r c =
 
 (* LEB128 unsigned varints, for the counts and deltas of cross-shard batch
    frames: 7 value bits per byte, high bit = continuation, at most 9 bytes
-   (63 value bits) accepted. *)
+   (63 value bits) accepted. Most batch fields fit one byte, which skips
+   the loop both ways. *)
 let put_uvarint (w : writer) v =
   if v < 0 then invalid_arg "Codec.put_uvarint: negative";
-  let v = ref v in
-  while !v >= 0x80 do
-    Buffer.add_char w (Char.unsafe_chr (!v land 0x7f lor 0x80));
-    v := !v lsr 7
-  done;
-  Buffer.add_char w (Char.unsafe_chr !v)
+  if v < 0x80 then Buffer.add_char w (Char.unsafe_chr v)
+  else begin
+    let v = ref v in
+    while !v >= 0x80 do
+      Buffer.add_char w (Char.unsafe_chr (!v land 0x7f lor 0x80));
+      v := !v lsr 7
+    done;
+    Buffer.add_char w (Char.unsafe_chr !v)
+  end
 
 let get_uvarint r =
-  let v = ref 0 and shift = ref 0 and continue = ref true in
-  while !continue do
-    let byte = g8 r in
-    if !shift >= 63 then malformed "uvarint overflows 63 bits";
-    v := !v lor ((byte land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    if byte < 0x80 then continue := false
-  done;
-  !v
+  let data = r.data and pos = r.pos in
+  if pos < String.length data && Char.code data.[pos] < 0x80 then begin
+    r.pos <- pos + 1;
+    Char.code data.[pos]
+  end
+  else begin
+    (* a longer value, or none left: the checked byte-by-byte loop *)
+    let v = ref 0 and shift = ref 0 and continue = ref true in
+    while !continue do
+      let byte = g8 r in
+      if !shift >= 63 then malformed "uvarint overflows 63 bits";
+      v := !v lor ((byte land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      if byte < 0x80 then continue := false
+    done;
+    !v
+  end
 
 let get_state r : Table.nstate =
   match g8 r with 0 -> T | 1 -> S | v -> malformed "bad state byte %d" v

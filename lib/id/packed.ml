@@ -66,12 +66,14 @@ let unsafe_of_int v = v
 let to_int x = x
 
 let csuf_len l x y =
-  let d = l.params.Params.d in
-  if x = y then d
+  if x = y then l.params.Params.d
   else begin
-    let diff = x lxor y in
-    let rec go i = if (diff lsr (i * l.bits)) land l.mask = 0 then go (i + 1) else i in
-    go 0
+    let diff = ref (x lxor y) and i = ref 0 in
+    while !diff land l.mask = 0 do
+      diff := !diff lsr l.bits;
+      incr i
+    done;
+    !i
   end
 
 let suffix_value l x k = x land ((1 lsl (k * l.bits)) - 1)

@@ -1,7 +1,8 @@
 (* Growable int buffer — the workhorse of the sharded engine. Event frames,
    outboxes and scratch rows are all flat int sequences appended in place and
    cleared (not freed) between epochs, so the steady state allocates
-   nothing. *)
+   nothing. Hot readers index [a] below [len] directly; only a push can
+   replace [a], and the replaced array keeps what it held. *)
 
 type t = { mutable a : int array; mutable len : int }
 

@@ -24,6 +24,11 @@ module Packed = Ntcu_id.Packed
    arrays — and everything is indexed by slot int, so the only remaining
    hashing is one int-keyed [slot_of] lookup per delivered message.
 
+   Cell [level * b + digit] of a slot is its table position: reads and the
+   frame copy ({!push_rows}) take that position, the index frames carry;
+   writes take (level, digit), which [set] checks against the owner's
+   suffix.
+
    Churn reuses slots through a free stack; [remove] releases the node's pool
    lists. Like [Network.remove], it does not scrub other nodes' cells that
    reference the departed id — the consistency checker reports those as
@@ -172,13 +177,17 @@ let pool_release_list t head =
 
 (* ---- slots ---- *)
 
-let find t pid = Hashtbl.find_opt t.slot_of (pid : Packed.t :> int)
+let find t pid =
+  match Hashtbl.find t.slot_of (pid : Packed.t :> int) with
+  | s -> s
+  | exception Not_found -> -1
+
 let mem t pid = Hashtbl.mem t.slot_of (pid : Packed.t :> int)
 
 let slot_exn t pid =
   match find t pid with
-  | Some s -> s
-  | None -> invalid_arg "Node_store: unknown node"
+  | -1 -> invalid_arg "Node_store: unknown node"
+  | s -> s
 
 let id_of t slot = Packed.unsafe_of_int t.ids.(slot)
 
@@ -214,9 +223,9 @@ let clear_slot_cells t slot =
 
 let remove t pid =
   let key = (pid : Packed.t :> int) in
-  match Hashtbl.find_opt t.slot_of key with
-  | None -> invalid_arg "Node_store.remove: unknown node"
-  | Some slot ->
+  match find t pid with
+  | -1 -> invalid_arg "Node_store.remove: unknown node"
+  | slot ->
     Hashtbl.remove t.slot_of key;
     t.ids.(slot) <- -1;
     Bytes.set t.status slot (Char.chr status_free);
@@ -247,7 +256,12 @@ let cell_index t slot ~level ~digit =
     invalid_arg "Node_store: cell position out of range";
   cell_base t slot + (level * t.b) + digit
 
-let cell t slot ~level ~digit = t.cells.(cell_index t slot ~level ~digit)
+(* The cell index of table position [pos] (= level * b + digit). *)
+let pos_index t slot pos =
+  if pos < 0 || pos >= t.d * t.b then invalid_arg "Node_store: cell position out of range";
+  cell_base t slot + pos
+
+let cell t slot pos = t.cells.(pos_index t slot pos)
 
 let cell_state t idx =
   Char.code (Bytes.get t.cstate (idx lsr 3)) lsr (idx land 7) land 1
@@ -258,10 +272,28 @@ let set_cell_state t idx st =
   let byte = if st = state_s then byte lor bit else byte land lnot bit in
   Bytes.set t.cstate (idx lsr 3) (Char.chr byte)
 
-let state t slot ~level ~digit =
-  let idx = cell_index t slot ~level ~digit in
+let state t slot pos =
+  let idx = pos_index t slot pos in
   if t.cells.(idx) = -1 then invalid_arg "Node_store.state: empty entry";
   cell_state t idx
+
+(* One pass over the rows' cells, straight from the columns: the count, then
+   a (pos*2+sbit, occupant) pair per filled entry — the cell-list image of
+   every table-carrying frame. *)
+let push_rows t slot ~lo ~hi buf =
+  if lo < 0 || hi >= t.d || lo > hi then invalid_arg "Node_store.push_rows: row out of range";
+  let base = cell_base t slot in
+  let cnt_pos = Intbuf.length buf in
+  Intbuf.push buf 0;
+  let c = ref 0 in
+  for pos = lo * t.b to ((hi + 1) * t.b) - 1 do
+    let occ = t.cells.(base + pos) in
+    if occ <> -1 then begin
+      Intbuf.push2 buf ((pos lsl 1) lor cell_state t (base + pos)) occ;
+      incr c
+    end
+  done;
+  Intbuf.set buf cnt_pos !c
 
 (* The occupant of the (level, digit) entry must share the owner's low
    [level] digits and have [digit] at position [level] — same validation as

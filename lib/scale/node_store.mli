@@ -60,7 +60,10 @@ val remove : t -> Ntcu_id.Packed.t -> unit
     [Network.remove]); the checker reports them as dangling.
     @raise Invalid_argument if unknown. *)
 
-val find : t -> Ntcu_id.Packed.t -> int option
+val find : t -> Ntcu_id.Packed.t -> int
+(** The id's slot, [-1] if absent — the per-delivery lookup allocates
+    nothing. *)
+
 val mem : t -> Ntcu_id.Packed.t -> bool
 val slot_exn : t -> Ntcu_id.Packed.t -> int
 val id_of : t -> int -> Ntcu_id.Packed.t
@@ -69,12 +72,23 @@ val set_status : t -> int -> int -> unit
 
 (** {1 Table cells}
 
-    [cell] returns the occupant as a raw packed value, [-1] when empty —
-    the hot read path avoids option boxing. *)
+    Reads take the entry's table position [pos = level * b + digit], the
+    index frames carry; writes take [(level, digit)]. [cell] returns the
+    occupant as a raw packed value, [-1] when empty — the hot read path
+    avoids option boxing. *)
 
-val cell : t -> int -> level:int -> digit:int -> int
-val state : t -> int -> level:int -> digit:int -> int
-(** @raise Invalid_argument if the entry is empty or out of range. *)
+val cell : t -> int -> int -> int
+(** [cell t slot pos]. @raise Invalid_argument if [pos] is out of range. *)
+
+val state : t -> int -> int -> int
+(** [state t slot pos]. @raise Invalid_argument if the entry is empty or out
+    of range. *)
+
+val push_rows : t -> int -> lo:int -> hi:int -> Intbuf.t -> unit
+(** [push_rows t slot ~lo ~hi buf] appends the filled entries of rows
+    [lo .. hi] to [buf]: their count, then one [(pos * 2 + state, occupant)]
+    pair per entry in position order.
+    @raise Invalid_argument unless [0 <= lo <= hi < d]. *)
 
 val set : t -> int -> level:int -> digit:int -> Ntcu_id.Packed.t -> int -> unit
 (** Fill (or overwrite) an entry, as [Table.set].

@@ -1,6 +1,7 @@
 module Packed = Ntcu_id.Packed
 module Rng = Ntcu_std.Rng
 module Parallel = Ntcu_std.Parallel
+module Itbl = Hashtbl.Make (Int)
 
 (* Sharded epoch engine.
 
@@ -64,6 +65,7 @@ type shard = {
   mutable switched : int;
   mutable redirects : int;
   mutable deferrals : int;
+  mutable ehdr : int; (* header index of the frame being emitted *)
   (* scratch reused across deliveries *)
   scratch_seen : (int, unit) Hashtbl.t;
   scratch : Intbuf.t;
@@ -104,66 +106,36 @@ let gateway_pick x n = mix2 x 0x27d4eb2f mod n
 (* ---- frame emission ---- *)
 
 (* Begin a frame from [src] (a node of shard [si]) to [dst]. Returns the
-   buffer to push payload ints into plus the header index to patch; the two
-   in-memory layouts (ring vs outbox, see {!Wire}) share the nargs formula
-   [len - hdr - 4]. *)
+   buffer to push payload ints into and remembers the header index for
+   {!emit_end}, so a frame allocates nothing; frames are emitted one at a
+   time. The two in-memory layouts (ring vs outbox, see {!Wire}) share the
+   nargs formula [len - hdr - 4]. *)
 let emit_begin t sh si ~epoch ~kind ~src ~dst =
   let dshard = dst land t.smask in
   if dshard = si then begin
     let slot = (epoch + latency src dst) mod ring_depth in
     let buf = sh.ring.(slot) in
-    let hdr = Intbuf.length buf in
+    sh.ehdr <- Intbuf.length buf;
     Intbuf.push buf 0;
     Intbuf.push3 buf kind src dst;
     sh.ring_frames.(slot) <- sh.ring_frames.(slot) + 1;
-    (buf, hdr)
+    buf
   end
   else begin
     let buf = sh.outbox.(dshard) in
-    let hdr = Intbuf.length buf in
+    sh.ehdr <- Intbuf.length buf;
     Intbuf.push buf 0;
     Intbuf.push3 buf kind src dst;
     Intbuf.push buf (latency src dst);
-    (buf, hdr)
+    buf
   end
 
-let emit_end (buf, hdr) = Intbuf.set buf hdr (Intbuf.length buf - hdr - 4)
+let emit_end sh buf = Intbuf.set buf sh.ehdr (Intbuf.length buf - sh.ehdr - 4)
 
 let emit0 t sh si ~epoch ~kind ~src ~dst =
-  emit_end (emit_begin t sh si ~epoch ~kind ~src ~dst)
+  emit_end sh (emit_begin t sh si ~epoch ~kind ~src ~dst)
 
-(* Append the filled cells of rows [0 .. maxlevel] as (pos*2+sbit, occupant)
-   pairs, preceded by their count. *)
-let push_cells_upto t buf store slot ~maxlevel =
-  let cnt_pos = Intbuf.length buf in
-  Intbuf.push buf 0;
-  let c = ref 0 in
-  for level = 0 to maxlevel do
-    for digit = 0 to t.b - 1 do
-      let occ = Node_store.cell store slot ~level ~digit in
-      if occ <> -1 then begin
-        let sbit = Node_store.state store slot ~level ~digit in
-        Intbuf.push2 buf ((((level * t.b) + digit) lsl 1) lor sbit) occ;
-        incr c
-      end
-    done
-  done;
-  Intbuf.set buf cnt_pos !c
-
-let push_cells_of_row t buf store slot ~level =
-  let cnt_pos = Intbuf.length buf in
-  Intbuf.push buf 0;
-  let c = ref 0 in
-  for digit = 0 to t.b - 1 do
-    let occ = Node_store.cell store slot ~level ~digit in
-    if occ <> -1 then begin
-      let sbit = Node_store.state store slot ~level ~digit in
-      Intbuf.push2 buf ((((level * t.b) + digit) lsl 1) lor sbit) occ;
-      incr c
-    end
-  done;
-  Intbuf.set buf cnt_pos !c
-
+let cell_pos t level digit = (level * t.b) + digit
 let csuf t x y = Packed.csuf_len t.lay (Packed.unsafe_of_int x) (Packed.unsafe_of_int y)
 let pdigit t x i = Packed.digit t.lay (Packed.unsafe_of_int x) i
 
@@ -171,32 +143,33 @@ let pdigit t x i = Packed.digit t.lay (Packed.unsafe_of_int x) i
 
 (* Install a batch of (pos*2+sbit, occupant) pairs into [xs]'s table,
    skipping the owner itself, already-filled entries and occupants that lack
-   the entry's required suffix. Installing an occupant still believed joining
-   (T) notifies it with RvNghNoti so it can flip us to S when it completes. *)
-let install_cells t sh si ~epoch xs ~count buf a =
+   the entry's required suffix. Most entries a reply carries are already
+   filled, so that test comes first, on the position alone. Installing an
+   occupant still believed joining (T) notifies it with RvNghNoti so it can
+   flip us to S when it completes. *)
+let install_cells t sh si ~epoch xs ~count fr a =
   let store = sh.store in
   let owner = (Node_store.id_of store xs :> int) in
   let p = ref a in
   for _ = 1 to count do
-    let ps = Intbuf.get buf !p in
-    let occ = Intbuf.get buf (!p + 1) in
+    let ps = fr.(!p) in
+    let occ = fr.(!p + 1) in
     p := !p + 2;
-    let posn = ps lsr 1 and sbit = ps land 1 in
-    let level = posn / t.b and digit = posn mod t.b in
-    if occ <> owner then begin
+    let posn = ps lsr 1 in
+    if occ <> owner && Node_store.cell store xs posn = -1 then begin
+      let level = posn / t.b and digit = posn mod t.b and sbit = ps land 1 in
       let low_mask = (1 lsl (level * t.bits)) - 1 in
       if
         occ land low_mask = owner land low_mask
         && (occ lsr (level * t.bits)) land t.dmask = digit
-        && Node_store.cell store xs ~level ~digit = -1
       then begin
         Node_store.set store xs ~level ~digit (Packed.unsafe_of_int occ) sbit;
         if sbit = Node_store.state_t then begin
           let f =
             emit_begin t sh si ~epoch ~kind:Wire.kind_rv_ngh_noti ~src:owner ~dst:occ
           in
-          Intbuf.push3 (fst f) level digit sbit;
-          emit_end f
+          Intbuf.push3 f level digit sbit;
+          emit_end sh f
         end
       end
     end
@@ -214,27 +187,27 @@ let answer_join_wait t sh si ~epoch ys ~x =
   if st = Node_store.status_in_system then begin
     let l = csuf t y x in
     let xd = pdigit t x l in
-    let occ = Node_store.cell store ys ~level:l ~digit:xd in
+    let occ = Node_store.cell store ys (cell_pos t l xd) in
     if occ <> -1 && occ <> x then begin
       (* the slot already holds a node sharing one more digit with [x]:
          redirect the joiner there *)
       sh.redirects <- sh.redirects + 1;
       let f = emit_begin t sh si ~epoch ~kind:Wire.kind_join_wait_rly ~src:y ~dst:x in
-      Intbuf.push3 (fst f) 0 occ 0;
-      emit_end f
+      Intbuf.push3 f 0 occ 0;
+      emit_end sh f
     end
     else begin
       if occ = -1 then begin
         Node_store.set store ys ~level:l ~digit:xd (Packed.unsafe_of_int x)
           Node_store.state_t;
         let f = emit_begin t sh si ~epoch ~kind:Wire.kind_rv_ngh_noti ~src:y ~dst:x in
-        Intbuf.push3 (fst f) l xd Node_store.state_t;
-        emit_end f
+        Intbuf.push3 f l xd Node_store.state_t;
+        emit_end sh f
       end;
       let f = emit_begin t sh si ~epoch ~kind:Wire.kind_join_wait_rly ~src:y ~dst:x in
-      Intbuf.push2 (fst f) 1 y;
-      push_cells_upto t (fst f) store ys ~maxlevel:l;
-      emit_end f
+      Intbuf.push2 f 1 y;
+      Node_store.push_rows store ys ~lo:0 ~hi:l f;
+      emit_end sh f
     end
   end
   else if st = Node_store.status_notifying then begin
@@ -246,8 +219,8 @@ let answer_join_wait t sh si ~epoch ys ~x =
     (* still copying or waiting ourselves: bounce the joiner to our gateway,
        which is in-system by construction *)
     let f = emit_begin t sh si ~epoch ~kind:Wire.kind_join_wait_rly ~src:y ~dst:x in
-    Intbuf.push3 (fst f) 0 sh.gateway.(ys) 0;
-    emit_end f
+    Intbuf.push3 f 0 sh.gateway.(ys) 0;
+    emit_end sh f
   end
 
 (* Complete [xs]'s join: flip the self-diagonal to S, tell every node holding
@@ -282,14 +255,12 @@ let begin_notify t sh si ~epoch xs =
   let owner = (Node_store.id_of store xs :> int) in
   Hashtbl.reset sh.scratch_seen;
   Intbuf.clear sh.scratch;
-  for level = 0 to t.d - 1 do
-    for digit = 0 to t.b - 1 do
-      let occ = Node_store.cell store xs ~level ~digit in
-      if occ <> -1 && occ <> owner && not (Hashtbl.mem sh.scratch_seen occ) then begin
-        Hashtbl.add sh.scratch_seen occ ();
-        Intbuf.push sh.scratch occ
-      end
-    done
+  for p = 0 to (t.d * t.b) - 1 do
+    let occ = Node_store.cell store xs p in
+    if occ <> -1 && occ <> owner && not (Hashtbl.mem sh.scratch_seen occ) then begin
+      Hashtbl.add sh.scratch_seen occ ();
+      Intbuf.push sh.scratch occ
+    end
   done;
   let cnt = Intbuf.length sh.scratch in
   sh.noti_pending.(xs) <- cnt;
@@ -298,43 +269,43 @@ let begin_notify t sh si ~epoch xs =
     for i = 0 to cnt - 1 do
       let tgt = Intbuf.get sh.scratch i in
       let f = emit_begin t sh si ~epoch ~kind:Wire.kind_join_noti ~src:owner ~dst:tgt in
-      Intbuf.push2 (fst f) (csuf t owner tgt) 0;
-      emit_end f
+      Intbuf.push2 f (csuf t owner tgt) 0;
+      emit_end sh f
     done
 
 (* ---- frame handlers (receiver side) ---- *)
 
-let handle_cp_rst t sh si ~epoch gs ~src buf a =
-  let level = Intbuf.get buf a in
+let handle_cp_rst t sh si ~epoch gs ~src fr a =
+  let level = fr.(a) in
   let g = (Node_store.id_of sh.store gs :> int) in
   let f = emit_begin t sh si ~epoch ~kind:Wire.kind_cp_rly ~src:g ~dst:src in
-  Intbuf.push (fst f) level;
-  push_cells_of_row t (fst f) sh.store gs ~level;
-  emit_end f
+  Intbuf.push f level;
+  Node_store.push_rows sh.store gs ~lo:level ~hi:level f;
+  emit_end sh f
 
-let handle_cp_rly t sh si ~epoch xs ~src buf a =
+let handle_cp_rly t sh si ~epoch xs ~src fr a =
   let store = sh.store in
-  let level = Intbuf.get buf a in
+  let level = fr.(a) in
   if
     Node_store.status store xs = Node_store.status_copying
     && sh.copy_level.(xs) = level
   then begin
-    let count = Intbuf.get buf (a + 1) in
+    let count = fr.(a + 1) in
     let x = (Node_store.id_of store xs :> int) in
     let xd = pdigit t x level in
     (* the next hop is the replier's entry matching our own next digit *)
     let z = ref (-1) in
     let p = ref (a + 2) in
     for _ = 1 to count do
-      if Intbuf.get buf !p lsr 1 = (level * t.b) + xd then z := Intbuf.get buf (!p + 1);
+      if fr.(!p) lsr 1 = cell_pos t level xd then z := fr.(!p + 1);
       p := !p + 2
     done;
-    ignore (install_cells t sh si ~epoch xs ~count buf (a + 2) : int);
+    ignore (install_cells t sh si ~epoch xs ~count fr (a + 2) : int);
     if !z <> -1 && !z <> x && level + 1 < t.d then begin
       sh.copy_level.(xs) <- level + 1;
       let f = emit_begin t sh si ~epoch ~kind:Wire.kind_cp_rst ~src:x ~dst:!z in
-      Intbuf.push (fst f) (level + 1);
-      emit_end f
+      Intbuf.push f (level + 1);
+      emit_end sh f
     end
     else begin
       let y = if !z <> -1 && !z <> x then !z else src in
@@ -343,25 +314,25 @@ let handle_cp_rly t sh si ~epoch xs ~src buf a =
     end
   end
 
-let handle_join_wait_rly t sh si ~epoch xs ~src:_ buf a =
+let handle_join_wait_rly t sh si ~epoch xs ~src:_ fr a =
   let store = sh.store in
   if Node_store.status store xs = Node_store.status_waiting then begin
-    let sign = Intbuf.get buf a in
-    let occupant = Intbuf.get buf (a + 1) in
+    let sign = fr.(a) in
+    let occupant = fr.(a + 1) in
     if sign = 0 then begin
       let x = (Node_store.id_of store xs :> int) in
       emit0 t sh si ~epoch ~kind:Wire.kind_join_wait ~src:x ~dst:occupant
     end
     else begin
-      let count = Intbuf.get buf (a + 2) in
-      ignore (install_cells t sh si ~epoch xs ~count buf (a + 3) : int);
+      let count = fr.(a + 2) in
+      ignore (install_cells t sh si ~epoch xs ~count fr (a + 3) : int);
       begin_notify t sh si ~epoch xs
     end
   end
 
-let handle_join_noti t sh si ~epoch ts ~src buf a =
+let handle_join_noti t sh si ~epoch ts ~src fr a =
   let store = sh.store in
-  let _noti_level = Intbuf.get buf a in
+  let _noti_level = fr.(a) in
   let tid = (Node_store.id_of store ts :> int) in
   let l = csuf t tid src in
   (* No notified-set bookkeeping: a joiner notifies each distinct target
@@ -369,23 +340,23 @@ let handle_join_noti t sh si ~epoch ts ~src buf a =
      the occupancy test is the dedup. A membership list here would grow with
      a target's popularity and turn hot nodes quadratic. *)
   let xd = pdigit t src l in
-  if Node_store.cell store ts ~level:l ~digit:xd = -1 then begin
+  if Node_store.cell store ts (cell_pos t l xd) = -1 then begin
     Node_store.set store ts ~level:l ~digit:xd (Packed.unsafe_of_int src)
       Node_store.state_t;
     let f = emit_begin t sh si ~epoch ~kind:Wire.kind_rv_ngh_noti ~src:tid ~dst:src in
-    Intbuf.push3 (fst f) l xd Node_store.state_t;
-    emit_end f
+    Intbuf.push3 f l xd Node_store.state_t;
+    emit_end sh f
   end;
   let f = emit_begin t sh si ~epoch ~kind:Wire.kind_join_noti_rly ~src:tid ~dst:src in
-  Intbuf.push (fst f) 1;
-  push_cells_upto t (fst f) store ts ~maxlevel:l;
-  emit_end f
+  Intbuf.push f 1;
+  Node_store.push_rows store ts ~lo:0 ~hi:l f;
+  emit_end sh f
 
-let handle_join_noti_rly t sh si ~epoch xs ~src:_ buf a =
+let handle_join_noti_rly t sh si ~epoch xs ~src:_ fr a =
   let store = sh.store in
   if Node_store.status store xs = Node_store.status_notifying then begin
-    let count = Intbuf.get buf (a + 1) in
-    ignore (install_cells t sh si ~epoch xs ~count buf (a + 2) : int);
+    let count = fr.(a + 1) in
+    ignore (install_cells t sh si ~epoch xs ~count fr (a + 2) : int);
     sh.noti_pending.(xs) <- sh.noti_pending.(xs) - 1;
     if sh.noti_pending.(xs) = 0 then switch_in_system t sh si ~epoch xs
   end
@@ -396,15 +367,15 @@ let handle_in_sys_noti t sh ts ~src =
   let l = csuf t tid src in
   for l' = 0 to l do
     let xd = pdigit t src l' in
-    if Node_store.cell store ts ~level:l' ~digit:xd = src then
+    if Node_store.cell store ts (cell_pos t l' xd) = src then
       Node_store.set_state store ts ~level:l' ~digit:xd Node_store.state_s
   done
 
-let handle_rv_ngh_noti t sh si ~epoch os ~src buf a =
+let handle_rv_ngh_noti t sh si ~epoch os ~src fr a =
   let store = sh.store in
-  let level = Intbuf.get buf a in
-  let digit = Intbuf.get buf (a + 1) in
-  let sbit = Intbuf.get buf (a + 2) in
+  let level = fr.(a) in
+  let digit = fr.(a + 1) in
+  let sbit = fr.(a + 2) in
   Node_store.add_reverse store os ~storer:(Packed.unsafe_of_int src) ~level ~digit;
   if
     sbit = Node_store.state_t
@@ -413,40 +384,40 @@ let handle_rv_ngh_noti t sh si ~epoch os ~src buf a =
     (* the storer believes we are still joining; correct it *)
     let o = (Node_store.id_of store os :> int) in
     let f = emit_begin t sh si ~epoch ~kind:Wire.kind_rv_fix ~src:o ~dst:src in
-    Intbuf.push2 (fst f) level digit;
-    emit_end f
+    Intbuf.push2 f level digit;
+    emit_end sh f
   end
 
-let handle_rv_fix sh ts ~src buf a =
+let handle_rv_fix t sh ts ~src fr a =
   let store = sh.store in
-  let level = Intbuf.get buf a in
-  let digit = Intbuf.get buf (a + 1) in
-  if Node_store.cell store ts ~level ~digit = src then
+  let level = fr.(a) in
+  let digit = fr.(a + 1) in
+  if Node_store.cell store ts (cell_pos t level digit) = src then
     Node_store.set_state store ts ~level ~digit Node_store.state_s
 
-let process_frame t sh si ~epoch buf pos =
-  let nargs = Intbuf.get buf pos in
-  let kind = Intbuf.get buf (pos + 1) in
-  let src = Intbuf.get buf (pos + 2) in
-  let dst = Intbuf.get buf (pos + 3) in
+let process_frame t sh si ~epoch fr pos =
+  let nargs = fr.(pos) in
+  let kind = fr.(pos + 1) in
+  let src = fr.(pos + 2) in
+  let dst = fr.(pos + 3) in
   let a = pos + 4 in
   sh.events <- sh.events + 1;
   sh.kinds.(kind) <- sh.kinds.(kind) + 1;
   (match Node_store.find sh.store (Packed.unsafe_of_int dst) with
-  | None -> () (* destination departed; drop, as the record engine does *)
-  | Some ds ->
-    if kind = Wire.kind_cp_rst then handle_cp_rst t sh si ~epoch ds ~src buf a
-    else if kind = Wire.kind_cp_rly then handle_cp_rly t sh si ~epoch ds ~src buf a
+  | -1 -> () (* destination departed; drop, as the record engine does *)
+  | ds ->
+    if kind = Wire.kind_cp_rst then handle_cp_rst t sh si ~epoch ds ~src fr a
+    else if kind = Wire.kind_cp_rly then handle_cp_rly t sh si ~epoch ds ~src fr a
     else if kind = Wire.kind_join_wait then answer_join_wait t sh si ~epoch ds ~x:src
     else if kind = Wire.kind_join_wait_rly then
-      handle_join_wait_rly t sh si ~epoch ds ~src buf a
-    else if kind = Wire.kind_join_noti then handle_join_noti t sh si ~epoch ds ~src buf a
+      handle_join_wait_rly t sh si ~epoch ds ~src fr a
+    else if kind = Wire.kind_join_noti then handle_join_noti t sh si ~epoch ds ~src fr a
     else if kind = Wire.kind_join_noti_rly then
-      handle_join_noti_rly t sh si ~epoch ds ~src buf a
+      handle_join_noti_rly t sh si ~epoch ds ~src fr a
     else if kind = Wire.kind_in_sys_noti then handle_in_sys_noti t sh ds ~src
     else if kind = Wire.kind_rv_ngh_noti then
-      handle_rv_ngh_noti t sh si ~epoch ds ~src buf a
-    else handle_rv_fix sh ds ~src buf a);
+      handle_rv_ngh_noti t sh si ~epoch ds ~src fr a
+    else handle_rv_fix t sh ds ~src fr a);
   pos + 4 + nargs
 
 (* ---- epoch execution ---- *)
@@ -468,10 +439,12 @@ let process_epoch t ~epoch si =
   done;
   let slot = epoch mod ring_depth in
   let buf = sh.ring.(slot) in
-  let n = Intbuf.length buf in
+  (* Handlers read the due frames straight from the slot's array: they append
+     only to later slots (latency 1 .. ring_depth - 1) and to outboxes. *)
+  let fr = buf.Intbuf.a and n = Intbuf.length buf in
   let pos = ref 0 in
   while !pos < n do
-    pos := process_frame t sh si ~epoch buf !pos
+    pos := process_frame t sh si ~epoch fr !pos
   done;
   Intbuf.clear buf;
   sh.ring_frames.(slot) <- 0;
@@ -541,15 +514,21 @@ let total_remaining t =
 let witness_index t ids =
   let sorted = Array.copy ids in
   Array.sort Int.compare sorted;
-  let wit = Array.init (t.d + 1) (fun _ -> Hashtbl.create (Array.length ids)) in
+  let wit = Array.init (t.d + 1) (fun _ -> Itbl.create (Array.length ids)) in
   Array.iter
     (fun id ->
       for len = 1 to t.d do
         let key = Packed.suffix_value t.lay (Packed.unsafe_of_int id) len in
-        if not (Hashtbl.mem wit.(len) key) then Hashtbl.add wit.(len) key id
+        if not (Itbl.mem wit.(len) key) then Itbl.add wit.(len) key id
       done)
     sorted;
   wit
+
+(* The witness for entry (level, digit) of [owner]'s table, [-1] if no id
+   carries the entry's required suffix. *)
+let witness t wit owner ~level ~digit =
+  let key = (owner land ((1 lsl (level * t.bits)) - 1)) lor (digit lsl (level * t.bits)) in
+  match Itbl.find_opt wit.(level + 1) key with Some w -> w | None -> -1
 
 (* Fill every empty entry that has a witness in [wit]; with [count_only] just
    count them (the post-stabilize violation scan). *)
@@ -561,17 +540,15 @@ let sweep_holes t wit ~count_only si =
     if Node_store.status store s <> Node_store.status_free then begin
       let owner = (Node_store.id_of store s :> int) in
       for level = 0 to t.d - 1 do
-        let low = owner land ((1 lsl (level * t.bits)) - 1) in
         for digit = 0 to t.b - 1 do
-          if Node_store.cell store s ~level ~digit = -1 then begin
-            let key = low lor (digit lsl (level * t.bits)) in
-            match Hashtbl.find_opt wit.(level + 1) key with
-            | Some w ->
+          if Node_store.cell store s (cell_pos t level digit) = -1 then begin
+            let w = witness t wit owner ~level ~digit in
+            if w <> -1 then begin
               incr hits;
               if not count_only then
                 Node_store.set store s ~level ~digit (Packed.unsafe_of_int w)
                   Node_store.state_s
-            | None -> ()
+            end
           end
         done
       done
@@ -597,6 +574,7 @@ let make_shard t_params ~shards:_ ~cap =
     switched = 0;
     redirects = 0;
     deferrals = 0;
+    ehdr = 0;
     scratch_seen = Hashtbl.create 64;
     scratch = Intbuf.create ();
   }
@@ -673,15 +651,12 @@ let run ?(jobs = 1) (cfg : config) =
       ensure_meta sh;
       sh.gateway.(xs) <- sid;
       for level = 0 to d - 1 do
-        let low = sid land ((1 lsl (level * t.bits)) - 1) in
         for digit = 0 to b - 1 do
-          if Node_store.cell store xs ~level ~digit = -1 then begin
-            let key = low lor (digit lsl (level * t.bits)) in
-            match Hashtbl.find_opt seed_wit.(level + 1) key with
-            | Some w ->
+          if Node_store.cell store xs (cell_pos t level digit) = -1 then begin
+            let w = witness t seed_wit sid ~level ~digit in
+            if w <> -1 then
               Node_store.set store xs ~level ~digit (Packed.unsafe_of_int w)
                 Node_store.state_s
-            | None -> ()
           end
         done
       done)

@@ -18,10 +18,13 @@ module Codec = Ntcu_core.Codec
 
    On the wire a frame is: kind uvarint, src and dst as standard identifier
    images ({!Codec.put_raw_id} — the same bytes the message codec emits),
-   delta uvarint, then a kind-specific payload of uvarints and ids (all the
-   small fields are < 0x80, so they cost one byte each). Byte counts are
-   therefore honest message-size accounting in the same model as
-   {!Ntcu_core.Message.size_bytes}'s id packing. *)
+   delta uvarint, then a kind-specific payload of uvarints and ids. Kind,
+   delta, level, digit and sign fields cost one byte each (below 0x80 for
+   any d, b < 128). Two fields can take two bytes: a cell's [pos*2+sbit]
+   once [pos >= 64] (level >= 4 in b16/d8), and a cell count from 128 on
+   (a full b16/d8 table). Byte counts are therefore honest message-size
+   accounting in the same model as {!Ntcu_core.Message.size_bytes}'s id
+   packing. *)
 
 let kind_cp_rst = 0
 let kind_cp_rly = 1
@@ -71,57 +74,57 @@ let ctx (p : Params.t) =
 
 (* ---- encoding (outbox intbuf -> bytes) ---- *)
 
-let put_cells c (buf : Intbuf.t) pos w ~count =
+let put_cells c (fr : int array) pos w ~count =
   Codec.put_uvarint w count;
   let p = ref pos in
   for _ = 1 to count do
     (* cell = pos*2+sbit uvarint, then the occupant id *)
-    Codec.put_uvarint w (Intbuf.get buf !p);
-    Codec.put_raw_id w c.codec (Intbuf.get buf (!p + 1));
+    Codec.put_uvarint w fr.(!p);
+    Codec.put_raw_id w c.codec fr.(!p + 1);
     p := !p + 2
   done;
   !p
 
 let encode c (out : Intbuf.t) (w : Buffer.t) =
+  let fr = out.Intbuf.a and n = Intbuf.length out in
   let pos = ref 0 in
-  let n = Intbuf.length out in
   while !pos < n do
-    let nargs = Intbuf.get out !pos in
-    let kind = Intbuf.get out (!pos + 1) in
-    let src = Intbuf.get out (!pos + 2) in
-    let dst = Intbuf.get out (!pos + 3) in
-    let delta = Intbuf.get out (!pos + 4) in
+    let nargs = fr.(!pos) in
+    let kind = fr.(!pos + 1) in
+    let src = fr.(!pos + 2) in
+    let dst = fr.(!pos + 3) in
+    let delta = fr.(!pos + 4) in
     let a = !pos + 5 in
     Codec.put_uvarint w kind;
     Codec.put_raw_id w c.codec src;
     Codec.put_raw_id w c.codec dst;
     Codec.put_uvarint w delta;
-    (if kind = kind_cp_rst then Codec.put_uvarint w (Intbuf.get out a)
+    (if kind = kind_cp_rst then Codec.put_uvarint w fr.(a)
      else if kind = kind_cp_rly then begin
-       Codec.put_uvarint w (Intbuf.get out a);
-       let count = Intbuf.get out (a + 1) in
-       ignore (put_cells c out (a + 2) w ~count)
+       Codec.put_uvarint w fr.(a);
+       let count = fr.(a + 1) in
+       ignore (put_cells c fr (a + 2) w ~count)
      end
      else if kind = kind_join_wait || kind = kind_in_sys_noti then ()
      else if kind = kind_join_wait_rly then begin
-       Codec.put_uvarint w (Intbuf.get out a);
-       Codec.put_raw_id w c.codec (Intbuf.get out (a + 1));
-       let count = Intbuf.get out (a + 2) in
-       ignore (put_cells c out (a + 3) w ~count)
+       Codec.put_uvarint w fr.(a);
+       Codec.put_raw_id w c.codec fr.(a + 1);
+       let count = fr.(a + 2) in
+       ignore (put_cells c fr (a + 3) w ~count)
      end
      else if kind = kind_join_noti || kind = kind_join_noti_rly then begin
-       Codec.put_uvarint w (Intbuf.get out a);
-       let count = Intbuf.get out (a + 1) in
-       ignore (put_cells c out (a + 2) w ~count)
+       Codec.put_uvarint w fr.(a);
+       let count = fr.(a + 1) in
+       ignore (put_cells c fr (a + 2) w ~count)
      end
      else if kind = kind_rv_ngh_noti then begin
-       Codec.put_uvarint w (Intbuf.get out a);
-       Codec.put_uvarint w (Intbuf.get out (a + 1));
-       Codec.put_uvarint w (Intbuf.get out (a + 2))
+       Codec.put_uvarint w fr.(a);
+       Codec.put_uvarint w fr.(a + 1);
+       Codec.put_uvarint w fr.(a + 2)
      end
      else if kind = kind_rv_fix then begin
-       Codec.put_uvarint w (Intbuf.get out a);
-       Codec.put_uvarint w (Intbuf.get out (a + 1))
+       Codec.put_uvarint w fr.(a);
+       Codec.put_uvarint w fr.(a + 1)
      end
      else invalid_arg "Wire.encode: unknown frame kind");
     pos := !pos + 5 + (nargs - 1)

@@ -2,7 +2,8 @@
 
    Node_store is checked against a naive purely-functional model over random
    operation traces; the engine is checked for worker-count independence —
-   the deterministic payload of a run must not depend on --jobs. *)
+   the deterministic payload of a run must not depend on --jobs — and one
+   run's frame stream is pinned to recorded counts. *)
 
 module Params = Ntcu_id.Params
 module Packed = Ntcu_id.Packed
@@ -139,8 +140,8 @@ let model_equiv (seed, ops) =
     | Set (i, level, digit, os, sb) -> (
       let x = pool.(i) in
       match Node_store.find store x with
-      | None -> ()
-      | Some slot ->
+      | -1 -> ()
+      | slot ->
         let occ = occupant_for x ~level ~digit os in
         Node_store.set store slot ~level ~digit occ sb;
         let m = Imap.find (x :> int) !model in
@@ -151,8 +152,8 @@ let model_equiv (seed, ops) =
     | Clear (i, level, digit) -> (
       let x = pool.(i) in
       match Node_store.find store x with
-      | None -> ()
-      | Some slot ->
+      | -1 -> ()
+      | slot ->
         Node_store.clear_cell store slot ~level ~digit;
         let m = Imap.find (x :> int) !model in
         model :=
@@ -162,8 +163,8 @@ let model_equiv (seed, ops) =
     | SetState (i, level, digit, sb) -> (
       let x = pool.(i) in
       match Node_store.find store x with
-      | None -> ()
-      | Some slot ->
+      | -1 -> ()
+      | slot ->
         let m = Imap.find (x :> int) !model in
         if Cmap.mem (level, digit) m.mcells then begin
           Node_store.set_state store slot ~level ~digit sb;
@@ -176,8 +177,8 @@ let model_equiv (seed, ops) =
     | FillSelf (i, sb) -> (
       let x = pool.(i) in
       match Node_store.find store x with
-      | None -> ()
-      | Some slot ->
+      | -1 -> ()
+      | slot ->
         Node_store.fill_self store slot sb;
         let m = Imap.find (x :> int) !model in
         let cells = ref m.mcells in
@@ -194,8 +195,8 @@ let model_equiv (seed, ops) =
        (fun xi m ->
          let x = Packed.unsafe_of_int xi in
          match Node_store.find store x with
-         | None -> false
-         | Some slot ->
+         | -1 -> false
+         | slot ->
            Packed.equal (Node_store.id_of store slot) x
            && Node_store.status store slot = m.mstatus
            && Node_store.filled_count store slot = Cmap.cardinal m.mcells
@@ -203,11 +204,11 @@ let model_equiv (seed, ops) =
                 (fun level ->
                   List.for_all
                     (fun digit ->
-                      let got = Node_store.cell store slot ~level ~digit in
+                      let pos = (level * p.Params.b) + digit in
+                      let got = Node_store.cell store slot pos in
                       match Cmap.find_opt (level, digit) m.mcells with
                       | None -> got = -1
-                      | Some (occ, sb) ->
-                        got = occ && Node_store.state store slot ~level ~digit = sb)
+                      | Some (occ, sb) -> got = occ && Node_store.state store slot pos = sb)
                     (List.init p.Params.b Fun.id))
                 (List.init p.Params.d Fun.id))
        !model
@@ -272,14 +273,23 @@ let test_config =
     max_epochs = 10_000;
   }
 
+(* b = 10 is not a power of two, so every id crossing a shard goes through
+   the decoder's digit check. *)
+let decimal_config = { test_config with Scale.params = Params.make ~b:10 ~d:6 }
+
 let jobs_independence () =
-  let r1 = Scale_bench.measure ~jobs:1 test_config in
-  let r4 = Scale_bench.measure ~jobs:4 test_config in
-  check Alcotest.bool "jobs=1 ok" true (Scale_bench.ok r1);
-  check Alcotest.bool "jobs=4 ok" true (Scale_bench.ok r4);
-  check Alcotest.string "payload byte-identical"
-    (Ntcu_harness.Report.Json.to_string (Scale_bench.payload_json r1))
-    (Ntcu_harness.Report.Json.to_string (Scale_bench.payload_json r4))
+  List.iter
+    (fun (config : Scale.config) ->
+      let r1 = Scale_bench.measure ~jobs:1 config in
+      let r4 = Scale_bench.measure ~jobs:4 config in
+      let b = config.params.Params.b in
+      check Alcotest.bool (Printf.sprintf "jobs=1 ok (b=%d)" b) true (Scale_bench.ok r1);
+      check Alcotest.bool (Printf.sprintf "jobs=4 ok (b=%d)" b) true (Scale_bench.ok r4);
+      check Alcotest.string
+        (Printf.sprintf "payload byte-identical (b=%d)" b)
+        (Ntcu_harness.Report.Json.to_string (Scale_bench.payload_json r1))
+        (Ntcu_harness.Report.Json.to_string (Scale_bench.payload_json r4)))
+    [ test_config; decimal_config ]
 
 let completes_and_checks () =
   let r = Scale_bench.measure ~jobs:2 test_config in
@@ -293,6 +303,56 @@ let completes_and_checks () =
   check Alcotest.bool "events partitioned over shards" true
     (Array.fold_left ( + ) 0 s.Scale.shard_events = s.Scale.events)
 
+(* ---- pinned frame stream ---- *)
+
+(* A smoke-sized run in the paper's space. Every count below is a function
+   of the frames the engine emits and the bytes Wire puts on the barrier, so
+   a change to any frame, byte or delivery order moves at least one. *)
+let pinned_config =
+  {
+    Scale.params = p;
+    n = 2000;
+    seeds = 128;
+    seed = 1;
+    shards = 16;
+    inject_per_epoch = 512;
+    max_epochs = 1_000_000;
+  }
+
+let frame_stream_pinned () =
+  let s = Scale.run ~jobs:1 pinned_config in
+  let int = Alcotest.int in
+  check int "events" 188_790 s.Scale.events;
+  check
+    Alcotest.(list (pair string int))
+    "per-kind counts"
+    [
+      ("cp_rst", 4908);
+      ("cp_rly", 4908);
+      ("join_wait", 2808);
+      ("join_wait_rly", 2808);
+      ("join_noti", 61_136);
+      ("join_noti_rly", 61_136);
+      ("in_sys_noti", 15_296);
+      ("rv_ngh_noti", 25_543);
+      ("rv_fix", 10_247);
+    ]
+    s.Scale.kind_counts;
+  check int "epochs" 48 s.Scale.epochs;
+  check int "cross_batches" 7210 s.Scale.cross_batches;
+  check int "cross_bytes" 3_082_382 s.Scale.cross_bytes;
+  check int "redirects" 927 s.Scale.redirects;
+  check int "deferrals" 628 s.Scale.deferrals;
+  check int "stabilize_fills" 657 s.Scale.stabilize_fills;
+  check
+    Alcotest.(array int)
+    "shard_events"
+    [|
+      12_451; 11_830; 11_385; 11_433; 10_237; 12_100; 9971; 10_465; 11_172; 12_667;
+      14_551; 12_393; 11_985; 11_868; 11_333; 12_949;
+    |]
+    s.Scale.shard_events
+
 let suites =
   [
     ( "scale",
@@ -303,5 +363,6 @@ let suites =
         Alcotest.test_case "reverse-pointer lists" `Quick reverse_lists;
         Alcotest.test_case "payload independent of --jobs" `Quick jobs_independence;
         Alcotest.test_case "run completes consistent" `Quick completes_and_checks;
+        Alcotest.test_case "frame stream pinned (b=16, d=8)" `Quick frame_stream_pinned;
       ] );
   ]

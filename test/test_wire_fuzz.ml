@@ -1,6 +1,9 @@
 (* QCheck fuzzing of the sharded engine's cross-shard batch codec
-   (Ntcu_scale.Wire). Three properties, each over random frame sequences in
-   both a power-of-two and a non-power-of-two digit base:
+   (Ntcu_scale.Wire). Four properties, each over random frame sequences in
+   power-of-two and non-power-of-two digit bases, including the paper's
+   simulated space (b = 16, d = 8: 4-byte ids, two-byte varints for cell
+   positions at level >= 4 and for a full 128-cell count) and an 8-byte-id
+   space (b = 16, d = 15):
 
    - round-trip: encode then decode reproduces every frame, in order, in the
      ring slot its delivery delta selects, with outbox headers rewritten to
@@ -9,7 +12,10 @@
      yields exactly the frames whose bytes survived (a cut can only succeed
      on a frame boundary);
    - bit-flip: decoding a corrupted batch either succeeds or raises
-     [Codec.Malformed] — never any other exception. The decoder is total. *)
+     [Codec.Malformed] — never any other exception. The decoder is total;
+   - byte identity: the batch bytes equal those of a plain per-byte
+     encoder, kept here as the reference for the chunked id and one-byte
+     varint paths. *)
 
 module Params = Ntcu_id.Params
 module Packed = Ntcu_id.Packed
@@ -23,6 +29,9 @@ let qtest ?(count = 300) name gen prop =
 
 let p_pow2 = Params.make ~b:4 ~d:6
 let p_odd = Params.make ~b:3 ~d:5 (* non-power-of-two: digit patterns can be invalid *)
+let p_paper = Params.paper_sim_d8
+let p_wide = Params.make ~b:16 ~d:15 (* 60-bit ids: two 4-byte chunks *)
+let p_dec = Params.make ~b:10 ~d:9 (* 5-byte ids: one chunk, one single byte *)
 
 (* ---- generators: frames in outbox layout [nargs; kind; src; dst; delta; payload] ---- *)
 
@@ -39,7 +48,7 @@ let frame_gen (p : Params.t) =
   in
   let cells =
     G.(
-      int_range 0 4 >>= fun n ->
+      int_range 0 (p.d * p.b) >>= fun n ->
       map (fun cs -> n :: List.concat cs) (list_size (return n) cell))
   in
   let level = G.int_range 0 (p.d - 1) in
@@ -135,6 +144,63 @@ let truncation p (frames, cut) =
            [ 1; 2; 3 ]
   end
 
+(* The per-byte encoder the chunked one replaced: every id byte and every
+   varint byte is written on its own. *)
+let reference_encode (p : Params.t) frames =
+  let idb = ((p.d * Packed.bits_per_digit p.b) + 7) / 8 in
+  let w = Buffer.create 256 in
+  let uvarint v =
+    let v = ref v in
+    while !v >= 0x80 do
+      Buffer.add_char w (Char.chr ((!v land 0x7f) lor 0x80));
+      v := !v lsr 7
+    done;
+    Buffer.add_char w (Char.chr !v)
+  in
+  let id v =
+    let v = ref v in
+    for _ = 1 to idb do
+      Buffer.add_char w (Char.chr (!v land 0xff));
+      v := !v lsr 8
+    done
+  in
+  let rec cell_pairs = function
+    | ps :: occ :: rest ->
+      uvarint ps;
+      id occ;
+      cell_pairs rest
+    | _ -> ()
+  in
+  let cells = function
+    | count :: pairs ->
+      uvarint count;
+      cell_pairs pairs
+    | [] -> assert false
+  in
+  List.iter
+    (function
+      | _nargs :: kind :: src :: dst :: delta :: payload -> (
+        uvarint kind;
+        id src;
+        id dst;
+        uvarint delta;
+        match payload with
+        | first :: rest
+          when kind = Wire.kind_cp_rly || kind = Wire.kind_join_noti
+               || kind = Wire.kind_join_noti_rly ->
+          uvarint first;
+          cells rest
+        | sign :: occ :: rest when kind = Wire.kind_join_wait_rly ->
+          uvarint sign;
+          id occ;
+          cells rest
+        | fields -> List.iter uvarint fields)
+      | _ -> assert false)
+    frames;
+  Buffer.contents w
+
+let byte_identity p frames = String.equal (encode p frames) (reference_encode p frames)
+
 let bitflip p (frames, at, bit) =
   let data = encode p frames in
   if String.length data = 0 then true
@@ -164,9 +230,21 @@ let suites =
       [
         qtest "round-trip (b=4)" (arb_frames p_pow2) (roundtrip p_pow2);
         qtest "round-trip (b=3)" (arb_frames p_odd) (roundtrip p_odd);
+        qtest "round-trip (d=8, b=16)" (arb_frames p_paper) (roundtrip p_paper);
+        qtest "round-trip (d=15, b=16)" (arb_frames p_wide) (roundtrip p_wide);
         qtest "truncation total (b=4)" (with_cut p_pow2) (truncation p_pow2);
         qtest "truncation total (b=3)" (with_cut p_odd) (truncation p_odd);
+        qtest "truncation (d=8, b=16)" (with_cut p_paper) (truncation p_paper);
+        qtest "truncation (d=15, b=16)" (with_cut p_wide) (truncation p_wide);
         qtest "bit-flip total (b=4)" (with_flip p_pow2) (bitflip p_pow2);
         qtest "bit-flip total (b=3)" (with_flip p_odd) (bitflip p_odd);
-      ] );
+        qtest "bit-flip (d=8, b=16)" (with_flip p_paper) (bitflip p_paper);
+        qtest "bit-flip (d=15, b=16)" (with_flip p_wide) (bitflip p_wide);
+      ]
+      @ List.map
+          (fun (p : Params.t) ->
+            qtest
+              (Printf.sprintf "bytes as per-byte (d=%d, b=%d)" p.d p.b)
+              (arb_frames p) (byte_identity p))
+          [ p_pow2; p_odd; p_paper; p_wide; p_dec ] );
   ]
