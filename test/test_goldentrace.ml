@@ -9,7 +9,10 @@
 
    A second fixture pins the churn extension the same way: the result JSON
    of the churn smoke run (repair and leave counters included) and the
-   digest of its delivery trace.
+   digest of its delivery trace. A third pins serving under churn: the
+   result JSON of the serve smoke composed with the churn smoke, whose
+   per-tick maintenance and lookup counts depend on every root path the
+   directory walked.
 
    To regenerate after an intentional behaviour change (a fixture is
    written only when NTCU_GOLDEN_OUT names its file):
@@ -18,6 +21,8 @@
        dune exec test/test_main.exe -- test goldentrace
      NTCU_GOLDEN_OUT=$PWD/test/golden_churn.expected \
        dune exec test/test_main.exe -- test goldenchurn
+     NTCU_GOLDEN_OUT=$PWD/test/golden_serve.expected \
+       dune exec test/test_main.exe -- test goldenserve
 *)
 
 module Trace = Ntcu_sim.Trace
@@ -25,6 +30,7 @@ module Network = Ntcu_core.Network
 module Experiment = Ntcu_harness.Experiment
 
 module Churn = Ntcu_churn.Churn
+module Serve = Ntcu_serve.Serve
 module Json = Ntcu_harness.Report.Json
 
 let read_lines file =
@@ -44,11 +50,13 @@ let read_lines file =
 
 let fixture_file = "golden_trace.expected"
 let churn_fixture_file = "golden_churn.expected"
+let serve_fixture_file = "golden_serve.expected"
 
 (* Read at module load, before the test framework runs, so the relative paths
    resolve in dune's sandbox (the fixtures are declared test dependencies). *)
 let fixture_lines = read_lines fixture_file
 let churn_fixture_lines = read_lines churn_fixture_file
+let serve_fixture_lines = read_lines serve_fixture_file
 
 (* Write [lines] to NTCU_GOLDEN_OUT when it names [file]; true iff written. *)
 let regenerate ~file lines =
@@ -159,6 +167,21 @@ let churn_reproduces_fixture () =
     Printf.printf "regenerated %s (%d lines)\n" churn_fixture_file (List.length lines);
   check_lines ~file:churn_fixture_file ~what:"churn result" churn_fixture_lines lines
 
+(* Serving under churn runs [Directory.maintain], [locate] and
+   re-replication over tables that repair keeps rewriting. A changed root
+   path moves a trail, and with it the revalidated, republished and
+   publish-hop counts of the tick that walked it. *)
+let serve_lines () =
+  let run = Serve.under_churn Serve.smoke Churn.smoke in
+  String.split_on_char '\n' (Json.to_string (Serve.churn_run_json run))
+
+let serve_reproduces_fixture () =
+  let lines = serve_lines () in
+  if regenerate ~file:serve_fixture_file lines then
+    Printf.printf "regenerated %s (%d lines)\n" serve_fixture_file (List.length lines);
+  check_lines ~file:serve_fixture_file ~what:"serve-under-churn result" serve_fixture_lines
+    lines
+
 let suites =
   [
     ( "goldentrace",
@@ -169,4 +192,6 @@ let suites =
       ] );
     ( "goldenchurn",
       [ Alcotest.test_case "reproduces fixture" `Quick churn_reproduces_fixture ] );
+    ( "goldenserve",
+      [ Alcotest.test_case "reproduces fixture" `Quick serve_reproduces_fixture ] );
   ]
