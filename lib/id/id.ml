@@ -1,7 +1,38 @@
-(* An identifier is stored as its digit array, index 0 = rightmost digit.
-   The array is never mutated after construction. *)
+(* An identifier is its digit array, index 0 = rightmost digit, never
+   mutated after construction, plus two values computed from it once:
+   - [hash], the FNV-1a fold of [fnv];
+   - [key], the [key_digits] most significant digits (all of them when
+     [d <= key_digits]), [key_bits] bits each, the most significant highest.
+     Bases are at most 36, so ten digits fit the tagged-int range, and
+     integer order on keys is the textual order of those digits. [equal]
+     and [compare] read the array only when the keys are equal. *)
 
-type t = int array
+type t = { hash : int; key : int; digits : int array }
+
+let key_digits = 10
+let key_bits = 6
+
+(* Deterministic FNV-1a fold over the digit sequence. [Packed.hash] replays
+   the same fold over its shift/mask digits, so the two representations of an
+   identifier agree as hash-table keys; the 30-bit mask keeps the fold inside
+   the tagged-int range on every word size. *)
+let fnv digits =
+  let h = ref 0x811c9dc5 in
+  for i = 0 to Array.length digits - 1 do
+    h := (!h lxor digits.(i)) * 0x01000193 land 0x3FFFFFFF
+  done;
+  !h
+
+let pack_key digits =
+  let d = Array.length digits in
+  let key = ref 0 in
+  for i = d - 1 downto max 0 (d - key_digits) do
+    key := (!key lsl key_bits) lor digits.(i)
+  done;
+  !key
+
+(* Takes ownership of [digits]. *)
+let of_digits digits = { hash = fnv digits; key = pack_key digits; digits }
 
 let digit_of_char c =
   match c with
@@ -25,7 +56,7 @@ let validate (p : Params.t) digits =
 
 let make p digits =
   validate p digits;
-  Array.copy digits
+  of_digits (Array.copy digits)
 
 let of_string (p : Params.t) s =
   if String.length s <> p.d then
@@ -34,31 +65,38 @@ let of_string (p : Params.t) s =
   (* Character 0 of the string is the most significant digit, i.e. index d-1. *)
   let digits = Array.init p.d (fun i -> digit_of_char s.[p.d - 1 - i]) in
   validate p digits;
-  digits
+  of_digits digits
 
 let to_string x =
-  let d = Array.length x in
-  String.init d (fun i -> char_of_digit x.(d - 1 - i))
+  let d = Array.length x.digits in
+  String.init d (fun i -> char_of_digit x.digits.(d - 1 - i))
 
-let length = Array.length
+let length x = Array.length x.digits
 
-let digit x i = x.(i)
+let digit x i = x.digits.(i)
+
+(* The digit loops below are top-level functions of their arrays, so a call
+   allocates no closure. *)
+
+(* Index of the first digit, counting up from [i], where [x] and [y]
+   differ, or [d]. *)
+let rec first_diff x y d i = if i < d && x.(i) = y.(i) then first_diff x y d (i + 1) else i
 
 let csuf_len x y =
-  let d = Array.length x in
-  let rec go i = if i < d && x.(i) = y.(i) then go (i + 1) else i in
-  go 0
+  let d = Array.length x.digits in
+  if x == y then d else first_diff x.digits y.digits d 0
 
-let suffix x k = Array.sub x 0 k
+let suffix x k = Array.sub x.digits 0 k
+
+(* Do [x] and [y] agree on digits [i] down to 0? *)
+let rec same_below x y i = i < 0 || (x.(i) = y.(i) && same_below x y (i - 1))
 
 let has_suffix x suf =
   let k = Array.length suf in
-  k <= Array.length x
-  &&
-  let rec go i = i >= k || (x.(i) = suf.(i) && go (i + 1)) in
-  go 0
+  k <= Array.length x.digits && same_below x.digits suf (k - 1)
 
-let random rng (p : Params.t) = Array.init p.d (fun _ -> Ntcu_std.Rng.int rng p.b)
+let random rng (p : Params.t) =
+  of_digits (Array.init p.d (fun _ -> Ntcu_std.Rng.int rng p.b))
 
 let random_with_suffix rng (p : Params.t) suf =
   let k = Array.length suf in
@@ -67,42 +105,37 @@ let random_with_suffix rng (p : Params.t) suf =
     (fun v ->
       if v < 0 || v >= p.b then invalid_arg "Id.random_with_suffix: digit out of range")
     suf;
-  Array.init p.d (fun i -> if i < k then suf.(i) else Ntcu_std.Rng.int rng p.b)
+  of_digits (Array.init p.d (fun i -> if i < k then suf.(i) else Ntcu_std.Rng.int rng p.b))
 
-(* Monomorphic digit loop with a physical-equality fast path: identifiers are
-   hash-table keys on the message delivery path, where the generic structural
-   comparison shows up in profiles. *)
-let equal (x : t) (y : t) =
+(* Identifiers are hash-table keys on the message delivery path. Equal keys
+   and hashes leave only the digits below the key to compare, none at all
+   when [d <= key_digits]. *)
+let equal x y =
   x == y
-  ||
-  let d = Array.length x in
-  d = Array.length y
-  &&
-  let rec go i = i >= d || (x.(i) = y.(i) && go (i + 1)) in
-  go 0
+  || x.key = y.key
+     && x.hash = y.hash
+     &&
+     let d = Array.length x.digits in
+     d = Array.length y.digits && same_below x.digits y.digits (d - key_digits - 1)
 
-let compare (x : t) (y : t) =
-  (* Most-significant-digit-first order, matching the textual order. *)
-  let d = Array.length x in
-  let rec go i =
-    if i < 0 then 0
-    else begin
-      let c = Int.compare x.(i) y.(i) in
-      if c <> 0 then c else go (i - 1)
-    end
-  in
-  go (d - 1)
+(* [compare] of the digits [i] down to 0, most significant first. *)
+let rec compare_below x y i =
+  if i < 0 then 0
+  else begin
+    let c = Int.compare x.(i) y.(i) in
+    if c <> 0 then c else compare_below x y (i - 1)
+  end
 
-(* Deterministic FNV-1a fold over the digit sequence. [Packed.hash] replays
-   the same fold over its shift/mask digits, so the two representations of an
-   identifier agree as hash-table keys; the 30-bit mask keeps the fold inside
-   the tagged-int range on every word size. *)
-let hash (x : t) =
-  let h = ref 0x811c9dc5 in
-  for i = 0 to Array.length x - 1 do
-    h := (!h lxor x.(i)) * 0x01000193 land 0x3FFFFFFF
-  done;
-  !h
+(* Most-significant-digit-first order, matching the textual order. *)
+let compare x y =
+  if x == y then 0
+  else begin
+    let c = Int.compare x.key y.key in
+    if c <> 0 then c
+    else compare_below x.digits y.digits (Array.length x.digits - key_digits - 1)
+  end
+
+let hash x = x.hash
 
 let pp ppf x = Fmt.string ppf (to_string x)
 

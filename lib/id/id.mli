@@ -6,7 +6,11 @@
     suffix matching. *)
 
 type t
-(** Immutable identifier. *)
+(** Immutable identifier. Besides its digits it caches two values, computed
+    once when it is built: its {!hash}, and its ten most significant digits
+    (all of them when [d <= 10]) packed into one int. So {!hash} is a field
+    read, and {!equal} and {!compare} cost one int comparison for ids whose
+    ten leading digits differ. *)
 
 val make : Params.t -> int array -> t
 (** [make p digits] builds an identifier from [digits], where [digits.(i)] is
@@ -54,7 +58,8 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 
 (** Deterministic FNV-1a fold over the digit sequence — independent of the
-    in-memory representation and in lockstep with {!Packed.hash}. *)
+    in-memory representation and in lockstep with {!Packed.hash}. Cached:
+    reading it costs no digit loop. *)
 val hash : t -> int
 val pp : t Fmt.t
 

@@ -114,6 +114,153 @@ let pp_suffix_renders () =
   check Alcotest.string "suffix text" "261" (Fmt.str "%a" Id.pp_suffix [| 1; 6; 2 |]);
   check Alcotest.string "empty suffix" "" (Fmt.str "%a" Id.pp_suffix [||])
 
+(* ---- Digit-array reference ----
+
+   [Id.t] caches its hash and its ten leading digits packed into one int.
+   The reference works on the bare digit array (index 0 = rightmost digit)
+   with each operation written out directly, as [Id] computed it before the
+   cache. *)
+module Ref = struct
+  let equal x y = Array.length x = Array.length y && Array.for_all2 Int.equal x y
+
+  let compare x y =
+    let rec go i =
+      if i < 0 then 0
+      else begin
+        let c = Int.compare x.(i) y.(i) in
+        if c <> 0 then c else go (i - 1)
+      end
+    in
+    go (Array.length x - 1)
+
+  let hash x =
+    Array.fold_left (fun h v -> (h lxor v) * 0x01000193 land 0x3FFFFFFF) 0x811c9dc5 x
+
+  let csuf_len x y =
+    let d = Array.length x in
+    let rec go i = if i < d && x.(i) = y.(i) then go (i + 1) else i in
+    go 0
+
+  let suffix x k = Array.sub x 0 k
+
+  let has_suffix x suf =
+    let k = Array.length suf in
+    k <= Array.length x && equal (suffix x k) suf
+
+  let to_string x =
+    let d = Array.length x in
+    String.init d (fun i -> "0123456789abcdefghijklmnopqrstuvwxyz".[x.(d - 1 - i)])
+end
+
+(* Where the key covers every digit (d <= 10) and where it covers only the
+   top ten. *)
+let ref_spaces =
+  [
+    Params.make ~b:16 ~d:8;
+    Params.make ~b:2 ~d:10;
+    Params.make ~b:16 ~d:40;
+    Params.make ~b:36 ~d:64;
+  ]
+
+(* A pair of digit arrays of one of five kinds: independent; sharing the ten
+   leading digits and differing below them (equal when d <= 10); equal but
+   separately built; differing only in digit 0; sharing a random-length
+   suffix. *)
+let ref_pair rng (p : Params.t) kind =
+  let draw () = Array.init p.d (fun _ -> Rng.int rng p.b) in
+  let a = draw () in
+  let b = Array.copy a in
+  (match kind with
+  | 0 -> Array.blit (draw ()) 0 b 0 p.d
+  | 1 ->
+    let below = p.d - 10 in
+    if below > 0 then begin
+      Array.blit (draw ()) 0 b 0 below;
+      let i = Rng.int rng below in
+      b.(i) <- (a.(i) + 1 + Rng.int rng (p.b - 1)) mod p.b
+    end
+  | 2 -> ()
+  | 3 -> b.(0) <- (a.(0) + 1 + Rng.int rng (p.b - 1)) mod p.b
+  | _ ->
+    let k = Rng.int rng p.d in
+    Array.blit (draw ()) k b k (p.d - k));
+  (a, b)
+
+let sign c = Int.compare c 0
+
+let agrees_with_reference (p : Params.t) a b =
+  let x = Id.make p a and y = Id.make p b in
+  let ctx = Fmt.str "%s vs %s" (Ref.to_string a) (Ref.to_string b) in
+  let int what = check Alcotest.int (what ^ " " ^ ctx) in
+  let bool what = check Alcotest.bool (what ^ " " ^ ctx) in
+  bool "equal" (Ref.equal a b) (Id.equal x y);
+  bool "equal, swapped" (Ref.equal a b) (Id.equal y x);
+  int "compare" (sign (Ref.compare a b)) (sign (Id.compare x y));
+  int "compare, swapped" (sign (Ref.compare b a)) (sign (Id.compare y x));
+  int "hash" (Ref.hash a) (Id.hash x);
+  let k = Ref.csuf_len a b in
+  int "csuf_len" k (Id.csuf_len x y);
+  check (Alcotest.array Alcotest.int) ("suffix " ^ ctx) (Ref.suffix a k) (Id.suffix x k);
+  List.iter
+    (fun k ->
+      let suf = Ref.suffix b k in
+      bool (Fmt.str "has_suffix %d" k) (Ref.has_suffix a suf) (Id.has_suffix x suf))
+    (if k < p.d then [ k; k + 1 ] else [ k ]);
+  Array.iteri (fun i v -> int (Fmt.str "digit %d" i) v (Id.digit x i)) a;
+  check Alcotest.string "to_string" (Ref.to_string a) (Id.to_string x)
+
+(* Two different digit arrays with the same ten leading digits and the same
+   hash, found by a birthday search over the digits below those ten: only
+   the digit loop can tell them apart. Needs [d > 10]. *)
+let hash_collision rng (p : Params.t) =
+  let top = Array.init p.d (fun _ -> Rng.int rng p.b) in
+  let seen = Hashtbl.create 65536 in
+  let rec go () =
+    let a = Array.copy top in
+    for i = 0 to p.d - 11 do
+      a.(i) <- Rng.int rng p.b
+    done;
+    let h = Ref.hash a in
+    match Hashtbl.find_opt seen h with
+    | Some b when not (Ref.equal a b) -> (a, b)
+    | Some _ | None ->
+      Hashtbl.replace seen h a;
+      go ()
+  in
+  go ()
+
+let matches_reference () =
+  let rng = Rng.create 11 in
+  List.iter
+    (fun (p : Params.t) ->
+      for kind = 0 to 4 do
+        for _ = 1 to 200 do
+          let a, b = ref_pair rng p kind in
+          agrees_with_reference p a b
+        done
+      done;
+      if p.d > 10 then begin
+        let a, b = hash_collision rng p in
+        agrees_with_reference p a b
+      end)
+    ref_spaces
+
+(* [Id.Tbl] buckets, and so its iteration order wherever a fold carries a
+   D002 allow, follow these values. They are the digit-array fold's. *)
+let hash_pinned () =
+  List.iter
+    (fun (b, d, s, h) ->
+      check Alcotest.int s h (Id.hash (Id.of_string (Params.make ~b ~d) s)))
+    [
+      (16, 8, "0123abcd", 804021121);
+      (2, 10, "1011001110", 441742073);
+      (16, 40, "0123456789abcdef0123456789abcdeffedcba98", 679820541);
+      ( 36,
+        64,
+        "0123456789abcdefghijklmnopqrstuvwxyz0123456789abcdefghijklmnopqr",
+        556485453 );
+    ]
+
 let suites =
   [
     ( "id",
@@ -127,6 +274,8 @@ let suites =
         Alcotest.test_case "random_with_suffix" `Quick random_with_suffix_respects;
         Alcotest.test_case "sets and tables" `Quick set_map_usable;
         Alcotest.test_case "pp_suffix" `Quick pp_suffix_renders;
+        Alcotest.test_case "matches digit-array reference" `Quick matches_reference;
+        Alcotest.test_case "hash pinned" `Quick hash_pinned;
         csuf_symmetric;
         csuf_reflexive;
         csuf_equal_iff_d;
