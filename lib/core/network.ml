@@ -320,6 +320,10 @@ let live_ids t = List.filter (fun id -> not (is_failed t id)) (ids t)
 
 let failed_ids t = List.filter (is_failed t) (ids t)
 
+(* [fail] takes only registered nodes and [remove] forgets the failure, so
+   [failed] is a subset of the registry. *)
+let live_count t = size t - Id.Tbl.length t.failed
+
 let nodes t = List.map (fun id -> node_exn t id) (live_ids t)
 
 let joiners t = List.filter Node.is_joiner (nodes t)

@@ -118,6 +118,10 @@ val failed_ids : t -> Ntcu_id.Id.t list
 (** Registration-ordered ids of crashed nodes still registered — the
     not-yet-reaped population a steady-state maintenance loop probes. *)
 
+val live_count : t -> int
+(** Registered nodes minus failed ones: the length of {!live_ids}, without
+    building the list. *)
+
 val removed_count : t -> int
 (** Total {!remove} calls — graceful departures (plus crash reaping). *)
 

@@ -531,8 +531,8 @@ let scrub_peer t peer acts =
   Table.remove_backup t.table peer;
   Table.remove_reverse t.table peer;
   let holes =
-    Table.fold t.table ~init:[] ~f:(fun acc ~level ~digit n _ ->
-        if Id.equal n peer then (level, digit) :: acc else acc)
+    Table.fold_holding t.table peer ~init:[] ~f:(fun acc ~level ~digit ->
+        (level, digit) :: acc)
   in
   let acts =
     List.fold_left

@@ -111,25 +111,18 @@ let repair_at t ~v ~leaver ~replacements =
   | None -> ()
   | Some vnode ->
     let tv = Node.table vnode in
-    let p = Table.params tv in
-    for level = 0 to p.d - 1 do
-      for digit = 0 to p.b - 1 do
-        match Table.neighbor tv ~level ~digit with
-        | Some occupant when Id.equal occupant leaver -> (
-          let install = Repair.install t.net tv ~level ~digit in
-          match replacements.(level) with
-          | Some r when usable t r ->
-            t.installed <- t.installed + 1;
-            install r
-          | Some _ | None ->
-            Table.clear tv ~level ~digit;
-            (* Leaving nodes (including the leaver, still registered until
-               its acknowledgements arrive) are not valid candidates. *)
-            let exclude cand = Id.Tbl.mem t.leaving cand in
-            Repair.refill ~exclude t.net t.tally tv ~level ~digit ~fill:install)
-        | Some _ | None -> ()
-      done
-    done;
+    Table.fold_holding tv leaver ~init:() ~f:(fun () ~level ~digit ->
+        let install = Repair.install t.net tv ~level ~digit in
+        match replacements.(level) with
+        | Some r when usable t r ->
+          t.installed <- t.installed + 1;
+          install r
+        | Some _ | None ->
+          Table.clear tv ~level ~digit;
+          (* Leaving nodes (including the leaver, still registered until its
+             acknowledgements arrive) are not valid candidates. *)
+          let exclude cand = Id.Tbl.mem t.leaving cand in
+          Repair.refill ~exclude t.net t.tally tv ~level ~digit ~fill:install);
     Table.remove_reverse tv leaver;
     Table.remove_backup tv leaver
 

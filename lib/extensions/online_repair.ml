@@ -41,11 +41,10 @@ let report t =
     tables_consulted = t.tally.tables_consulted;
   }
 
-(* Positions in [node]'s table occupied by [suspect]. *)
+(* Positions in [node]'s table occupied by [suspect], highest level first. *)
 let holes_of node suspect =
-  let table = Node.table node in
-  Table.fold table ~init:[] ~f:(fun acc ~level ~digit n _ ->
-      if Id.equal n suspect then (level, digit) :: acc else acc)
+  Table.fold_holding (Node.table node) suspect ~init:[] ~f:(fun acc ~level ~digit ->
+      (level, digit) :: acc)
 
 let on_suspicion t ~reporter:_ ~suspect =
   if not (Id.Tbl.mem t.seen suspect) then begin

@@ -43,7 +43,10 @@ val find_live :
     A miss is settled from the live membership before any table is read, as
     no tier can find a carrier the membership lacks. Its [tables_consulted]
     is still the escalation's full count, taken without building or scanning
-    the rings, so repair-cost figures do not depend on the shortcut. *)
+    the rings, so repair-cost figures do not depend on the shortcut. The
+    rings hold distinct live nodes other than the owner, so the count stops
+    as soon as it has counted every one of them
+    ({!Ntcu_core.Network.live_count}, less the owner when live). *)
 
 val pp_outcome : outcome Fmt.t
 

@@ -30,7 +30,7 @@ type cache_stats = {
 type t = {
   lookup : Id.t -> Table.t option;
   (* node -> (object -> storers) *)
-  pointers : (Id.t, Id.t list ref) Hashtbl.t Id.Tbl.t;
+  pointers : Id.t list ref Id.Tbl.t Id.Tbl.t;
   (* object -> (storer, pointer trail storer..root).  Invariant: the pointer
      index holds exactly the entries of these trails, so removal never needs
      a global scan. *)
@@ -123,7 +123,7 @@ let cache_insert c obj storers =
 (* Bindings of an object-keyed table in ascending Id order: Hashtbl iteration
    order is unspecified, so every consumer that sees a list gets it sorted. *)
 let sorted_bindings tbl =
-  (Hashtbl.fold [@ntcu.allow "D002"]) (fun obj v acc -> (obj, v) :: acc) tbl []
+  (Id.Tbl.fold [@ntcu.allow "D002"]) (fun obj v acc -> (obj, v) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Id.compare a b)
 
 (* One surrogate-routing step from [table]'s owner towards [obj], resolving
@@ -132,35 +132,42 @@ let sorted_bindings tbl =
    entries can dangle towards departed nodes until repair catches up, and the
    directory must route around them rather than die on them (on a consistent
    network every entry resolves and the scan is the plain PRR one). The
-   always-live self-entry guarantees the scan terminates. *)
+   always-live self-entry guarantees the scan terminates; it resolves to
+   [table] itself without a lookup. Returns the next hop with its table. *)
 let surrogate_hop t table ~obj ~level =
   let p = Table.params table in
+  let self = Table.owner table in
   let rec scan tried j =
     if tried >= p.b then None
     else begin
       match Table.neighbor table ~level ~digit:j with
-      | Some n when Option.is_some (t.lookup n) -> Some n
-      | Some _ | None -> scan (tried + 1) ((j + 1) mod p.b)
+      | Some n when Id.equal n self -> Some (n, table)
+      | Some n -> (
+        match t.lookup n with
+        | Some next -> Some (n, next)
+        | None -> scan (tried + 1) ((j + 1) mod p.b))
+      | None -> scan (tried + 1) ((j + 1) mod p.b)
     end
   in
   scan 0 (Id.digit obj level)
 
+(* Each hop's table is looked up once, when the previous hop's scan
+   resolves it. *)
 let root_path t ~from obj =
-  let rec go current level acc =
-    match t.lookup current with
-    | None -> Error (Route.Unknown_node current)
-    | Some table ->
-      let p = Table.params table in
-      if level >= p.d then Ok (List.rev (current :: acc))
-      else begin
-        match surrogate_hop t table ~obj ~level with
-        | None -> Error (Route.Dead_end { at = current; level })
-        | Some next ->
-          if Id.equal next current then go current (level + 1) acc
-          else go next (level + 1) (current :: acc)
-      end
+  let rec go current table level acc =
+    let p = Table.params table in
+    if level >= p.d then Ok (List.rev (current :: acc))
+    else begin
+      match surrogate_hop t table ~obj ~level with
+      | None -> Error (Route.Dead_end { at = current; level })
+      | Some (next, next_table) ->
+        if Id.equal next current then go current table (level + 1) acc
+        else go next next_table (level + 1) (current :: acc)
+    end
   in
-  go from 0 []
+  match t.lookup from with
+  | None -> Error (Route.Unknown_node from)
+  | Some table -> go from table 0 []
 
 let root_of t ~from obj =
   match root_path t ~from obj with
@@ -177,7 +184,7 @@ let node_pointers t node =
   match Id.Tbl.find_opt t.pointers node with
   | Some tbl -> tbl
   | None ->
-    let tbl = Hashtbl.create 8 in
+    let tbl = Id.Tbl.create 8 in
     Id.Tbl.add t.pointers node tbl;
     tbl
 
@@ -185,24 +192,24 @@ let install_pointers t path obj storer =
   List.iter
     (fun node ->
       let tbl = node_pointers t node in
-      match Hashtbl.find_opt tbl obj with
+      match Id.Tbl.find_opt tbl obj with
       | Some storers ->
         if not (List.exists (Id.equal storer) !storers) then storers := storer :: !storers
-      | None -> Hashtbl.add tbl obj (ref [ storer ]))
+      | None -> Id.Tbl.add tbl obj (ref [ storer ]))
     path
 
 let remove_pointer t node obj storer =
   match Id.Tbl.find_opt t.pointers node with
   | None -> 0
   | Some tbl -> (
-    match Hashtbl.find_opt tbl obj with
+    match Id.Tbl.find_opt tbl obj with
     | None -> 0
     | Some storers ->
       let before = List.length !storers in
       storers := List.filter (fun s -> not (Id.equal s storer)) !storers;
       let removed = before - List.length !storers in
-      if List.is_empty !storers then Hashtbl.remove tbl obj;
-      if Hashtbl.length tbl = 0 then Id.Tbl.remove t.pointers node;
+      if List.is_empty !storers then Id.Tbl.remove tbl obj;
+      if Id.Tbl.length tbl = 0 then Id.Tbl.remove t.pointers node;
       removed)
 
 (* Drop the (obj, storer) trail and every pointer it installed; returns the
@@ -260,7 +267,7 @@ type lookup_result = {
 
 let pointers_for t node obj =
   match Id.Tbl.find_opt t.pointers node with
-  | Some tbl -> Hashtbl.find_opt tbl obj
+  | Some tbl -> Id.Tbl.find_opt tbl obj
   | None -> None
 
 let lookup_object t ~client obj =
@@ -358,7 +365,7 @@ type maintain_stats = {
 let total_pointer_entries t =
   (Id.Tbl.fold [@ntcu.allow "D002"])
     (fun _node tbl acc ->
-      (Hashtbl.fold [@ntcu.allow "D002"])
+      (Id.Tbl.fold [@ntcu.allow "D002"])
         (fun _obj storers acc -> acc + List.length !storers)
         tbl acc)
     t.pointers 0

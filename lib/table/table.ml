@@ -111,6 +111,20 @@ let fold t ~init ~f =
   iter t (fun ~level ~digit node state -> acc := f !acc ~level ~digit node state);
   !acc
 
+(* [set] admits [id] at [(i, j)] only when [j = id[i]] and [id] shares the
+   owner's digits below [i], so it can occupy only [(i, id[i])] for
+   [i <= |csuf(owner, id)|]. Each slot is read when the fold reaches it. *)
+let fold_holding t id ~init ~f =
+  let top = min (Id.csuf_len t.owner id) (t.params.d - 1) in
+  let acc = ref init in
+  for level = 0 to top do
+    let digit = Id.digit id level in
+    match t.slots.((level * t.params.b) + digit) with
+    | Some { node; _ } when Id.equal node id -> acc := f !acc ~level ~digit
+    | Some _ | None -> ()
+  done;
+  !acc
+
 let filled_count t = t.filled
 
 let known_nodes t =
@@ -137,8 +151,10 @@ let add_backup t ~level ~digit id =
 let backups t ~level ~digit = t.backup.(index t ~level ~digit)
 
 let remove_backup t id =
+  let is_id = Id.equal id in
   Array.iteri
-    (fun i l -> t.backup.(i) <- List.filter (fun b -> not (Id.equal b id)) l)
+    (fun i l ->
+      if List.exists is_id l then t.backup.(i) <- List.filter (fun b -> not (is_id b)) l)
     t.backup
 
 let filter_backups t ~f =
@@ -161,8 +177,14 @@ let add_reverses t ~level ~digit ids =
   let i = index t ~level ~digit in
   t.reverse.(i) <- Id.Set.union t.reverse.(i) (Id.Set.of_list ids)
 
+(* [Id.Set.remove] returns its argument itself when [id] is absent: only the
+   sets that held [id] are written. *)
 let remove_reverse t id =
-  Array.iteri (fun i set -> t.reverse.(i) <- Id.Set.remove id set) t.reverse
+  Array.iteri
+    (fun i set ->
+      let set' = Id.Set.remove id set in
+      if set' != set then t.reverse.(i) <- set')
+    t.reverse
 
 let reverse_at t ~level ~digit = t.reverse.(index t ~level ~digit)
 

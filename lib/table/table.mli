@@ -58,6 +58,16 @@ val iter : t -> (level:int -> digit:int -> Ntcu_id.Id.t -> nstate -> unit) -> un
 
 val fold : t -> init:'a -> f:('a -> level:int -> digit:int -> Ntcu_id.Id.t -> nstate -> 'a) -> 'a
 
+val fold_holding :
+  t -> Ntcu_id.Id.t -> init:'a -> f:('a -> level:int -> digit:int -> 'a) -> 'a
+(** [fold_holding t id ~init ~f] folds [f] over the entries whose primary is
+    [id], by increasing level: the positions a {!fold} filtered on
+    [Id.equal id] visits, in the same order. By the suffix rule {!set}
+    enforces, [id] can sit only at [(i, id\[i\])] for
+    [i <= |csuf(owner, id)|], so the fold reads at most [d] entries rather
+    than [d * b]. Each entry is read when the fold reaches it, so [f] may
+    rewrite the entry it is given. *)
+
 val filled_count : t -> int
 
 val known_nodes : t -> Ntcu_id.Id.Set.t

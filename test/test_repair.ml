@@ -8,7 +8,8 @@
    set order, then the global membership scan. The property drives both over
    concurrent-join networks with crashed and departed nodes, thinned tables
    and random exclusion sets, and requires the same outcome, candidate, hops
-   and tables_consulted for every query. *)
+   and tables_consulted for every query. A second reference, the ring count
+   without its early stop, pins the count a miss reports. *)
 
 module Id = Ntcu_id.Id
 module Params = Ntcu_id.Params
@@ -215,8 +216,79 @@ let matches_reference () =
       if tally.(i) = 0 then Alcotest.failf "no %s among the generated searches" name)
     tier_names
 
+(* ---- The ring count against its full walk ---- *)
+
+(* |ring 1| + |ring 2| over every contact of both rings, as [Repair]
+   counted them before it stopped at the number of live nodes. *)
+let reference_rings_size net owner =
+  let seen = Id.Tbl.create 256 in
+  let fresh id =
+    if Id.Tbl.mem seen id then false
+    else begin
+      Id.Tbl.add seen id ();
+      Network.mem net id && not (Network.is_failed net id)
+    end
+  in
+  let iter_contacts table f =
+    Table.iter table (fun ~level:_ ~digit:_ id _ -> f id);
+    let p = Table.params table in
+    for level = 0 to p.d - 1 do
+      for digit = 0 to p.b - 1 do
+        Id.Set.iter f (Table.reverse_at table ~level ~digit)
+      done
+    done
+  in
+  Id.Tbl.add seen (Table.owner owner) ();
+  let ring1 = ref [] and ring2 = ref 0 in
+  iter_contacts owner (fun id -> if fresh id then ring1 := id :: !ring1);
+  List.iter
+    (fun id ->
+      match Network.node net id with
+      | None -> ()
+      | Some node -> iter_contacts (Node.table node) (fun c -> if fresh c then incr ring2))
+    !ring1;
+  List.length !ring1 + !ring2
+
+(* A miss from every registered owner, crashed ones included: with every
+   candidate excluded, [tables_consulted] must be the full walk's count plus
+   the flood. The rings of an intact network reach every live node, where
+   the count stops early; those of a thinned one fall short, where it runs
+   to the end. Both cases must occur. *)
+let ring_count_matches_full_walk () =
+  let covering = ref 0 and short = ref 0 in
+  for seed = 1 to 24 do
+    let rng = Rng.create seed in
+    let n = 12 + Rng.int rng 30 and m = 4 + Rng.int rng 12 in
+    let run = Experiment.concurrent_joins p ~seed ~n ~m () in
+    let net = run.net in
+    if seed mod 2 = 0 then ignore (damage rng net : Id.t list);
+    let live = Network.live_ids net in
+    List.iter
+      (fun owner_id ->
+        let owner = Node.table (Network.node_exn net owner_id) in
+        let want = reference_rings_size net owner in
+        let others = List.filter (fun id -> not (Id.equal id owner_id)) live in
+        if want = List.length others then incr covering else incr short;
+        match Repair.find_live ~exclude:(fun _ -> true) net ~owner ~suffix:[||] with
+        | Repair.Not_found { tables_consulted } ->
+          Alcotest.check Alcotest.int
+            (Fmt.str "seed %d, owner %a" seed Id.pp owner_id)
+            (want + 1) tables_consulted
+        | other ->
+          Alcotest.failf "seed %d, owner %a: %a" seed Id.pp owner_id Repair.pp_outcome
+            other)
+      (Network.ids net)
+  done;
+  if !covering = 0 || !short = 0 then
+    Alcotest.failf "rings covered the live nodes in %d searches and fell short in %d"
+      !covering !short
+
 let suites =
   [
     ( "extensions.repair",
-      [ Alcotest.test_case "find_live matches reference" `Quick matches_reference ] );
+      [
+        Alcotest.test_case "find_live matches reference" `Quick matches_reference;
+        Alcotest.test_case "ring count matches full walk" `Quick
+          ring_count_matches_full_walk;
+      ] );
   ]

@@ -3,6 +3,9 @@ module Params = Ntcu_id.Params
 module Table = Ntcu_table.Table
 module Check = Ntcu_table.Check
 module Suffix_index = Ntcu_table.Suffix_index
+module Network = Ntcu_core.Network
+module Churn = Ntcu_churn.Churn
+module Rng = Ntcu_std.Rng
 
 let check = Alcotest.check
 let p = Params.make ~b:4 ~d:5
@@ -277,6 +280,74 @@ let pp_table_renders () =
   check Alcotest.bool "mentions owner" true (contains ~needle:"21233" s);
   check Alcotest.bool "mentions levels" true (contains ~needle:"lvl4" s)
 
+(* ---- fold_holding: the scoped walk against a full fold ---- *)
+
+let positions = Alcotest.(list (pair int int))
+
+(* Where a full fold filtered on [Id.equal id] finds [id], in fold order. *)
+let holding_reference table id =
+  List.rev
+    (Table.fold table ~init:[] ~f:(fun acc ~level ~digit n _ ->
+         if Id.equal n id then (level, digit) :: acc else acc))
+
+let holding table id =
+  List.rev
+    (Table.fold_holding table id ~init:[] ~f:(fun acc ~level ~digit ->
+         (level, digit) :: acc))
+
+(* Every table against every id any of them holds, its own owner and an id
+   none holds. Returns the number of positions found. *)
+let holding_agrees rng tables =
+  let held =
+    List.fold_left (fun acc t -> Id.Set.union acc (Table.known_nodes t)) Id.Set.empty tables
+  in
+  let p = Table.params (List.hd tables) in
+  let rec fresh () =
+    let id = Id.random rng p in
+    if Id.Set.mem id held then fresh () else id
+  in
+  let absent = fresh () in
+  List.fold_left
+    (fun found table ->
+      let owner = Table.owner table in
+      let at id = Fmt.str "%a in %a" Id.pp id Id.pp owner in
+      check positions (at absent) [] (holding table absent);
+      Id.Set.fold
+        (fun id found ->
+          let want = holding_reference table id in
+          check positions (at id) want (holding table id);
+          found + List.length want)
+        (Id.Set.add owner held) found)
+    0 tables
+
+let fold_holding_seeded () =
+  let rng = Rng.create 3 in
+  let ids = Ntcu_harness.Workload.distinct_ids rng p ~n:150 in
+  let net = Network.create p in
+  Network.seed_consistent net ~seed:4 ids;
+  let tables = Network.tables net in
+  (* A seeded owner holds itself at every level. *)
+  List.iter
+    (fun t ->
+      let own = holding t (Table.owner t) in
+      check Alcotest.int "owner at every level" p.d (List.length own))
+    tables;
+  check Alcotest.bool "positions found" true (holding_agrees rng tables > 150 * p.d)
+
+(* Halfway through the churn smoke: crashed nodes still registered,
+   departed ones gone, entries cleared, refilled and left dangling. *)
+let fold_holding_churned () =
+  let st = Churn.prepare { Churn.smoke with seed = 1 } in
+  let net = Churn.net st in
+  Ntcu_sim.Engine.run_until (Network.engine net) ~time:(Churn.smoke.duration /. 2.);
+  let tables =
+    List.map (fun id -> Ntcu_core.Node.table (Network.node_exn net id)) (Network.ids net)
+  in
+  check Alcotest.bool "crashed nodes among the tables" true
+    (Network.live_count net < List.length tables);
+  check Alcotest.bool "positions found" true
+    (holding_agrees (Rng.create 5) tables > List.length tables)
+
 let suites =
   [
     ( "table",
@@ -291,6 +362,8 @@ let suites =
         Alcotest.test_case "reverse sets" `Quick reverse_sets;
         Alcotest.test_case "snapshots" `Quick snapshot_roundtrip;
         Alcotest.test_case "known nodes" `Quick known_nodes_collects;
+        Alcotest.test_case "fold_holding, seeded" `Quick fold_holding_seeded;
+        Alcotest.test_case "fold_holding, churned" `Quick fold_holding_churned;
         Alcotest.test_case "pp" `Quick pp_table_renders;
       ] );
     ( "table.suffix_index",
