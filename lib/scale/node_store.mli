@@ -17,22 +17,13 @@ type t
 val create : ?cap:int -> Ntcu_id.Params.t -> t
 (** @raise Invalid_argument if the space is not packable. *)
 
-val layout : t -> Ntcu_id.Packed.layout
-val params : t -> Ntcu_id.Params.t
-
 val live : t -> int
 (** Number of live nodes. *)
 
-val capacity : t -> int
 val high_slot : t -> int
 (** Exclusive upper bound on slot indices ever handed out — the scan bound
     for whole-arena iteration (freed slots in the range have status
     {!status_free}). *)
-
-val ensure_capacity : t -> int -> unit
-(** Pre-grow all columns to at least the given slot capacity (amortized
-    doubling otherwise). Growth must not race with readers; callers
-    single-thread it (the sharded engine grows only between epochs). *)
 
 (** {1 Statuses} *)
 
@@ -65,7 +56,6 @@ val find : t -> Ntcu_id.Packed.t -> int
     nothing. *)
 
 val mem : t -> Ntcu_id.Packed.t -> bool
-val slot_exn : t -> Ntcu_id.Packed.t -> int
 val id_of : t -> int -> Ntcu_id.Packed.t
 val status : t -> int -> int
 val set_status : t -> int -> int -> unit
@@ -120,7 +110,6 @@ val remove_reverse : t -> int -> Ntcu_id.Packed.t -> unit
     engine uses kind 1 for deferred join-waits; kind 0 is unclaimed). *)
 
 val aux_push : t -> kind:int -> int -> int -> unit
-val aux_mem : t -> kind:int -> int -> int -> bool
 val aux_iter : t -> kind:int -> int -> (int -> unit) -> unit
 val aux_clear : t -> kind:int -> int -> unit
 
