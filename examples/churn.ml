@@ -14,7 +14,7 @@ let verify net label =
   match Network.check_consistent net with
   | [] ->
     Format.printf "  %-28s consistent (%d live nodes)@." label
-      (List.length (Network.live_ids net))
+      (Network.live_count net)
   | v :: _ ->
     Format.printf "  %-28s INCONSISTENT: %a@." label Ntcu_table.Check.pp_violation v;
     exit 1
@@ -71,5 +71,5 @@ let () =
     verify net "after optimization"
   done;
   Format.printf "@.churn complete: %d live nodes, %d messages delivered, all epochs consistent@."
-    (List.length (Network.live_ids net))
+    (Network.live_count net)
     (Network.messages_delivered net)
