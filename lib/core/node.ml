@@ -394,7 +394,7 @@ let on_join_wait_rly t ~now ~src sign occupant snapshot =
     | Message.Positive ->
       t.status <- Notifying;
       t.noti_level <- k;
-      Table.add_reverse t.table ~level:k ~digit:(Id.digit t.id k) src;
+      Table.add_reverse t.table ~level:k src;
       []
     | Message.Negative ->
       if Id.equal occupant t.id then
@@ -451,7 +451,7 @@ let on_join_noti_rly t ~now ~src sign snapshot flag =
   t.q_r <- Id.Set.remove src t.q_r;
   let k = csuf t src in
   if Message.sign_equal sign Message.Positive then
-    Table.add_reverse t.table ~level:k ~digit:(Id.digit t.id k) src;
+    Table.add_reverse t.table ~level:k src;
   let acts =
     if flag && k > t.noti_level && not (Id.Set.mem src t.q_sn) then begin
       match Table.neighbor t.table ~level:k ~digit:(digit_of t src k) with
@@ -511,7 +511,7 @@ let on_in_sys_noti t ~src =
 (* ---- Reverse-neighbor bookkeeping (Figure 4's RvNghNotiMsg) ---- *)
 
 let on_rv_ngh_noti t ~src ~level ~digit recorded =
-  Table.add_reverse t.table ~level ~digit src;
+  Table.add_reverse t.table ~level src;
   let actual : Ntcu_table.Table.nstate = if status_equal t.status In_system then S else T in
   if not (Table.nstate_equal actual recorded) then
     [ { dst = src; msg = Message.Rv_ngh_noti_rly { level; digit; state = actual } } ]

@@ -90,7 +90,7 @@ let reverse_symmetry net =
           if !first = None && not (Id.equal x y) then
             match Network.node net y with
             | Some yn when not (Network.is_failed net y) ->
-              if not (Id.Set.mem x (Table.reverse_at (Node.table yn) ~level ~digit))
+              if not (Id.Set.mem x (Table.reverse_at (Node.table yn) ~level))
               then
                 first :=
                   Some

@@ -69,11 +69,8 @@ let rings_size net owner =
   in
   let iter_contacts table f =
     Table.iter table (fun ~level:_ ~digit:_ id _ -> f id);
-    let p = Table.params table in
-    for level = 0 to p.d - 1 do
-      for digit = 0 to p.b - 1 do
-        Id.Set.iter f (Table.reverse_at table ~level ~digit)
-      done
+    for level = 0 to (Table.params table).d - 1 do
+      Id.Set.iter f (Table.reverse_at table ~level)
     done
   in
   Id.Tbl.add seen owner_id ();
@@ -141,7 +138,7 @@ let find_live ?(exclude = fun _ -> false) net ~owner ~suffix =
 let install net table ~level ~digit cand =
   Table.set table ~level ~digit cand S;
   match Network.node net cand with
-  | Some node -> Table.add_reverse (Node.table node) ~level ~digit (Table.owner table)
+  | Some node -> Table.add_reverse (Node.table node) ~level (Table.owner table)
   | None -> ()
 
 type tally = {

@@ -15,9 +15,9 @@ module Packed = Ntcu_id.Packed
      packed id or [-1];
    - [cstate]: one bit per cell, the occupant's believed T/S state;
    - [filled]: filled-cell count per slot;
-   - a shared int-pair pool carrying all per-node linked lists (reverse
-     pointers and the join-time bookkeeping queues), with one list head
-     column per list kind.
+   - a shared pool of list cells carrying two linked lists per node: its
+     reverse pointers (the storers that registered it) and the JoinWaits
+     deferred while it was notifying, each with its own head column.
 
    Per-node cost is dominated by [d*b] cell words — 8 bytes per entry versus
    the record layout's option-boxed pointer + slot record + shared id
@@ -46,14 +46,13 @@ type t = {
   mutable cells : int array;
   mutable cstate : Bytes.t; (* bit per cell *)
   mutable filled : int array;
-  mutable rev_head : int array;
-  mutable aux_head : int array array; (* aux list kind -> per-slot head column *)
+  mutable rev_head : int array; (* storers, newest first *)
+  mutable wait_head : int array; (* deferred JoinWaits, newest first *)
   slot_of : (int, int) Hashtbl.t;
   mutable free_stack : int array;
   mutable free_top : int;
-  (* shared pool of (value, tag, next) triples for all linked lists *)
+  (* shared pool of (value, next) cells for both linked lists *)
   mutable pool_val : int array;
-  mutable pool_tag : int array;
   mutable pool_next : int array;
   mutable pool_free : int; (* head of pool free list, -1 = none *)
   mutable pool_used : int; (* high-water mark of pool slots handed out *)
@@ -68,8 +67,6 @@ let status_copying = 1
 let status_waiting = 2
 let status_notifying = 3
 let status_in_system = 4
-
-let aux_kinds = 2 (* join bookkeeping: notified set, deferred join-waits *)
 
 let create ?(cap = 1024) (p : Params.t) =
   if not (Packed.packable p) then
@@ -89,12 +86,11 @@ let create ?(cap = 1024) (p : Params.t) =
     cstate = Bytes.make ((cap * p.d * p.b / 8) + 1) '\000';
     filled = Array.make cap 0;
     rev_head = Array.make cap (-1);
-    aux_head = Array.init aux_kinds (fun _ -> Array.make cap (-1));
+    wait_head = Array.make cap (-1);
     slot_of = Hashtbl.create (2 * cap);
     free_stack = Array.make cap 0;
     free_top = 0;
     pool_val = Array.make cap 0;
-    pool_tag = Array.make cap 0;
     pool_next = Array.make cap (-1);
     pool_free = -1;
     pool_used = 0;
@@ -130,15 +126,15 @@ let grow_slots t =
      Array.blit t.filled 0 nf 0 t.cap;
      nf);
   t.rev_head <- copy_col t.rev_head;
-  t.aux_head <- Array.map copy_col t.aux_head;
+  t.wait_head <- copy_col t.wait_head;
   let nfree = Array.make ncap 0 in
   Array.blit t.free_stack 0 nfree 0 t.free_top;
   t.free_stack <- nfree;
   t.cap <- ncap
 
-(* ---- pool (linked lists of (value, tag) pairs) ---- *)
+(* ---- pool (linked lists of ints) ---- *)
 
-let pool_alloc t v tag next =
+let pool_alloc t v next =
   match t.pool_free with
   | -1 ->
     let i = t.pool_used in
@@ -146,18 +142,15 @@ let pool_alloc t v tag next =
       let ncap = 2 * Array.length t.pool_val in
       let gr a = let n = Array.make ncap 0 in Array.blit a 0 n 0 i; n in
       t.pool_val <- gr t.pool_val;
-      t.pool_tag <- gr t.pool_tag;
       t.pool_next <- gr t.pool_next
     end;
     t.pool_used <- i + 1;
     t.pool_val.(i) <- v;
-    t.pool_tag.(i) <- tag;
     t.pool_next.(i) <- next;
     i
   | i ->
     t.pool_free <- t.pool_next.(i);
     t.pool_val.(i) <- v;
-    t.pool_tag.(i) <- tag;
     t.pool_next.(i) <- next;
     i
 
@@ -222,11 +215,8 @@ let remove t pid =
     clear_slot_cells t slot;
     pool_release_list t t.rev_head.(slot);
     t.rev_head.(slot) <- -1;
-    Array.iter
-      (fun col ->
-        pool_release_list t col.(slot);
-        col.(slot) <- -1)
-      t.aux_head;
+    pool_release_list t t.wait_head.(slot);
+    t.wait_head.(slot) <- -1;
     if t.free_top = Array.length t.free_stack then begin
       let nf = Array.make (2 * t.free_top) 0 in
       Array.blit t.free_stack 0 nf 0 t.free_top;
@@ -325,19 +315,18 @@ let fill_self t slot st =
 
 (* ---- reverse neighbors ---- *)
 
-(* One list entry per (storer, level, digit) registration, newest first —
-   the flat analogue of [Table.add_reverse]. Duplicate registrations are the
-   caller's concern (the protocol installs into an empty cell exactly once
-   per position). *)
-let add_reverse t slot ~storer ~level ~digit =
-  let pos = (level * t.b) + digit in
-  t.rev_head.(slot) <-
-    pool_alloc t (storer : Packed.t :> int) pos t.rev_head.(slot)
+(* One list entry per registration, newest first: the storers, as in
+   [Table]'s reverse sets. The level a storer registered at is not kept
+   ([Scale] never reads it). Duplicate registrations are the caller's
+   concern (the protocol installs into an empty cell exactly once per
+   position). *)
+let add_reverse t slot ~storer =
+  t.rev_head.(slot) <- pool_alloc t (storer : Packed.t :> int) t.rev_head.(slot)
 
 let iter_reverse t slot f =
   let i = ref t.rev_head.(slot) in
   while !i <> -1 do
-    f (Packed.unsafe_of_int t.pool_val.(!i)) ~pos:t.pool_tag.(!i);
+    f (Packed.unsafe_of_int t.pool_val.(!i));
     i := t.pool_next.(!i)
   done
 
@@ -360,22 +349,18 @@ let remove_reverse t slot pid =
   in
   t.rev_head.(slot) <- filter t.rev_head.(slot)
 
-(* ---- aux lists (join bookkeeping) ---- *)
+(* ---- deferred JoinWaits ---- *)
 
-let aux_push t ~kind slot v =
-  let col = t.aux_head.(kind) in
-  col.(slot) <- pool_alloc t v 0 col.(slot)
+let defer_wait t slot x = t.wait_head.(slot) <- pool_alloc t x t.wait_head.(slot)
 
-let aux_iter t ~kind slot f =
-  let i = ref t.aux_head.(kind).(slot) in
-  while !i <> -1 do
-    f t.pool_val.(!i);
-    i := t.pool_next.(!i)
-  done
-
-let aux_clear t ~kind slot =
-  pool_release_list t t.aux_head.(kind).(slot);
-  t.aux_head.(kind).(slot) <- -1
+let take_waits t slot =
+  let rec take i acc =
+    if i = -1 then acc else take t.pool_next.(i) (t.pool_val.(i) :: acc)
+  in
+  let waits = take t.wait_head.(slot) [] in
+  pool_release_list t t.wait_head.(slot);
+  t.wait_head.(slot) <- -1;
+  waits
 
 (* ---- memory accounting ---- *)
 
@@ -387,7 +372,6 @@ let words t =
   let arr (a : int array) = Array.length a + 1 in
   let bytes (b : Bytes.t) = (Bytes.length b / 8) + 2 in
   arr t.ids + bytes t.status + arr t.cells + bytes t.cstate + arr t.filled
-  + arr t.rev_head
-  + Array.fold_left (fun acc col -> acc + arr col) 0 t.aux_head
-  + arr t.free_stack + arr t.pool_val + arr t.pool_tag + arr t.pool_next
+  + arr t.rev_head + arr t.wait_head + arr t.free_stack + arr t.pool_val
+  + arr t.pool_next
   + (4 * Hashtbl.length t.slot_of)

@@ -3,8 +3,9 @@
     Replaces the record-based per-node layout ([Node.t] + [Table.t] +
     [Id.Tbl] lookups) with flat columns over slot indices: packed ids, one
     status byte per node, one int per table cell (occupant packed id, [-1]
-    empty) plus one believed-state bit, and a shared int pool carrying every
-    per-node linked list (reverse pointers, join bookkeeping). One run of
+    empty) plus one believed-state bit, and a shared int pool carrying the
+    two per-node linked lists: reverse pointers (the storers only) and the
+    JoinWaits deferred while the node was notifying. One run of
     10^5–10^6 nodes then costs ~[d*b] words per node instead of a heap of
     boxed records, and lookups are int-keyed.
 
@@ -97,21 +98,26 @@ val fill_self : t -> int -> int -> unit
 
 (** {1 Reverse neighbors} *)
 
-val add_reverse : t -> int -> storer:Ntcu_id.Packed.t -> level:int -> digit:int -> unit
-val iter_reverse : t -> int -> (Ntcu_id.Packed.t -> pos:int -> unit) -> unit
-(** Newest registration first; [pos] is [level * b + digit]. *)
+val add_reverse : t -> int -> storer:Ntcu_id.Packed.t -> unit
+(** [add_reverse t slot ~storer] records that [storer] stores the node. The
+    position it stores the node at is not kept. *)
+
+val iter_reverse : t -> int -> (Ntcu_id.Packed.t -> unit) -> unit
+(** Newest registration first. *)
 
 val remove_reverse : t -> int -> Ntcu_id.Packed.t -> unit
 (** Drop every registration by the given storer. *)
 
-(** {1 Aux lists}
+(** {1 Deferred JoinWaits}
 
-    Two pool-backed int lists per slot for protocol bookkeeping (the scale
-    engine uses kind 1 for deferred join-waits; kind 0 is unclaimed). *)
+    The joiners whose JoinWait reached the node while it was notifying, to
+    be answered once it is in the system. *)
 
-val aux_push : t -> kind:int -> int -> int -> unit
-val aux_iter : t -> kind:int -> int -> (int -> unit) -> unit
-val aux_clear : t -> kind:int -> int -> unit
+val defer_wait : t -> int -> int -> unit
+(** [defer_wait t slot x] queues joiner [x] (a raw packed id). *)
+
+val take_waits : t -> int -> int list
+(** The queued joiners, oldest first; the queue is left empty. *)
 
 (** {1 Accounting} *)
 

@@ -89,9 +89,6 @@ type t = {
   mutable cross_bytes : int;
 }
 
-(* aux list kind in Node_store (kind 0 stays free for future bookkeeping) *)
-let aux_qj = 1 (* JoinWaits deferred while the target was notifying *)
-
 (* ---- deterministic mixing ---- *)
 
 let mix2 a b =
@@ -213,7 +210,7 @@ let answer_join_wait t sh si ~epoch ys ~x =
   else if st = Node_store.status_notifying then begin
     (* about to complete: hold the joiner and answer at the switch *)
     sh.deferrals <- sh.deferrals + 1;
-    Node_store.aux_push store ~kind:aux_qj ys x
+    Node_store.defer_wait store ys x
   end
   else begin
     (* still copying or waiting ourselves: bounce the joiner to our gateway,
@@ -236,16 +233,15 @@ let switch_in_system t sh si ~epoch xs =
       Node_store.state_s
   done;
   Hashtbl.reset sh.scratch_seen;
-  Node_store.iter_reverse store xs (fun storer ~pos:_ ->
+  Node_store.iter_reverse store xs (fun storer ->
       let s = (storer :> int) in
       if not (Hashtbl.mem sh.scratch_seen s) then begin
         Hashtbl.add sh.scratch_seen s ();
         emit0 t sh si ~epoch ~kind:Wire.kind_in_sys_noti ~src:ow ~dst:s
       end);
-  let deferred = ref [] in
-  Node_store.aux_iter store ~kind:aux_qj xs (fun x -> deferred := x :: !deferred);
-  Node_store.aux_clear store ~kind:aux_qj xs;
-  List.iter (fun x -> answer_join_wait t sh si ~epoch xs ~x) !deferred
+  List.iter
+    (fun x -> answer_join_wait t sh si ~epoch xs ~x)
+    (Node_store.take_waits store xs)
 
 (* Start [xs]'s notify round: one JoinNoti per distinct table occupant, in
    cell-scan order. With nothing to notify the node completes immediately. *)
@@ -376,7 +372,7 @@ let handle_rv_ngh_noti t sh si ~epoch os ~src fr a =
   let level = fr.(a) in
   let digit = fr.(a + 1) in
   let sbit = fr.(a + 2) in
-  Node_store.add_reverse store os ~storer:(Packed.unsafe_of_int src) ~level ~digit;
+  Node_store.add_reverse store os ~storer:(Packed.unsafe_of_int src);
   if
     sbit = Node_store.state_t
     && Node_store.status store os = Node_store.status_in_system

@@ -129,6 +129,6 @@ let fill_consistent ~rng ~reverse tables =
         for level = 0 to h - 1 do
           match storers.((q * h) + level) with
           | [] -> ()
-          | ids -> Table.add_reverses table ~level ~digit:(Id.digit t.ids.(q) level) ids
+          | ids -> Table.add_reverses table ~level ids
         done)
       tables

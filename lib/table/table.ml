@@ -15,8 +15,8 @@ type t = {
   params : Params.t;
   owner : Id.t;
   slots : slot option array; (* index = level * b + digit *)
-  reverse : Id.Set.t array; (* same indexing *)
-  backup : Id.t list array; (* same indexing; newest first *)
+  reverse : Id.Set.t array; (* by level: who stores the owner at (level, owner[level]) *)
+  backup : Id.t list array; (* same indexing as [slots]; newest first *)
   backup_capacity : int;
   mutable filled : int;
 }
@@ -28,7 +28,7 @@ let create (params : Params.t) ~owner =
     params;
     owner;
     slots = Array.make size None;
-    reverse = Array.make size Id.Set.empty;
+    reverse = Array.make params.d Id.Set.empty;
     backup = Array.make size [];
     backup_capacity = 3;
     filled = 0;
@@ -113,11 +113,14 @@ let fold t ~init ~f =
 
 (* [set] admits [id] at [(i, j)] only when [j = id[i]] and [id] shares the
    owner's digits below [i], so it can occupy only [(i, id[i])] for
-   [i <= |csuf(owner, id)|]. Each slot is read when the fold reaches it. *)
+   [i <= top_level t id]. The same rule bounds its backup positions and, seen
+   from the other side, the levels at which it can store the owner. *)
+let top_level t id = min (Id.csuf_len t.owner id) (t.params.d - 1)
+
+(* Each slot is read when the fold reaches it. *)
 let fold_holding t id ~init ~f =
-  let top = min (Id.csuf_len t.owner id) (t.params.d - 1) in
   let acc = ref init in
-  for level = 0 to top do
+  for level = 0 to top_level t id do
     let digit = Id.digit id level in
     match t.slots.((level * t.params.b) + digit) with
     | Some { node; _ } when Id.equal node id -> acc := f !acc ~level ~digit
@@ -152,10 +155,11 @@ let backups t ~level ~digit = t.backup.(index t ~level ~digit)
 
 let remove_backup t id =
   let is_id = Id.equal id in
-  Array.iteri
-    (fun i l ->
-      if List.exists is_id l then t.backup.(i) <- List.filter (fun b -> not (is_id b)) l)
-    t.backup
+  for level = 0 to top_level t id do
+    let i = (level * t.params.b) + Id.digit id level in
+    let l = t.backup.(i) in
+    if List.exists is_id l then t.backup.(i) <- List.filter (fun b -> not (is_id b)) l
+  done
 
 let filter_backups t ~f =
   Array.iteri (fun i l -> t.backup.(i) <- List.filter f l) t.backup
@@ -169,24 +173,29 @@ let promote_backup t ~level ~digit =
     set t ~level ~digit chosen S;
     Some chosen
 
-let add_reverse t ~level ~digit id =
-  let i = index t ~level ~digit in
-  t.reverse.(i) <- Id.Set.add id t.reverse.(i)
+(* A storer holds the owner at [(level, owner[level])] of its own table,
+   which [set] admits only when the storer ends with the owner's [level] low
+   digits. An out-of-range [level] fails the digit or array access. *)
+let check_storer t ~level id =
+  if not (same_digits_below id t.owner (level - 1)) then
+    invalid_arg
+      (Fmt.str "Table.add_reverse: storer %a lacks suffix %a of %a for level %d" Id.pp id
+         Id.pp_suffix (Id.suffix t.owner level) Id.pp t.owner level)
 
-let add_reverses t ~level ~digit ids =
-  let i = index t ~level ~digit in
-  t.reverse.(i) <- Id.Set.union t.reverse.(i) (Id.Set.of_list ids)
+let add_reverse t ~level id =
+  check_storer t ~level id;
+  t.reverse.(level) <- Id.Set.add id t.reverse.(level)
 
-(* [Id.Set.remove] returns its argument itself when [id] is absent: only the
-   sets that held [id] are written. *)
+let add_reverses t ~level ids =
+  List.iter (check_storer t ~level) ids;
+  t.reverse.(level) <- Id.Set.union t.reverse.(level) (Id.Set.of_list ids)
+
 let remove_reverse t id =
-  Array.iteri
-    (fun i set ->
-      let set' = Id.Set.remove id set in
-      if set' != set then t.reverse.(i) <- set')
-    t.reverse
+  for level = 0 to top_level t id do
+    t.reverse.(level) <- Id.Set.remove id t.reverse.(level)
+  done
 
-let reverse_at t ~level ~digit = t.reverse.(index t ~level ~digit)
+let reverse_at t ~level = t.reverse.(level)
 
 let all_reverse t = Array.fold_left Id.Set.union Id.Set.empty t.reverse
 

@@ -6,7 +6,16 @@
     (the paper relaxes optimality and keeps one neighbor per entry). Each
     entry also carries the neighbor's believed status: [S] ("in system") or
     [T] (still joining); and the table tracks reverse neighbors — the nodes
-    known to store the owner in their own tables. *)
+    known to store the owner in their own tables.
+
+    One suffix rule bounds every position an ID can take. Node [y] can sit
+    in [x]'s table only at [(i, y\[i\])] with [i <= |csuf(x, y)|]: {!set}
+    checks it for primaries and {!add_backup} for backups. Seen from [y],
+    [x] can store it only at levels [i <= |csuf(x, y)|], always in the
+    [(i, y\[i\])]-entry, so [y] keeps one reverse set per level rather than
+    one per entry, and {!add_reverse} checks the same rule. The removals
+    ({!remove_backup}, {!remove_reverse}) and {!fold_holding} therefore
+    visit at most [d] positions, never all [d * b]. *)
 
 type nstate = T | S
 
@@ -94,7 +103,9 @@ val backups : t -> level:int -> digit:int -> Ntcu_id.Id.t list
 (** Most recently added first. *)
 
 val remove_backup : t -> Ntcu_id.Id.t -> unit
-(** Drop a node from every backup list (departures). *)
+(** Drop a node from every backup list (departures). By the suffix rule it
+    can be a backup only at [(i, id\[i\])] for [i <= |csuf(owner, id)|], so
+    only those at most [d] lists are visited. *)
 
 val filter_backups : t -> f:(Ntcu_id.Id.t -> bool) -> unit
 (** Keep only backups satisfying [f] (bulk scrubbing after failures). *)
@@ -104,17 +115,29 @@ val promote_backup : t -> level:int -> digit:int -> Ntcu_id.Id.t option
     it; [None] when there is no backup. Used to heal an entry whose primary
     died. *)
 
-(** {1 Reverse neighbors} *)
+(** {1 Reverse neighbors}
 
-val add_reverse : t -> level:int -> digit:int -> Ntcu_id.Id.t -> unit
+    The nodes that store the owner, kept as one set per level: the storers
+    that hold the owner at [(level, owner\[level\])] of their own tables. *)
 
-val add_reverses : t -> level:int -> digit:int -> Ntcu_id.Id.t list -> unit
+val add_reverse : t -> level:int -> Ntcu_id.Id.t -> unit
+(** [add_reverse t ~level s] records that [s] stores the owner at [level].
+    @raise Invalid_argument if [level] is out of range, or if [s] does not
+    end with the owner's [level] low digits: {!set} would not let [s] store
+    the owner there, so the registration is a protocol bug. *)
+
+val add_reverses : t -> level:int -> Ntcu_id.Id.t list -> unit
 (** {!add_reverse} of every listed node, as one set union. *)
 
 val remove_reverse : t -> Ntcu_id.Id.t -> unit
-(** Remove the node from every reverse set. *)
+(** Remove the node from every reverse set. It can be registered only at
+    levels [i <= |csuf(owner, id)|], so only those at most [d] sets are
+    visited. *)
 
-val reverse_at : t -> level:int -> digit:int -> Ntcu_id.Id.Set.t
+val reverse_at : t -> level:int -> Ntcu_id.Id.Set.t
+(** The storers registered at [level].
+    @raise Invalid_argument if [level] is out of range. *)
+
 val all_reverse : t -> Ntcu_id.Id.Set.t
 
 (** {1 Snapshots}

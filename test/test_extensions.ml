@@ -157,7 +157,7 @@ let leave_hands_off_entries () =
           let znode = Option.get (Network.node net z) in
           check Alcotest.bool "substitute registered the storer" true
             (Id.Set.mem storer
-               (Ntcu_table.Table.reverse_at (Node.table znode) ~level ~digit))))
+               (Ntcu_table.Table.reverse_at (Node.table znode) ~level))))
     !slots;
   check Alcotest.int "consistent after handoff" 0
     (List.length (Network.check_consistent net))
@@ -214,7 +214,7 @@ let optimize_preserves_reverse_registration () =
             if
               not
                 (Id.Set.mem x
-                   (Ntcu_table.Table.reverse_at (Node.table ynode) ~level ~digit))
+                   (Ntcu_table.Table.reverse_at (Node.table ynode) ~level))
             then
               Alcotest.failf "%a stores %a at (%d,%d) without reverse registration"
                 Id.pp x Id.pp y level digit))

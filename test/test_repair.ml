@@ -231,11 +231,8 @@ let reference_rings_size net owner =
   in
   let iter_contacts table f =
     Table.iter table (fun ~level:_ ~digit:_ id _ -> f id);
-    let p = Table.params table in
-    for level = 0 to p.d - 1 do
-      for digit = 0 to p.b - 1 do
-        Id.Set.iter f (Table.reverse_at table ~level ~digit)
-      done
+    for level = 0 to (Table.params table).d - 1 do
+      Id.Set.iter f (Table.reverse_at table ~level)
     done
   in
   Id.Tbl.add seen (Table.owner owner) ();

@@ -97,13 +97,37 @@ let iter_order_and_fold () =
 
 let reverse_sets () =
   let t = Table.create p ~owner:(id "21233") in
-  Table.add_reverse t ~level:1 ~digit:2 (id "00023");
-  Table.add_reverse t ~level:1 ~digit:2 (id "00023");
-  Table.add_reverse t ~level:0 ~digit:3 (id "13120");
-  check Alcotest.int "dedup" 1 (Id.Set.cardinal (Table.reverse_at t ~level:1 ~digit:2));
+  Table.add_reverse t ~level:1 (id "00023");
+  Table.add_reverse t ~level:1 (id "00023");
+  Table.add_reverse t ~level:0 (id "13120");
+  check Alcotest.int "dedup" 1 (Id.Set.cardinal (Table.reverse_at t ~level:1));
   check Alcotest.int "union" 2 (Id.Set.cardinal (Table.all_reverse t));
   Table.remove_reverse t (id "00023");
-  check Alcotest.int "removed everywhere" 1 (Id.Set.cardinal (Table.all_reverse t))
+  check Alcotest.int "removed everywhere" 1 (Id.Set.cardinal (Table.all_reverse t));
+  (* 00023 shares one low digit with 21233, so no table of 00023 can hold
+     21233 above level 1. *)
+  let rejected =
+    Invalid_argument "Table.add_reverse: storer 00023 lacks suffix 33 of 21233 for level 2"
+  in
+  Alcotest.check_raises "storer above the shared suffix" rejected (fun () ->
+      Table.add_reverse t ~level:2 (id "00023"));
+  Alcotest.check_raises "one such storer fails the union" rejected (fun () ->
+      Table.add_reverses t ~level:2 [ id "00233"; id "00023" ]);
+  check Alcotest.bool "nothing registered at level 2" true
+    (Id.Set.is_empty (Table.reverse_at t ~level:2));
+  (* 01233 shares four digits with the owner: it may be registered at levels
+     0 to 4, and is found only at those it was registered at. *)
+  let both = id "01233" in
+  Table.add_reverse t ~level:0 both;
+  Table.add_reverses t ~level:3 [ both ];
+  let levels x =
+    List.filter (fun level -> Id.Set.mem x (Table.reverse_at t ~level)) [ 0; 1; 2; 3; 4 ]
+  in
+  check Alcotest.(list int) "per-level membership" [ 0; 3 ] (levels both);
+  check Alcotest.(list int) "13120 only at level 0" [ 0 ] (levels (id "13120"));
+  Table.remove_reverse t both;
+  check Alcotest.(list int) "removal clears every level" [] (levels both);
+  check Alcotest.(list int) "other storers kept" [ 0 ] (levels (id "13120"))
 
 let snapshot_roundtrip () =
   let t = Table.create p ~owner:(id "21233") in
@@ -295,18 +319,18 @@ let holding table id =
     (Table.fold_holding table id ~init:[] ~f:(fun acc ~level ~digit ->
          (level, digit) :: acc))
 
+let known tables =
+  List.fold_left (fun acc t -> Id.Set.union acc (Table.known_nodes t)) Id.Set.empty tables
+
+let rec absent_id rng params held =
+  let id = Id.random rng params in
+  if Id.Set.mem id held then absent_id rng params held else id
+
 (* Every table against every id any of them holds, its own owner and an id
    none holds. Returns the number of positions found. *)
 let holding_agrees rng tables =
-  let held =
-    List.fold_left (fun acc t -> Id.Set.union acc (Table.known_nodes t)) Id.Set.empty tables
-  in
-  let p = Table.params (List.hd tables) in
-  let rec fresh () =
-    let id = Id.random rng p in
-    if Id.Set.mem id held then fresh () else id
-  in
-  let absent = fresh () in
+  let held = known tables in
+  let absent = absent_id rng (Table.params (List.hd tables)) held in
   List.fold_left
     (fun found table ->
       let owner = Table.owner table in
@@ -320,23 +344,15 @@ let holding_agrees rng tables =
         (Id.Set.add owner held) found)
     0 tables
 
-let fold_holding_seeded () =
-  let rng = Rng.create 3 in
+let seeded_tables rng =
   let ids = Ntcu_harness.Workload.distinct_ids rng p ~n:150 in
   let net = Network.create p in
   Network.seed_consistent net ~seed:4 ids;
-  let tables = Network.tables net in
-  (* A seeded owner holds itself at every level. *)
-  List.iter
-    (fun t ->
-      let own = holding t (Table.owner t) in
-      check Alcotest.int "owner at every level" p.d (List.length own))
-    tables;
-  check Alcotest.bool "positions found" true (holding_agrees rng tables > 150 * p.d)
+  Network.tables net
 
 (* Halfway through the churn smoke: crashed nodes still registered,
    departed ones gone, entries cleared, refilled and left dangling. *)
-let fold_holding_churned () =
+let churned_tables () =
   let st = Churn.prepare { Churn.smoke with seed = 1 } in
   let net = Churn.net st in
   Ntcu_sim.Engine.run_until (Network.engine net) ~time:(Churn.smoke.duration /. 2.);
@@ -345,8 +361,93 @@ let fold_holding_churned () =
   in
   check Alcotest.bool "crashed nodes among the tables" true
     (Network.live_count net < List.length tables);
+  tables
+
+let fold_holding_seeded () =
+  let rng = Rng.create 3 in
+  let tables = seeded_tables rng in
+  (* A seeded owner holds itself at every level. *)
+  List.iter
+    (fun t ->
+      let own = holding t (Table.owner t) in
+      check Alcotest.int "owner at every level" p.d (List.length own))
+    tables;
+  check Alcotest.bool "positions found" true (holding_agrees rng tables > 150 * p.d)
+
+let fold_holding_churned () =
+  let tables = churned_tables () in
   check Alcotest.bool "positions found" true
     (holding_agrees (Rng.create 5) tables > List.length tables)
+
+(* ---- bounded removals against full scans ---- *)
+
+let reverse_by_level t =
+  List.init (Table.params t).d (fun level -> Table.reverse_at t ~level)
+
+let all_backups t =
+  let { Params.b; d } = Table.params t in
+  List.init (d * b) (fun i -> Table.backups t ~level:(i / b) ~digit:(i mod b))
+
+let size sets lists =
+  List.fold_left (fun n s -> n + Id.Set.cardinal s) 0 sets
+  + List.fold_left (fun n l -> n + List.length l) 0 lists
+
+(* Removes [id] from [table]'s reverse sets and backup lists, which visit at
+   most [d] of them, and checks the result against dropping [id] from all of
+   them. Returns how many registrations went. *)
+let check_removal table id =
+  let rev = reverse_by_level table and bak = all_backups table in
+  let want_rev = List.map (Id.Set.remove id) rev in
+  let want_bak = List.map (List.filter (fun x -> not (Id.equal x id))) bak in
+  Table.remove_reverse table id;
+  Table.remove_backup table id;
+  let at what = Fmt.str "%s of %a in %a" what Id.pp id Id.pp (Table.owner table) in
+  if not (List.equal Id.Set.equal want_rev (reverse_by_level table)) then
+    Alcotest.fail (at "reverse removal");
+  if not (List.equal (List.equal Id.equal) want_bak (all_backups table)) then
+    Alcotest.fail (at "backup removal");
+  size rev bak - size want_rev want_bak
+
+(* Backups wherever [add_backup] takes a held id, on top of those the run
+   harvested; then every table loses its owner, an absent id and every held
+   id in turn. Returns how many registrations went. *)
+let remove_all rng tables =
+  let held =
+    List.fold_left
+      (fun acc t -> Id.Set.union acc (Table.all_reverse t))
+      (known tables) tables
+  in
+  let absent = absent_id rng (Table.params (List.hd tables)) held in
+  List.fold_left
+    (fun removed table ->
+      let { Params.b; d } = Table.params table in
+      Id.Set.iter
+        (fun id ->
+          for i = 0 to (d * b) - 1 do
+            ignore (Table.add_backup table ~level:(i / b) ~digit:(i mod b) id : bool)
+          done)
+        held;
+      List.fold_left
+        (fun removed id -> removed + check_removal table id)
+        removed
+        (Table.owner table :: absent :: Id.Set.elements held))
+    0 tables
+
+let bounded_removals () =
+  let registered tables =
+    List.fold_left (fun n t -> n + Id.Set.cardinal (Table.all_reverse t)) 0 tables
+  in
+  List.iter
+    (fun (what, rng, tables) ->
+      let reverse = registered tables in
+      check Alcotest.bool (what ^ ": storers registered") true (reverse > 0);
+      check Alcotest.bool (what ^ ": backups removed too") true
+        (remove_all rng tables > reverse);
+      check Alcotest.int (what ^ ": reverse sets emptied") 0 (registered tables))
+    [
+      ("seeded", Rng.create 6, seeded_tables (Rng.create 3));
+      ("churned", Rng.create 7, churned_tables ());
+    ]
 
 let suites =
   [
@@ -364,6 +465,7 @@ let suites =
         Alcotest.test_case "known nodes" `Quick known_nodes_collects;
         Alcotest.test_case "fold_holding, seeded" `Quick fold_holding_seeded;
         Alcotest.test_case "fold_holding, churned" `Quick fold_holding_churned;
+        Alcotest.test_case "bounded removals" `Quick bounded_removals;
         Alcotest.test_case "pp" `Quick pp_table_renders;
       ] );
     ( "table.suffix_index",
