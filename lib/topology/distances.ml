@@ -9,27 +9,7 @@ type stats = {
   pops : int;
 }
 
-(* ---- plain mode: per-source resumable Dijkstra frontier ----
-
-   Distances of settled vertices equal the eager [Graph.dijkstra] values
-   exactly (same relaxation arithmetic, merely stopped early), so the lazy
-   computation cannot perturb a simulation by even one ulp. *)
-type frontier = {
-  dist : float array; (* tentative, final once settled *)
-  settled : Bytes.t;
-  queue : int Pq.t;
-  mutable exhausted : bool;
-}
-
-type plain = {
-  graph : Graph.t;
-  cache_sources : int;
-  frontiers : (int, frontier) Hashtbl.t;
-  last_use : (int, int) Hashtbl.t; (* source -> LRU stamp *)
-  mutable tick : int;
-}
-
-(* ---- clustered mode: shortest-path trees over the segments ----
+(* ---- shortest-path trees over the segments ----
 
    Every stub cluster hangs off the transit core by exactly one gateway edge
    and clusters never touch each other, so a shortest path crosses at most
@@ -45,7 +25,7 @@ type tree = {
   weight : float array; (* weight of the edge to [parent] *)
 }
 
-type clustered = {
+type t = {
   cluster : int array; (* cluster id per vertex; -1 = core (transit) *)
   index : int array; (* vertex -> core slot, or index within its cluster *)
   core_adj : (int * float) list array; (* core slot -> core-slot edges *)
@@ -55,44 +35,11 @@ type clustered = {
   gw_weight : float array; (* cluster -> gateway edge weight *)
   core_trees : tree option array; (* core slot r -> tree rooted at r *)
   cluster_trees : tree option array; (* cluster -> tree rooted at its gateway *)
-}
-
-type mode = Plain of plain | Clustered of clustered
-
-type t = {
-  mode : mode;
   owner : Domain.id; (* creating domain; queries from any other raise *)
   mutable queries : int;
   mutable settled_hits : int;
-  mutable state_hits : int;
-  mutable state_misses : int;
-  mutable evictions : int;
   mutable pops : int;
 }
-
-let make_t mode =
-  {
-    mode;
-    owner = Domain.self ();
-    queries = 0;
-    settled_hits = 0;
-    state_hits = 0;
-    state_misses = 0;
-    evictions = 0;
-    pops = 0;
-  }
-
-let create ?(cache_sources = 1024) graph =
-  if cache_sources < 1 then invalid_arg "Distances: cache_sources must be >= 1";
-  make_t
-    (Plain
-       {
-         graph;
-         cache_sources;
-         frontiers = Hashtbl.create 64;
-         last_use = Hashtbl.create 64;
-         tick = 0;
-       })
 
 (* Dijkstra over one segment's adjacency from [src] started at [x0], stopped
    once [target] is settled ([-1] runs to exhaustion). Besides the distances
@@ -207,112 +154,24 @@ let create_clustered graph ~cluster =
      it reads, the two folds it separates); the margin is 32 of them. *)
   let margin = Float.ldexp (float_of_int n *. !total) (-48) in
   let core_adj = adj.(0) and cadj = Array.sub adj 1 n_clusters in
-  make_t
-    (Clustered
-       {
-         cluster;
-         index;
-         core_adj;
-         cadj;
-         gw_slot;
-         gw_local;
-         gw_weight;
-         core_trees = Array.init size.(0) (fun r -> robust_tree core_adj r margin);
-         cluster_trees =
-           Array.mapi
-             (fun c gw -> if gw < 0 then None else robust_tree cadj.(c) gw margin)
-             gw_local;
-       })
-
-(* ---- LRU bookkeeping (batched eviction amortizes the stamp scan) ---- *)
-
-let touch p src =
-  p.tick <- p.tick + 1;
-  Hashtbl.replace p.last_use src p.tick
-
-let cached_sources t =
-  match t.mode with
-  | Plain p -> Hashtbl.length p.frontiers
-  | Clustered _ -> 0
-
-let ensure_capacity t p =
-  if Hashtbl.length p.frontiers >= p.cache_sources then begin
-    let entries = Array.make (Hashtbl.length p.last_use) (0, 0) in
-    let i = ref 0 in
-    (* Iteration order is erased by the full sort on (stamp, src) below. *)
-    (Hashtbl.iter [@ntcu.allow "D002"])
-      (fun src stamp ->
-        entries.(!i) <- (stamp, src);
-        incr i)
-      p.last_use;
-    Array.sort compare entries;
-    let k = max 1 (p.cache_sources / 4) in
-    for j = 0 to min k (Array.length entries) - 1 do
-      let src = snd entries.(j) in
-      Hashtbl.remove p.frontiers src;
-      Hashtbl.remove p.last_use src;
-      t.evictions <- t.evictions + 1
-    done
-  end
-
-(* ---- plain mode ---- *)
-
-let new_frontier p src =
-  let n = Graph.n_vertices p.graph in
-  let dist = Array.make n infinity in
-  let queue = Pq.create () in
-  dist.(src) <- 0.;
-  Pq.push queue 0. src;
-  { dist; settled = Bytes.make n '\000'; queue; exhausted = false }
-
-let is_settled f v = Bytes.get f.settled v <> '\000'
-
-(* Pop until [dst] is settled (its tentative distance is final) or the
-   frontier is exhausted (remaining vertices unreachable). Resumable: the
-   frontier keeps its heap across calls, so over the life of one source the
-   total work never exceeds a single full Dijkstra run. *)
-let advance_until t p f dst =
-  let continue = ref (not (is_settled f dst)) in
-  while !continue do
-    match Pq.pop f.queue with
-    | None ->
-      f.exhausted <- true;
-      continue := false
-    | Some (du, u) ->
-      t.pops <- t.pops + 1;
-      if not (is_settled f u) then begin
-        Bytes.set f.settled u '\001';
-        List.iter
-          (fun (v, w) ->
-            let alt = du +. w in
-            if alt < f.dist.(v) then begin
-              f.dist.(v) <- alt;
-              Pq.push f.queue alt v
-            end)
-          (Graph.neighbors p.graph u);
-        if u = dst then continue := false
-      end
-  done
-
-let plain_distance t p src dst =
-  let f =
-    match Hashtbl.find_opt p.frontiers src with
-    | Some f ->
-      t.state_hits <- t.state_hits + 1;
-      f
-    | None ->
-      t.state_misses <- t.state_misses + 1;
-      ensure_capacity t p;
-      let f = new_frontier p src in
-      Hashtbl.add p.frontiers src f;
-      f
-  in
-  touch p src;
-  if is_settled f dst || f.exhausted then t.settled_hits <- t.settled_hits + 1
-  else advance_until t p f dst;
-  if is_settled f dst then f.dist.(dst) else infinity
-
-(* ---- clustered mode ---- *)
+  {
+    cluster;
+    index;
+    core_adj;
+    cadj;
+    gw_slot;
+    gw_local;
+    gw_weight;
+    core_trees = Array.init size.(0) (fun r -> robust_tree core_adj r margin);
+    cluster_trees =
+      Array.mapi
+        (fun c gw -> if gw < 0 then None else robust_tree cadj.(c) gw margin)
+        gw_local;
+    owner = Domain.self ();
+    queries = 0;
+    settled_hits = 0;
+    pops = 0;
+  }
 
 (* [x] folded along the tree path from [v] up to the root. *)
 let rec fold_up tree x v =
@@ -339,37 +198,35 @@ let leg t adj tree x a b ~down =
 
 (* The same [+.] sequence a full-graph Dijkstra from [src] takes: up to the
    source's gateway, across the core, down from the target's gateway. *)
-let clustered_distance t g src dst =
+let folded_distance t src dst =
   let pops = t.pops in
-  let cs = g.cluster.(src) and cd = g.cluster.(dst) in
-  let i = g.index.(src) and j = g.index.(dst) in
+  let cs = t.cluster.(src) and cd = t.cluster.(dst) in
+  let i = t.index.(src) and j = t.index.(dst) in
   let d =
     (* A path between two routers of one cluster never leaves it. *)
-    if cs >= 0 && cs = cd then leg t g.cadj.(cs) None 0. i j ~down:false
+    if cs >= 0 && cs = cd then leg t t.cadj.(cs) None 0. i j ~down:false
     else begin
       let x =
         if cs < 0 then 0.
         else
-          leg t g.cadj.(cs) g.cluster_trees.(cs) 0. i g.gw_local.(cs) ~down:false
-          +. g.gw_weight.(cs)
+          leg t t.cadj.(cs) t.cluster_trees.(cs) 0. i t.gw_local.(cs) ~down:false
+          +. t.gw_weight.(cs)
       in
-      let k = if cs < 0 then i else g.gw_slot.(cs) in
-      let kd = if cd < 0 then j else g.gw_slot.(cd) in
-      let x = leg t g.core_adj g.core_trees.(kd) x k kd ~down:false in
+      let k = if cs < 0 then i else t.gw_slot.(cs) in
+      let kd = if cd < 0 then j else t.gw_slot.(cd) in
+      let x = leg t t.core_adj t.core_trees.(kd) x k kd ~down:false in
       if cd < 0 then x
       else
-        leg t g.cadj.(cd) g.cluster_trees.(cd) (x +. g.gw_weight.(cd)) g.gw_local.(cd) j
+        leg t t.cadj.(cd) t.cluster_trees.(cd) (x +. t.gw_weight.(cd)) t.gw_local.(cd) j
           ~down:true
     end
   in
   if t.pops = pops then t.settled_hits <- t.settled_hits + 1;
   d
 
-(* ---- public interface ---- *)
-
-(* Even a "read" mutates the lazy frontiers, the LRU stamps and the
-   counters, so cross-domain use would corrupt silently. Parallel harnesses
-   must construct (or be handed) a per-run [t]. *)
+(* The counters are mutated by every query, so cross-domain use would
+   corrupt them silently. Parallel harnesses must construct (or be handed) a
+   per-run [t]. *)
 let distance t u v =
   (* Domain.id is a private int; compare through the coercion (cf. Engine). *)
   if (Domain.self () :> int) <> (t.owner :> int) then
@@ -377,21 +234,16 @@ let distance t u v =
   if u = v then 0.
   else begin
     t.queries <- t.queries + 1;
-    let src = min u v and dst = max u v in
-    match t.mode with
-    | Plain p -> plain_distance t p src dst
-    | Clustered g -> clustered_distance t g src dst
+    folded_distance t (min u v) (max u v)
   end
 
+(* No per-source state is kept, so the state and eviction counts stay 0. *)
 let stats t =
   {
     queries = t.queries;
     settled_hits = t.settled_hits;
-    state_hits = t.state_hits;
-    state_misses = t.state_misses;
-    evictions = t.evictions;
+    state_hits = 0;
+    state_misses = 0;
+    evictions = 0;
     pops = t.pops;
   }
-
-let hit_rate t =
-  if t.queries = 0 then 0. else float_of_int t.settled_hits /. float_of_int t.queries

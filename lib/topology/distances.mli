@@ -1,26 +1,17 @@
-(** Shortest-path distances between routers, bit-identical to
-    [Graph.dijkstra].
+(** Shortest-path distances between routers of a transit-stub topology,
+    bit-identical to [Graph.dijkstra].
 
-    Two modes:
-
-    - {b Plain} ({!create}), for any graph: a query [distance t u v] runs
-      Dijkstra from [min u v] only until [max u v] is settled. The partial
-      heap and tentative distances are kept per source, so later queries
-      from the same source continue where the previous one stopped; total
-      work per source never exceeds one full Dijkstra run. At most
-      [cache_sources] per-source frontiers are retained; the
-      least-recently-queried sources are evicted when the cap is hit.
-    - {b Clustered} ({!create_clustered}), for transit-stub topologies,
-      where every stub cluster hangs off the transit core by one gateway
-      edge. A shortest path then crosses at most three segments: the
-      source's cluster up to its gateway, the core, and the target's
-      cluster down from its gateway. {!create_clustered} builds, once, a
-      shortest-path tree over the core rooted at each core router and one
-      per cluster rooted at its gateway, each kept as parent and
-      parent-edge-weight arrays. A query folds [+.] from [0.] along at most
-      three tree paths plus the two gateway edges, with no heap, hashtable
-      or per-source state. Memory is quadratic in the core routers and
-      linear in the rest.
+    There is one mode, for topologies where every stub cluster hangs off the
+    transit core by one gateway edge. A shortest path then crosses at most three
+    segments: the source's cluster up to its gateway, the core, and the
+    target's cluster down from its gateway. {!create_clustered} builds,
+    once, a shortest-path tree over the core rooted at each core router and
+    one per cluster rooted at its gateway, each kept as parent and
+    parent-edge-weight arrays. A query folds [+.] from [0.] along at most
+    three tree paths plus the two gateway edges, with no heap, hashtable or
+    per-source state, so the three per-source counters of {!stats}
+    ([state_hits], [state_misses], [evictions]) always read [0]. Memory is
+    quadratic in the core routers and linear in the rest.
 
     All answers are {e bit-identical} to a full-graph [Graph.dijkstra] from
     [min u v], so simulation traces cannot shift by even one ulp.
@@ -48,19 +39,12 @@
     one cluster or the core, seeded with the fold's current value, which is
     exact by the same monotonicity argument.
 
-    A [t] is single-domain mutable state (frontiers, LRU stamps, counters):
-    {!distance} raises [Invalid_argument] when called from a domain other
-    than the one that created the [t]. Parallel experiment harnesses
-    ({!Ntcu_std.Parallel}) must construct a per-run [t]; the read-only
-    diagnostics ({!stats}, {!hit_rate}, {!cached_sources}) stay callable
-    from anywhere. *)
+    A [t] carries single-domain mutable counters: {!distance} raises
+    [Invalid_argument] when called from a domain other than the one that
+    created the [t]. Parallel experiment harnesses ({!Ntcu_std.Parallel})
+    must construct a per-run [t]; {!stats} stays callable from anywhere. *)
 
 type t
-
-val create : ?cache_sources:int -> Graph.t -> t
-(** Lazy resumable Dijkstra over an arbitrary graph. [cache_sources]
-    (default 1024) bounds the number of retained per-source frontiers.
-    @raise Invalid_argument if [cache_sources < 1]. *)
 
 val create_clustered : Graph.t -> cluster:int array -> t
 (** [create_clustered graph ~cluster] uses the transit-stub decomposition.
@@ -74,34 +58,21 @@ val distance : t -> int -> int -> float
 (** Shortest-path distance between two routers; [infinity] if disconnected.
     Symmetry is exploited by always working from the smaller endpoint.
     @raise Invalid_argument when called from a domain other than the
-    creator's (the counters and plain mode's cache are single-domain
-    mutable state). *)
-
-val cached_sources : t -> int
-(** Number of per-source frontiers currently retained in plain mode
-    (memory diagnostics); always [0] in clustered mode. *)
+    creator's (the counters are single-domain mutable state). *)
 
 type stats = {
   queries : int;  (** [distance] calls with [u <> v]. *)
-  settled_hits : int;
-      (** Queries answered with no new Dijkstra work: in plain mode, from an
-          already-settled frontier; in clustered mode, by tree folds alone. *)
+  settled_hits : int;  (** Queries answered by tree folds alone. *)
   state_hits : int;
-      (** Plain mode: queries that found their source's frontier cached.
-          Always [0] in clustered mode, which keeps no per-source state. *)
   state_misses : int;
-      (** Plain mode: queries that had to start a frontier. Always [0] in
-          clustered mode. *)
   evictions : int;
-      (** Plain mode: frontiers dropped by the LRU cap. Always [0] in
-          clustered mode. *)
+      (** [state_hits], [state_misses] and [evictions] would count a
+          per-source cache, which this module does not keep: they are always
+          [0]. They stay because the benchmark's reports read them. *)
   pops : int;
       (** Heap pops of the Dijkstra work done by queries (cost proxy): the
-          frontiers in plain mode; in clustered mode the same-cluster and
-          fragile-segment Dijkstras (building the trees is not counted). *)
+          same-cluster and fragile-segment Dijkstras (building the trees is
+          not counted). *)
 }
 
 val stats : t -> stats
-
-val hit_rate : t -> float
-(** [settled_hits / queries]; [0.] before any query. *)

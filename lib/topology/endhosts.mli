@@ -14,7 +14,7 @@ val attach : seed:int -> Transit_stub.t -> n:int -> t
 val count : t -> int
 
 val distances : t -> Distances.t
-(** The underlying router-distance oracle, in clustered mode; use
+(** The underlying router-distance oracle; use
     {!Distances.stats} for its query counters. *)
 
 val router_of : t -> int -> int

@@ -55,7 +55,7 @@ val cluster_assignment : t -> int array
     gateway edge. Do not mutate. *)
 
 val distances : t -> Distances.t
-(** A {!Distances.t} in clustered mode over this topology's graph: its
+(** A {!Distances.t} over this topology's graph and clustering: its
     queries fold along shortest-path trees built once over the core and
     each cluster. *)
 

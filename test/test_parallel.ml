@@ -75,7 +75,7 @@ let distances_cross_domain_guard () =
   let g = Ntcu_topology.Graph.create 3 in
   Ntcu_topology.Graph.add_edge g 0 1 1.5;
   Ntcu_topology.Graph.add_edge g 1 2 2.5;
-  let dist = Ntcu_topology.Distances.create g in
+  let dist = Ntcu_topology.Distances.create_clustered g ~cluster:[| -1; -1; -1 |] in
   check (Alcotest.float 1e-9) "own domain queries" 4.
     (Ntcu_topology.Distances.distance dist 0 2);
   let d =

@@ -253,18 +253,17 @@ let pqueue_model seed =
 
 let pqueue_vs_model () = List.iter pqueue_model seeds
 
-(* ---- Distances: lazy and clustered modes vs full Dijkstra ---- *)
+(* ---- Distances vs full Dijkstra ---- *)
 
-(* Exactness is bitwise: both modes must return floats identical to the
-   textbook full-graph Dijkstra, not merely close (the simulation's
-   determinism depends on it). *)
+(* Exactness is bitwise: answers must be floats identical to the textbook
+   full-graph Dijkstra, not merely close (the simulation's determinism
+   depends on it). *)
 let distances_exact () =
   List.iter
     (fun seed ->
       let topo = Transit_stub.generate ~seed Transit_stub.default_config in
       let g = Transit_stub.graph topo in
       let nv = Graph.n_vertices g in
-      let plain = Distances.create g in
       let clustered = Transit_stub.distances topo in
       let rng = Rng.create (seed * 7 + 1) in
       for _ = 1 to 40 do
@@ -276,10 +275,6 @@ let distances_exact () =
           let v = src + Rng.int rng (nv - src) in
           let expected = reference.(v) in
           (* float 0. is exact equality in Alcotest. *)
-          check (Alcotest.float 0.) "plain = dijkstra" expected
-            (Distances.distance plain src v);
-          check (Alcotest.float 0.) "plain symmetric" expected
-            (Distances.distance plain v src);
           check (Alcotest.float 0.) "clustered = dijkstra" expected
             (Distances.distance clustered src v);
           check (Alcotest.float 0.) "clustered symmetric" expected
@@ -347,27 +342,6 @@ let distances_fragile_tree () =
     (Graph.dijkstra g 0).(5);
   let d = Distances.create_clustered g ~cluster:[| -1; -1; -1; 0; 0; 0; 1; 1 |] in
   check_rows g d (List.init 8 Fun.id)
-
-(* The LRU cap bounds live state without affecting answers, and eviction
-   really happens under source-heavy workloads. *)
-let distances_lru () =
-  let topo = Transit_stub.generate ~seed:11 Transit_stub.default_config in
-  let g = Transit_stub.graph topo in
-  let nv = Graph.n_vertices g in
-  let cap = 4 in
-  let d = Distances.create ~cache_sources:cap g in
-  let rng = Rng.create 12 in
-  for _ = 1 to 300 do
-    let u = Rng.int rng nv and v = Rng.int rng nv in
-    let expected = (Graph.dijkstra g (min u v)).(max u v) in
-    check (Alcotest.float 0.) "exact under eviction" expected (Distances.distance d u v);
-    check Alcotest.bool "cache bounded" true (Distances.cached_sources d <= cap)
-  done;
-  let s = Distances.stats d in
-  check Alcotest.bool "evictions occurred" true (s.Distances.evictions > 0);
-  check Alcotest.bool "hit rate sane" true
-    (let r = Distances.hit_rate d in
-     r >= 0. && r <= 1.)
 
 (* ---- Check.violations early exit vs the unlimited scan ---- *)
 
@@ -519,7 +493,6 @@ let suites =
         Alcotest.test_case "distances exact" `Quick distances_exact;
         Alcotest.test_case "distances paper scale" `Quick distances_paper_scale;
         Alcotest.test_case "distances fragile tree" `Quick distances_fragile_tree;
-        Alcotest.test_case "distances lru" `Quick distances_lru;
         limit_agrees_with_full_scan;
         Alcotest.test_case "churn oracle" `Quick churn_oracle;
       ] );

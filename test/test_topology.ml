@@ -77,16 +77,15 @@ let scaled_config_size () =
   check Alcotest.int "paper router count" 8320
     (Transit_stub.router_count Transit_stub.paper_config)
 
-let distances_symmetric_cached () =
+let distances_symmetric () =
   let t = Transit_stub.generate ~seed:4 Transit_stub.default_config in
-  let d = Distances.create (Transit_stub.graph t) in
+  let d = Transit_stub.distances t in
   let pairs = [ (0, 17); (3, 44); (12, 80) ] in
   List.iter
     (fun (u, v) ->
       check (Alcotest.float 1e-9) "symmetric" (Distances.distance d u v)
         (Distances.distance d v u))
     pairs;
-  check Alcotest.bool "cache bounded by sources" true (Distances.cached_sources d <= 3);
   check (Alcotest.float 1e-9) "self distance" 0. (Distances.distance d 5 5)
 
 let endhosts_distances () =
@@ -121,7 +120,7 @@ let endhosts_latency_positive () =
 
 let triangle_inequality_sampled () =
   let t = Transit_stub.generate ~seed:12 Transit_stub.default_config in
-  let d = Distances.create (Transit_stub.graph t) in
+  let d = Transit_stub.distances t in
   let rng = Ntcu_std.Rng.create 3 in
   let n = Graph.n_vertices (Transit_stub.graph t) in
   for _ = 1 to 100 do
@@ -146,7 +145,7 @@ let suites =
         Alcotest.test_case "transit-stub shape" `Quick transit_stub_shape;
         Alcotest.test_case "generator determinism" `Quick transit_stub_deterministic;
         Alcotest.test_case "config sizes" `Quick scaled_config_size;
-        Alcotest.test_case "distances" `Quick distances_symmetric_cached;
+        Alcotest.test_case "distances" `Quick distances_symmetric;
         Alcotest.test_case "endhost distances" `Quick endhosts_distances;
         Alcotest.test_case "endhosts on stubs" `Quick endhosts_attach_to_stubs;
         Alcotest.test_case "latency model" `Quick endhosts_latency_positive;
