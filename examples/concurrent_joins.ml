@@ -3,7 +3,8 @@
    Figure 15(b). Prints liveness, consistency, Theorem-3 conformance, and the
    JoinNotiMsg distribution against the Theorem-5 bound; then removes a batch
    of nodes with the message-level leave protocol and re-verifies
-   consistency.
+   consistency. Exits 1 unless the joins end live, quiescent and consistent
+   and the network is still consistent after the leaves.
 
    Run with:
      dune exec examples/concurrent_joins.exe                (n=1000 m=300 d=8)
@@ -39,6 +40,8 @@ let () =
   let lp = Ntcu_extensions.Leave_protocol.create run.net in
   List.iter (fun id -> Ntcu_extensions.Leave_protocol.request_leave lp id) leavers;
   Ntcu_extensions.Leave_protocol.run lp;
+  let consistent = Ntcu_core.Network.check_consistent run.net = [] in
   Format.printf "%a; consistent afterwards: %b@." Ntcu_extensions.Leave_protocol.pp_report
     (Ntcu_extensions.Leave_protocol.report lp)
-    (Ntcu_core.Network.check_consistent run.net = [])
+    consistent;
+  if not (Experiment.ok run && consistent) then exit 1

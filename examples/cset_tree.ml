@@ -3,7 +3,8 @@
    notification sets all equal V_1, so they fall into one C-set tree rooted at
    V_1. This example runs the joins, prints the tree template C(V, W) and the
    realized tree cset(V, W), and verifies the three consistency conditions of
-   Section 3.3.
+   Section 3.3. Exits 1 if the network ends inconsistent or a condition is
+   violated.
 
    Run with: dune exec examples/cset_tree.exe *)
 
@@ -22,7 +23,8 @@ let () =
   Network.seed_consistent net ~seed:5 v;
   List.iter (fun x -> Network.start_join net ~id:x ~gateway:(List.hd v) ()) w;
   Network.run net;
-  Format.printf "joins complete; consistent: %b@.@." (Network.check_consistent net = []);
+  let consistent = Network.check_consistent net = [] in
+  Format.printf "joins complete; consistent: %b@.@." consistent;
 
   (* Notification sets (Definition 3.4). *)
   let v_index = Ntcu_table.Suffix_index.of_ids v in
@@ -43,15 +45,26 @@ let () =
     Cset.pp_tree realized;
 
   let report name = function
-    | Ok () -> Format.printf "%s: satisfied@." name
-    | Error e -> Format.printf "%s: VIOLATED (%s)@." name e
+    | Ok () ->
+      Format.printf "%s: satisfied@." name;
+      true
+    | Error e ->
+      Format.printf "%s: VIOLATED (%s)@." name e;
+      false
   in
-  report "condition (1) — structure matches, no empty C-set"
-    (Cset.check_condition1 ~template:(Cset.template p ~root ~w) ~realized);
-  report "condition (2) — V_1 members point into each child C-set"
-    (Cset.check_condition2 ~lookup ~v_root ~realized);
-  report "condition (3) — joiners cover their sibling C-sets"
-    (Cset.check_condition3 ~lookup ~realized ~w);
+  (* Bound in turn: the elements of a list literal are evaluated last first. *)
+  let c1 =
+    report "condition (1) — structure matches, no empty C-set"
+      (Cset.check_condition1 ~template:(Cset.template p ~root ~w) ~realized)
+  in
+  let c2 =
+    report "condition (2) — V_1 members point into each child C-set"
+      (Cset.check_condition2 ~lookup ~v_root ~realized)
+  in
+  let c3 =
+    report "condition (3) — joiners cover their sibling C-sets"
+      (Cset.check_condition3 ~lookup ~realized ~w)
+  in
 
   (* Join classification (Definitions 3.2-3.6). *)
   let periods =
@@ -65,4 +78,5 @@ let () =
   in
   Format.printf "@.joins were %a; dependency groups: %d@." Cset.pp_timing
     (Cset.classify_timing periods)
-    (List.length (Cset.dependency_groups v_index ~w))
+    (List.length (Cset.dependency_groups v_index ~w));
+  if not (consistent && c1 && c2 && c3) then exit 1

@@ -1,5 +1,7 @@
 (* Quickstart: build a small hypercube-routing network with the join
    protocol, inspect a neighbor table (Figure 1 style), and route a message.
+   Exits 1 unless every node is in the system, the network is consistent and
+   the message is routed.
 
    Run with: dune exec examples/quickstart.exe *)
 
@@ -28,9 +30,10 @@ let () =
 
   Format.printf "network of %d nodes built by %d concurrent joins@."
     (Network.size net) (List.length others);
-  Format.printf "every node in_system: %b@." (Network.all_in_system net);
-  Format.printf "consistent (Definition 3.8): %b@.@."
-    (Network.check_consistent net = []);
+  let in_system = Network.all_in_system net in
+  let consistent = Network.check_consistent net = [] in
+  Format.printf "every node in_system: %b@." in_system;
+  Format.printf "consistent (Definition 3.8): %b@.@." consistent;
 
   (* Show the first node's neighbor table, like the paper's Figure 1. *)
   Format.printf "%a@." Ntcu_table.Table.pp (Node.table (Network.node_exn net first));
@@ -38,10 +41,16 @@ let () =
   (* Route a message between two arbitrary nodes (Section 2.2). *)
   let src = List.nth others 3 and dst = List.nth others 11 in
   let lookup id = Option.map Node.table (Network.node net id) in
-  match Ntcu_routing.Route.route ~lookup ~src ~dst with
-  | Ok path ->
-    Format.printf "route %a -> %a (%d hops): %a@." Id.pp src Id.pp dst
-      (Ntcu_routing.Route.hop_count path)
-      Fmt.(list ~sep:(any " -> ") Id.pp)
-      path
-  | Error e -> Format.printf "routing failed: %a@." Ntcu_routing.Route.pp_error e
+  let routed =
+    match Ntcu_routing.Route.route ~lookup ~src ~dst with
+    | Ok path ->
+      Format.printf "route %a -> %a (%d hops): %a@." Id.pp src Id.pp dst
+        (Ntcu_routing.Route.hop_count path)
+        Fmt.(list ~sep:(any " -> ") Id.pp)
+        path;
+      true
+    | Error e ->
+      Format.printf "routing failed: %a@." Ntcu_routing.Route.pp_error e;
+      false
+  in
+  if not (in_system && consistent && routed) then exit 1
