@@ -31,9 +31,9 @@
    intraprocedural rules do. *)
 
 type def = {
-  uid : string;  (* global key, e.g. "Ntcu_scale__Wire.12" *)
+  uid : string;  (* global key, e.g. "Ntcu_core__Codec.12" *)
   name : string;
-  qual : string;  (* module-path-qualified within the unit, e.g. "Wire.encode" *)
+  qual : string;  (* module-path-qualified within the unit, e.g. "Codec.encode_frames" *)
   unit_name : string;
   cls : Classify.t;
   loc : Location.t;
@@ -233,7 +233,7 @@ let last_component s =
   | None -> s
   | Some i -> String.sub s (i + 1) (String.length s - i - 1)
 
-(* "Ntcu_scale__Wire" -> "Ntcu_scale.Wire": dune's wrapped-module alias. *)
+(* "Ntcu_core__Codec" -> "Ntcu_core.Codec": dune's wrapped-module alias. *)
 let dotted_unit u =
   let buf = Buffer.create (String.length u) in
   let n = String.length u in

@@ -1,7 +1,7 @@
 (** Cross-module call graph over the dune-produced .cmt set (phase 1).
 
     Definitions are the module-level values of every scanned unit, keyed by
-    their {!Shape.Uid} (printed form, e.g. ["Ntcu_scale__Wire.12"]). Edges
+    their {!Shape.Uid} (printed form, e.g. ["Ntcu_core__Codec.12"]). Edges
     come from [Texp_ident] uid resolution, with three over-approximating
     extensions: functor-parameter calls resolve to every recorded
     application argument, first-class-module calls ([Texp_pack] /
@@ -14,8 +14,8 @@
 type def = {
   uid : string;
   name : string;  (** Unqualified binder name. *)
-  qual : string;  (** Module-path-qualified within the unit, e.g. ["Wire.encode"]. *)
-  unit_name : string;  (** Compilation unit, e.g. ["Ntcu_scale__Wire"]. *)
+  qual : string;  (** Module-path-qualified within the unit, e.g. ["Codec.encode_frames"]. *)
+  unit_name : string;  (** Compilation unit, e.g. ["Ntcu_core__Codec"]. *)
   cls : Classify.t;
   loc : Location.t;  (** Location of the binder name. *)
   body : Typedtree.expression;
@@ -55,7 +55,7 @@ val trace : t -> from:def -> dest:(def -> bool) -> (Finding.step list * def) opt
 val compare_def : def -> def -> int
 
 val dotted : string -> string
-(** ["Ntcu_scale__Wire"] -> ["Ntcu_scale.Wire"]: dune's wrapped-unit alias. *)
+(** ["Ntcu_core__Codec"] -> ["Ntcu_core.Codec"]: dune's wrapped-unit alias. *)
 
 val full_name : def -> string
 (** Dotted unit name joined with the qualified binder, e.g.

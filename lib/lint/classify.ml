@@ -22,10 +22,10 @@ let basename s =
    divergence behind identical rounded text. *)
 let emitter_basenames = [ "report.ml"; "trace.ml"; "codec.ml"; "repro.ml" ]
 
-(* Wire codec units: the P002 encoder/decoder constructor-coverage parity
-   check applies. [codec.ml] frames Message.t; [wire.ml] frames the sharded
-   engine's cross-shard batches via kind_* constants. *)
-let codec_basenames = [ "codec.ml"; "wire.ml" ]
+(* Wire codec units: the P002 encoder/decoder parity checks apply. [codec.ml]
+   writes Message.t (constructor parity) and the sharded engine's
+   cross-shard frames, whose kinds are kind_* constants (frame-kind parity). *)
+let codec_basenames = [ "codec.ml" ]
 
 (* Directories holding protocol state machines: a wildcard arm in a match
    over a wire message type there silently drops message kinds (P001). *)

@@ -22,8 +22,8 @@ type t = {
       (** Report/trace/codec/repro module: D005 (lossy float formatting)
           applies, and every def in the unit is a T-rule sink. *)
   codec : bool;
-      (** Wire codec unit ([codec.ml], [wire.ml]): P002 encoder/decoder
-          constructor-coverage parity applies. *)
+      (** Wire codec unit ([codec.ml]): P002 encoder/decoder parity
+          applies. *)
   dispatch : bool;
       (** Protocol state machine (lib/core, lib/protocol, lib/chord,
           lib/baseline, lib/extensions, lib/scale): P001 wildcard-dispatch

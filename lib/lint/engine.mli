@@ -13,7 +13,7 @@
 
 type unit_info = {
   u_cls : Classify.t;
-  u_name : string;  (** Compilation unit name, e.g. ["Ntcu_scale__Wire"]. *)
+  u_name : string;  (** Compilation unit name, e.g. ["Ntcu_core__Codec"]. *)
   u_str : Typedtree.structure;
   u_uid_to_loc : Location.t Shape.Uid.Tbl.t;
   u_regions : Allow.region list;

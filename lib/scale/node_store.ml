@@ -1,5 +1,6 @@
 module Params = Ntcu_id.Params
 module Packed = Ntcu_id.Packed
+module Intbuf = Ntcu_std.Intbuf
 
 (* Struct-of-arrays arena for node hot state.
 
@@ -9,12 +10,11 @@ module Packed = Ntcu_id.Packed
    2-field record pointing at a boxed int array id. Here the same state is
    flat columns of a single arena:
 
-   - [ids]: packed id per slot ([-1] = free slot);
+   - [ids]: packed id per slot ([-1] past [high]);
    - [status]: one byte per slot;
    - [cells]: [d*b] ints per slot, the (level, digit) entry's occupant as a
      packed id or [-1];
    - [cstate]: one bit per cell, the occupant's believed T/S state;
-   - [filled]: filled-cell count per slot;
    - a shared pool of list cells carrying two linked lists per node: its
      reverse pointers (the storers that registered it) and the JoinWaits
      deferred while it was notifying, each with its own head column.
@@ -29,28 +29,22 @@ module Packed = Ntcu_id.Packed
    writes take (level, digit), which [set] checks against the owner's
    suffix.
 
-   Churn reuses slots through a free stack; [remove] releases the node's pool
-   lists. Like [Network.remove], it does not scrub other nodes' cells that
-   reference the departed id — the consistency checker reports those as
-   dangling, matching the record semantics. *)
+   Slots are handed out in order and never freed: no engine removes a node
+   from the arena. *)
 
 type t = {
   lay : Packed.layout;
   d : int;
   b : int;
   mutable cap : int; (* allocated slots *)
-  mutable live : int;
-  mutable high : int; (* slots ever handed out; scan bound for iteration *)
+  mutable high : int; (* slots handed out; scan bound for iteration *)
   mutable ids : int array;
   mutable status : Bytes.t;
   mutable cells : int array;
   mutable cstate : Bytes.t; (* bit per cell *)
-  mutable filled : int array;
   mutable rev_head : int array; (* storers, newest first *)
   mutable wait_head : int array; (* deferred JoinWaits, newest first *)
   slot_of : (int, int) Hashtbl.t;
-  mutable free_stack : int array;
-  mutable free_top : int;
   (* shared pool of (value, next) cells for both linked lists *)
   mutable pool_val : int array;
   mutable pool_next : int array;
@@ -61,8 +55,7 @@ type t = {
 let state_t = 0
 let state_s = 1
 
-(* Node statuses, one byte each. [free] marks an unallocated slot. *)
-let status_free = 0
+(* Node statuses, one byte each; 0 marks a slot not yet handed out. *)
 let status_copying = 1
 let status_waiting = 2
 let status_notifying = 3
@@ -78,25 +71,20 @@ let create ?(cap = 1024) (p : Params.t) =
     d = p.d;
     b = p.b;
     cap;
-    live = 0;
     high = 0;
     ids = Array.make cap (-1);
-    status = Bytes.make cap (Char.chr status_free);
+    status = Bytes.make cap '\000';
     cells = Array.make (cap * p.d * p.b) (-1);
     cstate = Bytes.make ((cap * p.d * p.b / 8) + 1) '\000';
-    filled = Array.make cap 0;
     rev_head = Array.make cap (-1);
     wait_head = Array.make cap (-1);
     slot_of = Hashtbl.create (2 * cap);
-    free_stack = Array.make cap 0;
-    free_top = 0;
     pool_val = Array.make cap 0;
     pool_next = Array.make cap (-1);
     pool_free = -1;
     pool_used = 0;
   }
 
-let live t = t.live
 let high_slot t = t.high
 
 (* ---- growth ---- *)
@@ -106,7 +94,7 @@ let grow_slots t =
   let nids = Array.make ncap (-1) in
   Array.blit t.ids 0 nids 0 t.cap;
   t.ids <- nids;
-  let nstatus = Bytes.make ncap (Char.chr status_free) in
+  let nstatus = Bytes.make ncap '\000' in
   Bytes.blit t.status 0 nstatus 0 t.cap;
   t.status <- nstatus;
   let stride = t.d * t.b in
@@ -121,15 +109,8 @@ let grow_slots t =
     Array.blit col 0 ncol 0 t.cap;
     ncol
   in
-  t.filled <-
-    (let nf = Array.make ncap 0 in
-     Array.blit t.filled 0 nf 0 t.cap;
-     nf);
   t.rev_head <- copy_col t.rev_head;
   t.wait_head <- copy_col t.wait_head;
-  let nfree = Array.make ncap 0 in
-  Array.blit t.free_stack 0 nfree 0 t.free_top;
-  t.free_stack <- nfree;
   t.cap <- ncap
 
 (* ---- pool (linked lists of ints) ---- *)
@@ -170,61 +151,20 @@ let find t pid =
   | s -> s
   | exception Not_found -> -1
 
-let mem t pid = Hashtbl.mem t.slot_of (pid : Packed.t :> int)
-
 let id_of t slot = Packed.unsafe_of_int t.ids.(slot)
 
 let add t pid =
   let key = (pid : Packed.t :> int) in
   if Hashtbl.mem t.slot_of key then invalid_arg "Node_store.add: id already present";
-  let slot =
-    if t.free_top > 0 then begin
-      t.free_top <- t.free_top - 1;
-      t.free_stack.(t.free_top)
-    end
-    else begin
-      if t.high = t.cap then grow_slots t;
-      let s = t.high in
-      t.high <- t.high + 1;
-      s
-    end
-  in
+  if t.high = t.cap then grow_slots t;
+  let slot = t.high in
+  t.high <- slot + 1;
   t.ids.(slot) <- key;
   Bytes.set t.status slot (Char.chr status_copying);
-  t.live <- t.live + 1;
   Hashtbl.replace t.slot_of key slot;
   slot
 
 let cell_base t slot = slot * t.d * t.b
-
-let clear_slot_cells t slot =
-  let base = cell_base t slot in
-  for i = base to base + (t.d * t.b) - 1 do
-    t.cells.(i) <- -1
-  done;
-  t.filled.(slot) <- 0
-
-let remove t pid =
-  let key = (pid : Packed.t :> int) in
-  match find t pid with
-  | -1 -> invalid_arg "Node_store.remove: unknown node"
-  | slot ->
-    Hashtbl.remove t.slot_of key;
-    t.ids.(slot) <- -1;
-    Bytes.set t.status slot (Char.chr status_free);
-    clear_slot_cells t slot;
-    pool_release_list t t.rev_head.(slot);
-    t.rev_head.(slot) <- -1;
-    pool_release_list t t.wait_head.(slot);
-    t.wait_head.(slot) <- -1;
-    if t.free_top = Array.length t.free_stack then begin
-      let nf = Array.make (2 * t.free_top) 0 in
-      Array.blit t.free_stack 0 nf 0 t.free_top;
-      t.free_stack <- nf
-    end;
-    t.free_stack.(t.free_top) <- slot;
-    t.free_top <- t.free_top + 1;
-    t.live <- t.live - 1
 
 let status t slot = Char.code (Bytes.get t.status slot)
 let set_status t slot st = Bytes.set t.status slot (Char.chr st)
@@ -289,23 +229,13 @@ let set t slot ~level ~digit pid st =
   if not (required_ok t slot ~level ~digit pid) then
     invalid_arg "Node_store.set: node does not carry the entry's required suffix";
   let idx = cell_index t slot ~level ~digit in
-  if t.cells.(idx) = -1 then t.filled.(slot) <- t.filled.(slot) + 1;
   t.cells.(idx) <- (pid : Packed.t :> int);
   set_cell_state t idx st
-
-let clear_cell t slot ~level ~digit =
-  let idx = cell_index t slot ~level ~digit in
-  if t.cells.(idx) <> -1 then begin
-    t.cells.(idx) <- -1;
-    t.filled.(slot) <- t.filled.(slot) - 1
-  end
 
 let set_state t slot ~level ~digit st =
   let idx = cell_index t slot ~level ~digit in
   if t.cells.(idx) = -1 then invalid_arg "Node_store.set_state: empty entry";
   set_cell_state t idx st
-
-let filled_count t slot = t.filled.(slot)
 
 let fill_self t slot st =
   let owner = Packed.unsafe_of_int t.ids.(slot) in
@@ -330,25 +260,6 @@ let iter_reverse t slot f =
     i := t.pool_next.(!i)
   done
 
-let remove_reverse t slot pid =
-  let key = (pid : Packed.t :> int) in
-  let rec filter i =
-    if i = -1 then -1
-    else begin
-      let next = filter t.pool_next.(i) in
-      if t.pool_val.(i) = key then begin
-        t.pool_next.(i) <- t.pool_free;
-        t.pool_free <- i;
-        next
-      end
-      else begin
-        t.pool_next.(i) <- next;
-        i
-      end
-    end
-  in
-  t.rev_head.(slot) <- filter t.rev_head.(slot)
-
 (* ---- deferred JoinWaits ---- *)
 
 let defer_wait t slot x = t.wait_head.(slot) <- pool_alloc t x t.wait_head.(slot)
@@ -371,7 +282,6 @@ let take_waits t slot =
 let words t =
   let arr (a : int array) = Array.length a + 1 in
   let bytes (b : Bytes.t) = (Bytes.length b / 8) + 2 in
-  arr t.ids + bytes t.status + arr t.cells + bytes t.cstate + arr t.filled
-  + arr t.rev_head + arr t.wait_head + arr t.free_stack + arr t.pool_val
-  + arr t.pool_next
+  arr t.ids + bytes t.status + arr t.cells + bytes t.cstate + arr t.rev_head
+  + arr t.wait_head + arr t.pool_val + arr t.pool_next
   + (4 * Hashtbl.length t.slot_of)

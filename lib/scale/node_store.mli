@@ -10,25 +10,19 @@
     boxed records, and lookups are int-keyed.
 
     Only packable parameter spaces ({!Ntcu_id.Packed.packable}) are
-    supported. Slots are reused through a free stack ({!remove}/{!add}), so
-    the arena sustains churn without growing. *)
+    supported. Slots are handed out in order and never freed. *)
 
 type t
 
 val create : ?cap:int -> Ntcu_id.Params.t -> t
 (** @raise Invalid_argument if the space is not packable. *)
 
-val live : t -> int
-(** Number of live nodes. *)
-
 val high_slot : t -> int
-(** Exclusive upper bound on slot indices ever handed out — the scan bound
-    for whole-arena iteration (freed slots in the range have status
-    {!status_free}). *)
+(** The number of nodes added: slots [0 .. high_slot - 1] hold them, in the
+    order they were added. *)
 
 (** {1 Statuses} *)
 
-val status_free : int
 val status_copying : int
 val status_waiting : int
 val status_notifying : int
@@ -42,21 +36,14 @@ val state_s : int
 (** {1 Slots} *)
 
 val add : t -> Ntcu_id.Packed.t -> int
-(** Allocate a slot (reusing a freed one if any) for the id, with status
-    [status_copying] and an empty table. Returns the slot.
+(** Allocate the next slot for the id, with status [status_copying] and an
+    empty table. Returns the slot.
     @raise Invalid_argument if the id is already present. *)
-
-val remove : t -> Ntcu_id.Packed.t -> unit
-(** Free the node's slot and release its lists. Other nodes' cells that
-    reference the departed id are {e not} scrubbed (same contract as
-    [Network.remove]); the checker reports them as dangling.
-    @raise Invalid_argument if unknown. *)
 
 val find : t -> Ntcu_id.Packed.t -> int
 (** The id's slot, [-1] if absent — the per-delivery lookup allocates
     nothing. *)
 
-val mem : t -> Ntcu_id.Packed.t -> bool
 val id_of : t -> int -> Ntcu_id.Packed.t
 val status : t -> int -> int
 val set_status : t -> int -> int -> unit
@@ -75,7 +62,7 @@ val state : t -> int -> int -> int
 (** [state t slot pos]. @raise Invalid_argument if the entry is empty or out
     of range. *)
 
-val push_rows : t -> int -> lo:int -> hi:int -> Intbuf.t -> unit
+val push_rows : t -> int -> lo:int -> hi:int -> Ntcu_std.Intbuf.t -> unit
 (** [push_rows t slot ~lo ~hi buf] appends the filled entries of rows
     [lo .. hi] to [buf]: their count, then one [(pos * 2 + state, occupant)]
     pair per entry in position order.
@@ -85,12 +72,8 @@ val set : t -> int -> level:int -> digit:int -> Ntcu_id.Packed.t -> int -> unit
 (** Fill (or overwrite) an entry, as [Table.set].
     @raise Invalid_argument if the id lacks the entry's required suffix. *)
 
-val clear_cell : t -> int -> level:int -> digit:int -> unit
-
 val set_state : t -> int -> level:int -> digit:int -> int -> unit
 (** @raise Invalid_argument if the entry is empty. *)
-
-val filled_count : t -> int -> int
 
 val fill_self : t -> int -> int -> unit
 (** [fill_self t slot st] sets entry [(i, owner[i])] to the owner at every
@@ -104,9 +87,6 @@ val add_reverse : t -> int -> storer:Ntcu_id.Packed.t -> unit
 
 val iter_reverse : t -> int -> (Ntcu_id.Packed.t -> unit) -> unit
 (** Newest registration first. *)
-
-val remove_reverse : t -> int -> Ntcu_id.Packed.t -> unit
-(** Drop every registration by the given storer. *)
 
 (** {1 Deferred JoinWaits}
 

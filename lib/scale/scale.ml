@@ -1,4 +1,6 @@
 module Packed = Ntcu_id.Packed
+module Codec = Ntcu_core.Codec
+module Intbuf = Ntcu_std.Intbuf
 module Rng = Ntcu_std.Rng
 module Parallel = Ntcu_std.Parallel
 module Itbl = Hashtbl.Make (Int)
@@ -46,7 +48,7 @@ type summary = {
   shard_events : int array;
 }
 
-let ring_depth = Wire.max_latency + 1
+let ring_depth = Codec.max_latency + 1
 
 type shard = {
   store : Node_store.t;
@@ -73,7 +75,7 @@ type shard = {
 
 type t = {
   cfg : config;
-  ctx : Wire.ctx;
+  ctx : Codec.context;
   lay : Packed.layout;
   d : int;
   b : int;
@@ -97,7 +99,7 @@ let mix2 a b =
   let h = h * 0xc2b2ae35 in
   (h lxor (h lsr 13)) land max_int
 
-let latency src dst = 1 + (mix2 src dst mod Wire.max_latency)
+let latency src dst = 1 + (mix2 src dst mod Codec.max_latency)
 let gateway_pick x n = mix2 x 0x27d4eb2f mod n
 
 (* ---- frame emission ---- *)
@@ -105,7 +107,7 @@ let gateway_pick x n = mix2 x 0x27d4eb2f mod n
 (* Begin a frame from [src] (a node of shard [si]) to [dst]. Returns the
    buffer to push payload ints into and remembers the header index for
    {!emit_end}, so a frame allocates nothing; frames are emitted one at a
-   time. The two in-memory layouts (ring vs outbox, see {!Wire}) share the
+   time. The two in-memory layouts (ring vs outbox, see {!Codec}) share the
    nargs formula [len - hdr - 4]. *)
 let emit_begin t sh si ~epoch ~kind ~src ~dst =
   let dshard = dst land t.smask in
@@ -163,7 +165,7 @@ let install_cells t sh si ~epoch xs ~count fr a =
         Node_store.set store xs ~level ~digit (Packed.unsafe_of_int occ) sbit;
         if sbit = Node_store.state_t then begin
           let f =
-            emit_begin t sh si ~epoch ~kind:Wire.kind_rv_ngh_noti ~src:owner ~dst:occ
+            emit_begin t sh si ~epoch ~kind:Codec.kind_rv_ngh_noti ~src:owner ~dst:occ
           in
           Intbuf.push3 f level digit sbit;
           emit_end sh f
@@ -189,7 +191,7 @@ let answer_join_wait t sh si ~epoch ys ~x =
       (* the slot already holds a node sharing one more digit with [x]:
          redirect the joiner there *)
       sh.redirects <- sh.redirects + 1;
-      let f = emit_begin t sh si ~epoch ~kind:Wire.kind_join_wait_rly ~src:y ~dst:x in
+      let f = emit_begin t sh si ~epoch ~kind:Codec.kind_join_wait_rly ~src:y ~dst:x in
       Intbuf.push3 f 0 occ 0;
       emit_end sh f
     end
@@ -197,11 +199,11 @@ let answer_join_wait t sh si ~epoch ys ~x =
       if occ = -1 then begin
         Node_store.set store ys ~level:l ~digit:xd (Packed.unsafe_of_int x)
           Node_store.state_t;
-        let f = emit_begin t sh si ~epoch ~kind:Wire.kind_rv_ngh_noti ~src:y ~dst:x in
+        let f = emit_begin t sh si ~epoch ~kind:Codec.kind_rv_ngh_noti ~src:y ~dst:x in
         Intbuf.push3 f l xd Node_store.state_t;
         emit_end sh f
       end;
-      let f = emit_begin t sh si ~epoch ~kind:Wire.kind_join_wait_rly ~src:y ~dst:x in
+      let f = emit_begin t sh si ~epoch ~kind:Codec.kind_join_wait_rly ~src:y ~dst:x in
       Intbuf.push2 f 1 y;
       Node_store.push_rows store ys ~lo:0 ~hi:l f;
       emit_end sh f
@@ -215,7 +217,7 @@ let answer_join_wait t sh si ~epoch ys ~x =
   else begin
     (* still copying or waiting ourselves: bounce the joiner to our gateway,
        which is in-system by construction *)
-    let f = emit_begin t sh si ~epoch ~kind:Wire.kind_join_wait_rly ~src:y ~dst:x in
+    let f = emit_begin t sh si ~epoch ~kind:Codec.kind_join_wait_rly ~src:y ~dst:x in
     Intbuf.push3 f 0 sh.gateway.(ys) 0;
     emit_end sh f
   end
@@ -237,7 +239,7 @@ let switch_in_system t sh si ~epoch xs =
       let s = (storer :> int) in
       if not (Hashtbl.mem sh.scratch_seen s) then begin
         Hashtbl.add sh.scratch_seen s ();
-        emit0 t sh si ~epoch ~kind:Wire.kind_in_sys_noti ~src:ow ~dst:s
+        emit0 t sh si ~epoch ~kind:Codec.kind_in_sys_noti ~src:ow ~dst:s
       end);
   List.iter
     (fun x -> answer_join_wait t sh si ~epoch xs ~x)
@@ -264,7 +266,7 @@ let begin_notify t sh si ~epoch xs =
   else
     for i = 0 to cnt - 1 do
       let tgt = Intbuf.get sh.scratch i in
-      let f = emit_begin t sh si ~epoch ~kind:Wire.kind_join_noti ~src:owner ~dst:tgt in
+      let f = emit_begin t sh si ~epoch ~kind:Codec.kind_join_noti ~src:owner ~dst:tgt in
       Intbuf.push2 f (csuf t owner tgt) 0;
       emit_end sh f
     done
@@ -274,7 +276,7 @@ let begin_notify t sh si ~epoch xs =
 let handle_cp_rst t sh si ~epoch gs ~src fr a =
   let level = fr.(a) in
   let g = (Node_store.id_of sh.store gs :> int) in
-  let f = emit_begin t sh si ~epoch ~kind:Wire.kind_cp_rly ~src:g ~dst:src in
+  let f = emit_begin t sh si ~epoch ~kind:Codec.kind_cp_rly ~src:g ~dst:src in
   Intbuf.push f level;
   Node_store.push_rows sh.store gs ~lo:level ~hi:level f;
   emit_end sh f
@@ -299,14 +301,14 @@ let handle_cp_rly t sh si ~epoch xs ~src fr a =
     ignore (install_cells t sh si ~epoch xs ~count fr (a + 2) : int);
     if !z <> -1 && !z <> x && level + 1 < t.d then begin
       sh.copy_level.(xs) <- level + 1;
-      let f = emit_begin t sh si ~epoch ~kind:Wire.kind_cp_rst ~src:x ~dst:!z in
+      let f = emit_begin t sh si ~epoch ~kind:Codec.kind_cp_rst ~src:x ~dst:!z in
       Intbuf.push f (level + 1);
       emit_end sh f
     end
     else begin
       let y = if !z <> -1 && !z <> x then !z else src in
       Node_store.set_status store xs Node_store.status_waiting;
-      emit0 t sh si ~epoch ~kind:Wire.kind_join_wait ~src:x ~dst:y
+      emit0 t sh si ~epoch ~kind:Codec.kind_join_wait ~src:x ~dst:y
     end
   end
 
@@ -317,7 +319,7 @@ let handle_join_wait_rly t sh si ~epoch xs ~src:_ fr a =
     let occupant = fr.(a + 1) in
     if sign = 0 then begin
       let x = (Node_store.id_of store xs :> int) in
-      emit0 t sh si ~epoch ~kind:Wire.kind_join_wait ~src:x ~dst:occupant
+      emit0 t sh si ~epoch ~kind:Codec.kind_join_wait ~src:x ~dst:occupant
     end
     else begin
       let count = fr.(a + 2) in
@@ -339,11 +341,11 @@ let handle_join_noti t sh si ~epoch ts ~src fr a =
   if Node_store.cell store ts (cell_pos t l xd) = -1 then begin
     Node_store.set store ts ~level:l ~digit:xd (Packed.unsafe_of_int src)
       Node_store.state_t;
-    let f = emit_begin t sh si ~epoch ~kind:Wire.kind_rv_ngh_noti ~src:tid ~dst:src in
+    let f = emit_begin t sh si ~epoch ~kind:Codec.kind_rv_ngh_noti ~src:tid ~dst:src in
     Intbuf.push3 f l xd Node_store.state_t;
     emit_end sh f
   end;
-  let f = emit_begin t sh si ~epoch ~kind:Wire.kind_join_noti_rly ~src:tid ~dst:src in
+  let f = emit_begin t sh si ~epoch ~kind:Codec.kind_join_noti_rly ~src:tid ~dst:src in
   Intbuf.push f 1;
   Node_store.push_rows store ts ~lo:0 ~hi:l f;
   emit_end sh f
@@ -379,7 +381,7 @@ let handle_rv_ngh_noti t sh si ~epoch os ~src fr a =
   then begin
     (* the storer believes we are still joining; correct it *)
     let o = (Node_store.id_of store os :> int) in
-    let f = emit_begin t sh si ~epoch ~kind:Wire.kind_rv_fix ~src:o ~dst:src in
+    let f = emit_begin t sh si ~epoch ~kind:Codec.kind_rv_fix ~src:o ~dst:src in
     Intbuf.push2 f level digit;
     emit_end sh f
   end
@@ -402,16 +404,16 @@ let process_frame t sh si ~epoch fr pos =
   (match Node_store.find sh.store (Packed.unsafe_of_int dst) with
   | -1 -> () (* destination departed; drop, as the record engine does *)
   | ds ->
-    if kind = Wire.kind_cp_rst then handle_cp_rst t sh si ~epoch ds ~src fr a
-    else if kind = Wire.kind_cp_rly then handle_cp_rly t sh si ~epoch ds ~src fr a
-    else if kind = Wire.kind_join_wait then answer_join_wait t sh si ~epoch ds ~x:src
-    else if kind = Wire.kind_join_wait_rly then
+    if kind = Codec.kind_cp_rst then handle_cp_rst t sh si ~epoch ds ~src fr a
+    else if kind = Codec.kind_cp_rly then handle_cp_rly t sh si ~epoch ds ~src fr a
+    else if kind = Codec.kind_join_wait then answer_join_wait t sh si ~epoch ds ~x:src
+    else if kind = Codec.kind_join_wait_rly then
       handle_join_wait_rly t sh si ~epoch ds ~src fr a
-    else if kind = Wire.kind_join_noti then handle_join_noti t sh si ~epoch ds ~src fr a
-    else if kind = Wire.kind_join_noti_rly then
+    else if kind = Codec.kind_join_noti then handle_join_noti t sh si ~epoch ds ~src fr a
+    else if kind = Codec.kind_join_noti_rly then
       handle_join_noti_rly t sh si ~epoch ds ~src fr a
-    else if kind = Wire.kind_in_sys_noti then handle_in_sys_noti t sh ds ~src
-    else if kind = Wire.kind_rv_ngh_noti then
+    else if kind = Codec.kind_in_sys_noti then handle_in_sys_noti t sh ds ~src
+    else if kind = Codec.kind_rv_ngh_noti then
       handle_rv_ngh_noti t sh si ~epoch ds ~src fr a
     else handle_rv_fix t sh ds ~src fr a);
   pos + 4 + nargs
@@ -427,7 +429,7 @@ let process_epoch t ~epoch si =
   while not (Queue.is_empty sh.pending) do
     let es, data = Queue.pop sh.pending in
     ignore
-      (Wire.decode t.ctx data ~select:(fun ~delta ->
+      (Codec.decode_frames t.ctx data ~select:(fun ~delta ->
            let slot = (es + delta) mod ring_depth in
            sh.ring_frames.(slot) <- sh.ring_frames.(slot) + 1;
            sh.ring.(slot))
@@ -447,7 +449,7 @@ let process_epoch t ~epoch si =
   for dst = 0 to Array.length t.shards - 1 do
     let ob = sh.outbox.(dst) in
     if not (Intbuf.is_empty ob) then begin
-      Wire.encode t.ctx ob sh.outbuf.(dst);
+      Codec.encode_frames t.ctx ob sh.outbuf.(dst);
       Intbuf.clear ob
     end
   done
@@ -489,7 +491,7 @@ let inject t ~epoch =
     let buf = gsh.ring.(slot) in
     let hdr = Intbuf.length buf in
     Intbuf.push buf 0;
-    Intbuf.push3 buf Wire.kind_cp_rst x g;
+    Intbuf.push3 buf Codec.kind_cp_rst x g;
     Intbuf.push buf 0;
     Intbuf.set buf hdr (Intbuf.length buf - hdr - 4);
     gsh.ring_frames.(slot) <- gsh.ring_frames.(slot) + 1
@@ -533,40 +535,38 @@ let sweep_holes t wit ~count_only si =
   let store = sh.store in
   let hits = ref 0 in
   for s = 0 to Node_store.high_slot store - 1 do
-    if Node_store.status store s <> Node_store.status_free then begin
-      let owner = (Node_store.id_of store s :> int) in
-      for level = 0 to t.d - 1 do
-        for digit = 0 to t.b - 1 do
-          if Node_store.cell store s (cell_pos t level digit) = -1 then begin
-            let w = witness t wit owner ~level ~digit in
-            if w <> -1 then begin
-              incr hits;
-              if not count_only then
-                Node_store.set store s ~level ~digit (Packed.unsafe_of_int w)
-                  Node_store.state_s
-            end
+    let owner = (Node_store.id_of store s :> int) in
+    for level = 0 to t.d - 1 do
+      for digit = 0 to t.b - 1 do
+        if Node_store.cell store s (cell_pos t level digit) = -1 then begin
+          let w = witness t wit owner ~level ~digit in
+          if w <> -1 then begin
+            incr hits;
+            if not count_only then
+              Node_store.set store s ~level ~digit (Packed.unsafe_of_int w)
+                Node_store.state_s
           end
-        done
+        end
       done
-    end
+    done
   done;
   !hits
 
 (* ---- setup and run ---- *)
 
-let make_shard t_params ~shards:_ ~cap =
+let make_shard params ~shards ~cap =
   {
-    store = Node_store.create ~cap t_params;
+    store = Node_store.create ~cap params;
     ring = Array.init ring_depth (fun _ -> Intbuf.create ());
     ring_frames = Array.make ring_depth 0;
     pending = Queue.create ();
-    outbox = [||];
-    outbuf = [||];
+    outbox = Array.init shards (fun _ -> Intbuf.create ());
+    outbuf = Array.init shards (fun _ -> Buffer.create 256);
     copy_level = Array.make cap 0;
     noti_pending = Array.make cap 0;
     gateway = Array.make cap (-1);
     events = 0;
-    kinds = Array.make Wire.kind_count 0;
+    kinds = Array.make Codec.kind_count 0;
     switched = 0;
     redirects = 0;
     deferrals = 0;
@@ -609,17 +609,12 @@ let run ?(jobs = 1) (cfg : config) =
   let per_shard_cap = max 16 (2 * (cfg.n / cfg.shards)) in
   let shards =
     Array.init cfg.shards (fun _ ->
-        let sh = make_shard cfg.params ~shards:cfg.shards ~cap:per_shard_cap in
-        {
-          sh with
-          outbox = Array.init cfg.shards (fun _ -> Intbuf.create ());
-          outbuf = Array.init cfg.shards (fun _ -> Buffer.create 256);
-        })
+        make_shard cfg.params ~shards:cfg.shards ~cap:per_shard_cap)
   in
   let t =
     {
       cfg;
-      ctx = Wire.ctx cfg.params;
+      ctx = Codec.context cfg.params;
       lay;
       d;
       b;
@@ -688,9 +683,7 @@ let run ?(jobs = 1) (cfg : config) =
         (fun sh ->
           let store = sh.store in
           for s = 0 to Node_store.high_slot store - 1 do
-            let st = Node_store.status store s in
-            if st <> Node_store.status_free && st <> Node_store.status_in_system
-            then begin
+            if Node_store.status store s <> Node_store.status_in_system then begin
               incr stuck;
               Node_store.set_status store s Node_store.status_in_system
             end
@@ -704,7 +697,7 @@ let run ?(jobs = 1) (cfg : config) =
         Parallel.map pool (fun si -> sweep_holes t wit ~count_only:true si) shard_ixs
       in
       let sum = List.fold_left ( + ) 0 in
-      let kinds = Array.make Wire.kind_count 0 in
+      let kinds = Array.make Codec.kind_count 0 in
       Array.iter
         (fun sh -> Array.iteri (fun k c -> kinds.(k) <- kinds.(k) + c) sh.kinds)
         t.shards;
@@ -716,7 +709,7 @@ let run ?(jobs = 1) (cfg : config) =
         injected = t.injected;
         events = Array.fold_left (fun acc sh -> acc + sh.events) 0 t.shards;
         kind_counts =
-          List.init Wire.kind_count (fun k -> (Wire.kind_name k, kinds.(k)));
+          List.init Codec.kind_count (fun k -> (Codec.kind_name k, kinds.(k)));
         cross_batches = t.cross_batches;
         cross_bytes = t.cross_bytes;
         redirects = Array.fold_left (fun acc sh -> acc + sh.redirects) 0 t.shards;

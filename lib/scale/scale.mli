@@ -4,11 +4,12 @@
     per logical shard, nodes assigned by id suffix region (low bits of the
     packed id) — and advances in integer {e epochs}. Within an epoch every
     shard processes its due message frames independently; frames addressed
-    to another shard are batched through the wire codec ({!Wire}) and handed
-    over at the epoch barrier. Message latency is a pure hash of (src, dst)
-    in [1 .. Wire.max_latency] epochs, so the computation is a deterministic
-    function of the configuration: running with [jobs = 4] produces the same
-    summary, bit for bit, as [jobs = 1].
+    to another shard are batched through the wire codec
+    ({!Ntcu_core.Codec.encode_frames}) and handed over at the epoch barrier.
+    Message latency is a pure hash of (src, dst) in
+    [1 .. Ntcu_core.Codec.max_latency] epochs, so the computation is a
+    deterministic function of the configuration: running with [jobs = 4]
+    produces the same summary, bit for bit, as [jobs = 1].
 
     The protocol is the paper's join in epoch form: a copy walk
     (CpRst/CpRly) up the shared-suffix levels, an attach handshake

@@ -34,14 +34,12 @@ end)
 type mnode = { mstatus : int; mcells : (int * int) Cmap.t }
 type model = mnode Imap.t
 
-(* One trace step. Ids are drawn from a small pool so adds, removes and cell
+(* One trace step. Ids are drawn from a small pool so repeated adds and cell
    writes collide often; occupants are forced to carry the owner's required
    suffix so Node_store.set accepts them. *)
 type op =
   | Add of int
-  | Remove of int
   | Set of int * int * int * int * int (* owner, level, digit, occ-seed, sbit *)
-  | Clear of int * int * int
   | SetState of int * int * int * int
   | FillSelf of int * int
 
@@ -53,17 +51,12 @@ let op_gen =
   frequency
     [
       (3, map (fun i -> Add i) idx);
-      (1, map (fun i -> Remove i) idx);
       ( 4,
         map
           (fun (i, (l, (dg, (os, sb)))) -> Set (i, l, dg, os, sb))
           (pair idx
              (pair (int_bound (p.Params.d - 1))
                 (pair (int_bound (p.Params.b - 1)) (pair int (int_bound 1))))) );
-      ( 1,
-        map
-          (fun (i, (l, dg)) -> Clear (i, l, dg))
-          (pair idx (pair (int_bound (p.Params.d - 1)) (int_bound (p.Params.b - 1)))) );
       ( 1,
         map
           (fun (i, (l, (dg, sb))) -> SetState (i, l, dg, sb))
@@ -114,7 +107,7 @@ let model_equiv (seed, ops) =
     match op with
     | Add i ->
       let x = pool.(i) in
-      if Node_store.mem store x then (
+      if Node_store.find store x <> -1 then (
         try
           ignore (Node_store.add store x : int);
           Alcotest.fail "duplicate add accepted"
@@ -126,17 +119,6 @@ let model_equiv (seed, ops) =
             { mstatus = Node_store.status_copying; mcells = Cmap.empty }
             !model
       end
-    | Remove i ->
-      let x = pool.(i) in
-      if Node_store.mem store x then begin
-        Node_store.remove store x;
-        model := Imap.remove (x :> int) !model
-      end
-      else (
-        try
-          Node_store.remove store x;
-          Alcotest.fail "unknown remove accepted"
-        with Invalid_argument _ -> ())
     | Set (i, level, digit, os, sb) -> (
       let x = pool.(i) in
       match Node_store.find store x with
@@ -148,17 +130,6 @@ let model_equiv (seed, ops) =
         model :=
           Imap.add (x :> int)
             { m with mcells = Cmap.add (level, digit) ((occ :> int), sb) m.mcells }
-            !model)
-    | Clear (i, level, digit) -> (
-      let x = pool.(i) in
-      match Node_store.find store x with
-      | -1 -> ()
-      | slot ->
-        Node_store.clear_cell store slot ~level ~digit;
-        let m = Imap.find (x :> int) !model in
-        model :=
-          Imap.add (x :> int)
-            { m with mcells = Cmap.remove (level, digit) m.mcells }
             !model)
     | SetState (i, level, digit, sb) -> (
       let x = pool.(i) in
@@ -190,7 +161,7 @@ let model_equiv (seed, ops) =
   in
   List.iter apply ops;
   (* Full observational equality of the end states. *)
-  Imap.cardinal !model = Node_store.live store
+  Imap.cardinal !model = Node_store.high_slot store
   && Imap.for_all
        (fun xi m ->
          let x = Packed.unsafe_of_int xi in
@@ -199,7 +170,6 @@ let model_equiv (seed, ops) =
          | slot ->
            Packed.equal (Node_store.id_of store slot) x
            && Node_store.status store slot = m.mstatus
-           && Node_store.filled_count store slot = Cmap.cardinal m.mcells
            && List.for_all
                 (fun level ->
                   List.for_all
@@ -247,9 +217,7 @@ let reverse_lists () =
   in
   (* Newest first, so accumulating restores insertion order. *)
   check Alcotest.(list int) "registrations in order" [ (a :> int); (b :> int); (a :> int) ]
-    (storers ());
-  Node_store.remove_reverse store slot a;
-  check Alcotest.(list int) "a's registrations dropped" [ (b :> int) ] (storers ())
+    (storers ())
 
 (* ---- engine determinism across worker counts ---- *)
 
@@ -297,7 +265,7 @@ let completes_and_checks () =
 (* ---- pinned frame stream ---- *)
 
 (* A smoke-sized run in the paper's space. Every count below is a function
-   of the frames the engine emits and the bytes Wire puts on the barrier, so
+   of the frames the engine emits and the bytes Codec puts on the barrier, so
    a change to any frame, byte or delivery order moves at least one. *)
 let pinned_config =
   {

@@ -1,9 +1,9 @@
-(* QCheck fuzzing of the sharded engine's cross-shard batch codec
-   (Ntcu_scale.Wire). Four properties, each over random frame sequences in
-   power-of-two and non-power-of-two digit bases, including the paper's
-   simulated space (b = 16, d = 8: 4-byte ids, two-byte varints for cell
-   positions at level >= 4 and for a full 128-cell count) and an 8-byte-id
-   space (b = 16, d = 15):
+(* QCheck fuzzing of the sharded engine's cross-shard batch frames
+   (Codec.encode_frames / decode_frames). Four properties, each over random
+   frame sequences in power-of-two and non-power-of-two digit bases,
+   including the paper's simulated space (b = 16, d = 8: 4-byte ids,
+   two-byte varints for cell positions at level >= 4 and for a full 128-cell
+   count) and an 8-byte-id space (b = 16, d = 15):
 
    - round-trip: encode then decode reproduces every frame, in order, in the
      ring slot its delivery delta selects, with outbox headers rewritten to
@@ -15,13 +15,17 @@
      [Codec.Malformed] — never any other exception. The decoder is total;
    - byte identity: the batch bytes equal those of a plain per-byte
      encoder, kept here as the reference for the chunked id and one-byte
-     varint paths. *)
+     varint paths.
+
+   One more case checks that a frame writes an identifier as the same bytes
+   a message does. *)
 
 module Params = Ntcu_id.Params
 module Packed = Ntcu_id.Packed
+module Rng = Ntcu_std.Rng
+module Intbuf = Ntcu_std.Intbuf
+module Message = Ntcu_core.Message
 module Codec = Ntcu_core.Codec
-module Wire = Ntcu_scale.Wire
-module Intbuf = Ntcu_scale.Intbuf
 module G = QCheck.Gen
 
 let qtest ?(count = 300) name gen prop =
@@ -32,6 +36,7 @@ let p_odd = Params.make ~b:3 ~d:5 (* non-power-of-two: digit patterns can be inv
 let p_paper = Params.paper_sim_d8
 let p_wide = Params.make ~b:16 ~d:15 (* 60-bit ids: two 4-byte chunks *)
 let p_dec = Params.make ~b:10 ~d:9 (* 5-byte ids: one chunk, one single byte *)
+let spaces = [ p_pow2; p_odd; p_paper; p_wide; p_dec ]
 
 (* ---- generators: frames in outbox layout [nargs; kind; src; dst; delta; payload] ---- *)
 
@@ -57,22 +62,22 @@ let frame_gen (p : Params.t) =
   let payload =
     G.oneof
       [
-        G.map (fun l -> (Wire.kind_cp_rst, [ l ])) level;
-        G.map2 (fun l cs -> (Wire.kind_cp_rly, l :: cs)) level cells;
-        G.return (Wire.kind_join_wait, []);
-        G.map3 (fun s i cs -> (Wire.kind_join_wait_rly, s :: i :: cs)) bit id cells;
-        G.map2 (fun l cs -> (Wire.kind_join_noti, l :: cs)) level cells;
-        G.map2 (fun s cs -> (Wire.kind_join_noti_rly, s :: cs)) bit cells;
-        G.return (Wire.kind_in_sys_noti, []);
-        G.map3 (fun l dg s -> (Wire.kind_rv_ngh_noti, [ l; dg; s ])) level digit bit;
-        G.map2 (fun l dg -> (Wire.kind_rv_fix, [ l; dg ])) level digit;
+        G.map (fun l -> (Codec.kind_cp_rst, [ l ])) level;
+        G.map2 (fun l cs -> (Codec.kind_cp_rly, l :: cs)) level cells;
+        G.return (Codec.kind_join_wait, []);
+        G.map3 (fun s i cs -> (Codec.kind_join_wait_rly, s :: i :: cs)) bit id cells;
+        G.map2 (fun l cs -> (Codec.kind_join_noti, l :: cs)) level cells;
+        G.map2 (fun s cs -> (Codec.kind_join_noti_rly, s :: cs)) bit cells;
+        G.return (Codec.kind_in_sys_noti, []);
+        G.map3 (fun l dg s -> (Codec.kind_rv_ngh_noti, [ l; dg; s ])) level digit bit;
+        G.map2 (fun l dg -> (Codec.kind_rv_fix, [ l; dg ])) level digit;
       ]
   in
   G.map2
     (fun (kind, pl) (src, dst, delta) ->
       (1 + List.length pl) :: kind :: src :: dst :: delta :: pl)
     payload
-    (G.triple id id (G.int_range 1 Wire.max_latency))
+    (G.triple id id (G.int_range 1 Codec.max_latency))
 
 let frames_gen p = G.list_size (G.int_range 0 12) (frame_gen p)
 
@@ -82,11 +87,10 @@ let arb_frames p = QCheck.make ~print:print_frames (frames_gen p)
 (* ---- helpers ---- *)
 
 let encode p frames =
-  let c = Wire.ctx p in
   let out = Intbuf.create () in
   List.iter (fun f -> List.iter (Intbuf.push out) f) frames;
   let w = Buffer.create 256 in
-  Wire.encode c out w;
+  Codec.encode_frames (Codec.context p) out w;
   Buffer.contents w
 
 (* The ring image of an outbox frame: drop [delta], rewrite the header to the
@@ -100,8 +104,9 @@ let ring_image = function
 let delta_of = function _ :: _ :: _ :: _ :: delta :: _ -> delta | _ -> assert false
 
 let decode_rings p data =
-  let rings = Array.init (Wire.max_latency + 1) (fun _ -> Intbuf.create ()) in
-  let n = Wire.decode (Wire.ctx p) data ~select:(fun ~delta -> rings.(delta)) in
+  let rings = Array.init (Codec.max_latency + 1) (fun _ -> Intbuf.create ()) in
+  let select ~delta = rings.(delta) in
+  let n = Codec.decode_frames (Codec.context p) data ~select in
   (n, rings)
 
 let ring_contents rings delta =
@@ -186,11 +191,11 @@ let reference_encode (p : Params.t) frames =
         uvarint delta;
         match payload with
         | first :: rest
-          when kind = Wire.kind_cp_rly || kind = Wire.kind_join_noti
-               || kind = Wire.kind_join_noti_rly ->
+          when kind = Codec.kind_cp_rly || kind = Codec.kind_join_noti
+               || kind = Codec.kind_join_noti_rly ->
           uvarint first;
           cells rest
-        | sign :: occ :: rest when kind = Wire.kind_join_wait_rly ->
+        | sign :: occ :: rest when kind = Codec.kind_join_wait_rly ->
           uvarint sign;
           id occ;
           cells rest
@@ -215,6 +220,30 @@ let bitflip p (frames, at, bit) =
     (* anything else — Invalid_argument, Not_found, out-of-bounds — is a
        decoder totality bug and fails the property *)
   end
+
+(* The identifier images of a message and of a frame: the origin and subject
+   of a SpeNoti against the src and dst of a JoinWait frame between them. *)
+let id_image_shared (p : Params.t) =
+  let lay = Packed.layout p in
+  let idb = ((p.d * Packed.bits_per_digit p.b) + 7) / 8 in
+  let rng = Rng.create (p.b + (100 * p.d)) in
+  for _ = 1 to 200 do
+    let origin = Packed.random rng lay and subject = Packed.random rng lay in
+    let msg =
+      Codec.encode p
+        (Message.Spe_noti
+           { origin = Packed.to_id lay origin; subject = Packed.to_id lay subject })
+    in
+    let frame =
+      encode p [ [ 1; Codec.kind_join_wait; (origin :> int); (subject :> int); 1 ] ]
+    in
+    (* one tag byte before a message's ids, one kind byte before a frame's *)
+    Alcotest.(check string) "origin as src" (String.sub msg 1 idb) (String.sub frame 1 idb);
+    Alcotest.(check string)
+      "subject as dst"
+      (String.sub msg (1 + idb) idb)
+      (String.sub frame (1 + idb) idb)
+  done
 
 let with_cut p = QCheck.(pair (arb_frames p) (QCheck.make G.(int_range 0 10_000)))
 
@@ -246,5 +275,9 @@ let suites =
             qtest
               (Printf.sprintf "bytes as per-byte (d=%d, b=%d)" p.d p.b)
               (arb_frames p) (byte_identity p))
-          [ p_pow2; p_odd; p_paper; p_wide; p_dec ] );
+          spaces
+      @ [
+          Alcotest.test_case "ids as in messages" `Quick (fun () ->
+              List.iter id_image_shared spaces);
+        ] );
   ]
