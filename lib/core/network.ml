@@ -30,13 +30,6 @@ type t = {
   wire : (Node.t, Message.t) Transport.t;
   global : Stats.t;
   failed : unit Id.Tbl.t;
-  (* Departure telemetry: the two ways a node can go away. [remove] is the
-     graceful path (leave protocols repair first, then unregister); [fail] is
-     the crash path (the node stays registered but dead until repair scrubs
-     it and a reaper removes it). Steady-state churn drivers read these to
-     report leave-vs-crash mixes without instrumenting every call site. *)
-  mutable removed_count : int;
-  mutable failed_count : int;
   mutable dropped : int;
   loss : (float * Ntcu_std.Rng.t) option;
   mutable lost : int;
@@ -81,8 +74,6 @@ let create ?latency ?(size_mode = Message.Full) ?(record_trace = false) ?loss ?r
     wire = Transport.create ?latency ~record_trace ~label ();
     global = Stats.create ();
     failed = Id.Tbl.create 16;
-    removed_count = 0;
-    failed_count = 0;
     dropped = 0;
     loss;
     lost = 0;
@@ -292,19 +283,14 @@ let run ?max_events t = Engine.run ?max_events (engine t)
 
 let remove t id =
   Transport.remove t.wire id;
-  Id.Tbl.remove t.failed id;
-  t.removed_count <- t.removed_count + 1
+  Id.Tbl.remove t.failed id
 
 let fail t id =
   if not (mem t id) then
     invalid_arg (Fmt.str "Network.fail: unknown node %a" Id.pp id);
   if Id.Tbl.mem t.failed id then
     invalid_arg (Fmt.str "Network.fail: %a already failed" Id.pp id);
-  t.failed_count <- t.failed_count + 1;
   Id.Tbl.replace t.failed id ()
-
-let removed_count t = t.removed_count
-let failed_count t = t.failed_count
 
 let messages_dropped t = t.dropped
 
@@ -325,8 +311,6 @@ let failed_ids t = List.filter (is_failed t) (ids t)
 let live_count t = size t - Id.Tbl.length t.failed
 
 let nodes t = List.map (fun id -> node_exn t id) (live_ids t)
-
-let joiners t = List.filter Node.is_joiner (nodes t)
 
 let tables t = List.map Node.table (nodes t)
 

@@ -122,12 +122,6 @@ val live_count : t -> int
 (** Registered nodes minus failed ones: the length of {!live_ids}, without
     building the list. *)
 
-val removed_count : t -> int
-(** Total {!remove} calls — graceful departures (plus crash reaping). *)
-
-val failed_count : t -> int
-(** Total {!fail} calls — crash departures. *)
-
 val messages_dropped : t -> int
 (** Deliveries to failed or removed nodes. *)
 
@@ -185,7 +179,6 @@ val mem : t -> Ntcu_id.Id.t -> bool
 val node : t -> Ntcu_id.Id.t -> Node.t option
 val node_exn : t -> Ntcu_id.Id.t -> Node.t
 val nodes : t -> Node.t list
-val joiners : t -> Node.t list
 val ids : t -> Ntcu_id.Id.t list
 val tables : t -> Ntcu_table.Table.t list
 

@@ -106,8 +106,6 @@ let t_begin t = t.t_begin
 let t_end t = t.t_end
 let pending_replies t = Id.Set.cardinal t.q_r + Id.Set.cardinal t.q_sr
 let queued_join_waits t = List.length t.q_j
-let suspects t = t.suspects
-let is_suspect t u = Id.Set.mem u t.suspects
 let set_fault t f = t.fault <- f
 let has_fault t f = match t.fault with Some g -> fault_equal g f | None -> false
 

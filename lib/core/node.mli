@@ -100,6 +100,3 @@ val on_suspect :
     the message whose delivery gave up, if the report comes from the
     transport ([None] when relayed by the online-repair dissemination).
     Idempotent per peer apart from per-message re-drives. *)
-
-val is_suspect : t -> Ntcu_id.Id.t -> bool
-val suspects : t -> Ntcu_id.Id.Set.t

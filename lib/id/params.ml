@@ -5,8 +5,6 @@ let make ~b ~d =
   if d < 1 || d > 64 then invalid_arg "Params.make: digit count must be in [1, 64]";
   { b; d }
 
-let id_space_size t = float_of_int t.b ** float_of_int t.d
-
 let pp ppf t = Fmt.pf ppf "(b=%d, d=%d)" t.b t.d
 
 let paper_example_fig1 = make ~b:4 ~d:5

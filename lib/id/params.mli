@@ -11,9 +11,6 @@ val make : b:int -> d:int -> t
 (** [make ~b ~d] validates [2 <= b <= 36] and [1 <= d <= 64].
     @raise Invalid_argument otherwise. *)
 
-val id_space_size : t -> float
-(** [b ^ d] as a float (the exact value may exceed [max_int]). *)
-
 val pp : t Fmt.t
 
 (** Presets used throughout the paper. *)

@@ -3,7 +3,6 @@ type t = {
   next : unit -> float option;
   action : now:float -> unit;
   mutable handle : Engine.handle option;
-  mutable fired : int;
   mutable stopped : bool;
 }
 
@@ -16,12 +15,11 @@ and fire t =
     (* Draw the next delay before running the action: the arrival process is
        then a pure function of the sampler's RNG, whatever the action does. *)
     (match t.next () with Some delay -> arm t delay | None -> t.stopped <- true);
-    t.fired <- t.fired + 1;
     t.action ~now:(Engine.now t.engine)
   end
 
 let start engine ?first ~next action =
-  let t = { engine; next; action; handle = None; fired = 0; stopped = false } in
+  let t = { engine; next; action; handle = None; stopped = false } in
   (match first with
   | Some delay -> arm t delay
   | None -> (
@@ -35,10 +33,6 @@ let stop t =
     Engine.cancel t.engine h;
     t.handle <- None
   | None -> ()
-
-let fired t = t.fired
-
-let active t = (not t.stopped) && Option.is_some t.handle
 
 let poisson ~rate rng =
   if rate <= 0. then invalid_arg "Arrivals.poisson: rate must be positive";

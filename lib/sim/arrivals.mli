@@ -23,12 +23,6 @@ val start :
 val stop : t -> unit
 (** Cancel the pending firing. Idempotent; the source never fires again. *)
 
-val fired : t -> int
-(** Number of times the action has run. *)
-
-val active : t -> bool
-(** True while a next firing is scheduled. *)
-
 val poisson : rate:float -> Ntcu_std.Rng.t -> unit -> float option
 (** Exponential inter-arrival sampler for a Poisson process with [rate]
     events per unit of virtual time.
