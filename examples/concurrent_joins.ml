@@ -40,7 +40,7 @@ let () =
   let lp = Ntcu_extensions.Leave_protocol.create run.net in
   List.iter (fun id -> Ntcu_extensions.Leave_protocol.request_leave lp id) leavers;
   Ntcu_extensions.Leave_protocol.run lp;
-  let consistent = Ntcu_core.Network.check_consistent run.net = [] in
+  let consistent = List.is_empty (Ntcu_core.Network.check_consistent run.net) in
   Format.printf "%a; consistent afterwards: %b@." Ntcu_extensions.Leave_protocol.pp_report
     (Ntcu_extensions.Leave_protocol.report lp)
     consistent;

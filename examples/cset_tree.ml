@@ -23,7 +23,7 @@ let () =
   Network.seed_consistent net ~seed:5 v;
   List.iter (fun x -> Network.start_join net ~id:x ~gateway:(List.hd v) ()) w;
   Network.run net;
-  let consistent = Network.check_consistent net = [] in
+  let consistent = List.is_empty (Network.check_consistent net) in
   Format.printf "joins complete; consistent: %b@.@." consistent;
 
   (* Notification sets (Definition 3.4). *)

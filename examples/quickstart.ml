@@ -31,7 +31,7 @@ let () =
   Format.printf "network of %d nodes built by %d concurrent joins@."
     (Network.size net) (List.length others);
   let in_system = Network.all_in_system net in
-  let consistent = Network.check_consistent net = [] in
+  let consistent = List.is_empty (Network.check_consistent net) in
   Format.printf "every node in_system: %b@." in_system;
   Format.printf "consistent (Definition 3.8): %b@.@." consistent;
 
