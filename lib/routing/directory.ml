@@ -259,37 +259,10 @@ let storers t obj =
 
 (* ---- Queries ----------------------------------------------------------- *)
 
-type lookup_result = {
-  storers : Id.t list;
-  pointer_node : Id.t;
-  hops : Id.t list;
-}
-
 let pointers_for t node obj =
   match Id.Tbl.find_opt t.pointers node with
   | Some tbl -> Id.Tbl.find_opt tbl obj
   | None -> None
-
-let lookup_object t ~client obj =
-  match root_path t ~from:client obj with
-  | Error e -> Error e
-  | Ok path ->
-    let rec walk acc = function
-      | node :: rest -> begin
-        let acc = node :: acc in
-        match pointers_for t node obj with
-        | Some storers ->
-          Some { storers = !storers; pointer_node = node; hops = List.rev acc }
-        | None -> walk acc rest
-      end
-      | [] -> None
-    in
-    (match walk [] path with
-    | Some result -> Ok result
-    | None ->
-      (* Reached the root without a pointer: the object is unpublished. *)
-      let root = List.nth path (List.length path - 1) in
-      Ok { storers = []; pointer_node = root; hops = path })
 
 type locate_result = {
   all_storers : Id.t list;
@@ -372,7 +345,7 @@ let total_pointer_entries t =
 
 (* Snapshot of the trail index in ascending (object, storer) Id order:
    republishing order decides the order storer lists are rebuilt in, which is
-   visible through [pointers_at]/[lookup_object], so maintenance walks a
+   visible through [pointers_at]/[locate], so maintenance walks a
    sorted snapshot and is deterministic. *)
 let sorted_trails t =
   (Id.Tbl.fold [@ntcu.allow "D002"]) (fun obj r acc -> (obj, !r) :: acc) t.trails []

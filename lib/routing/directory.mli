@@ -48,19 +48,6 @@ val unpublish : t -> storer:Ntcu_id.Id.t -> Ntcu_id.Id.t -> unit
 val storers : t -> Ntcu_id.Id.t -> Ntcu_id.Id.t list
 (** Storers with a live trail for the object, ascending Id order. *)
 
-type lookup_result = {
-  storers : Ntcu_id.Id.t list;  (** Known copies, at the first pointer hit. *)
-  pointer_node : Ntcu_id.Id.t;  (** Node whose pointer answered the query. *)
-  hops : Ntcu_id.Id.t list;  (** Query path from the client to [pointer_node]. *)
-}
-
-val lookup_object : t -> client:Ntcu_id.Id.t -> Ntcu_id.Id.t -> (lookup_result, Route.error) result
-(** Walk towards the root until a pointer for the object is found.
-    Returns an error carrying [Dead_end] semantics only on inconsistent
-    tables; on a consistent network a published object is always found (P1),
-    and an unpublished one cleanly reports no storers at the root. Does not
-    consult the cache (PRR first-hit semantics, used by P2 measurements). *)
-
 type locate_result = {
   all_storers : Ntcu_id.Id.t list;
       (** Union of every pointer met on the full walk to the root, ascending
@@ -78,11 +65,13 @@ type locate_result = {
 }
 
 val locate : t -> client:Ntcu_id.Id.t -> Ntcu_id.Id.t -> (locate_result, Route.error) result
-(** The serving query path: walk the whole surrogate path to the root,
-    recording the first pointer hit (P2 depth) {e and} the union of all
-    storers seen (completeness). When the directory was created with a cache,
-    a hit short-circuits the walk at depth 0; misses populate the cache
-    (objects with no storers are not cached). *)
+(** The query path: walk the whole surrogate path to the root, recording
+    the first pointer hit (P2 depth) {e and} the union of all storers seen
+    (completeness). Without a cache, the [first_*] fields and the first
+    [first_depth + 1] nodes of [path] are PRR's first-hit answer. When the
+    directory was created with a cache, a hit short-circuits the walk at
+    depth 0; misses populate the cache (objects with no storers are not
+    cached). *)
 
 val pointers_at : t -> Ntcu_id.Id.t -> (Ntcu_id.Id.t * Ntcu_id.Id.t list) list
 (** [(object, storers)] pointers held at a node (directory load; P3). *)

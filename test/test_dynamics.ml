@@ -56,8 +56,8 @@ let maintenance_after_joins () =
     (fun (obj, storer) ->
       List.iter
         (fun client ->
-          match Directory.lookup_object dir ~client obj with
-          | Ok { storers; _ } ->
+          match Directory.locate dir ~client obj with
+          | Ok { first_storers = storers; _ } ->
             check Alcotest.bool "found after maintain" true
               (List.exists (Id.equal storer) storers)
           | Error e -> Alcotest.failf "lookup: %a" Ntcu_routing.Route.pp_error e)
@@ -84,13 +84,14 @@ let maintenance_after_leaves () =
   check Alcotest.int "one object survives" 1 st.Directory.republished;
   check Alcotest.int "no republish errors" 0 st.Directory.errors;
   let client = List.nth run.seeds 3 in
-  (match Directory.lookup_object dir ~client obj with
-  | Ok { storers; _ } ->
+  (match Directory.locate dir ~client obj with
+  | Ok { first_storers = storers; _ } ->
     check Alcotest.(list string) "only the survivor" [ Id.to_string survivor_storer ]
       (List.map Id.to_string storers)
   | Error e -> Alcotest.failf "lookup: %a" Ntcu_routing.Route.pp_error e);
-  match Directory.lookup_object dir ~client doomed_only with
-  | Ok { storers; _ } -> check Alcotest.int "dead object gone" 0 (List.length storers)
+  match Directory.locate dir ~client doomed_only with
+  | Ok { first_storers; _ } ->
+    check Alcotest.int "dead object gone" 0 (List.length first_storers)
   | Error e -> Alcotest.failf "lookup: %a" Ntcu_routing.Route.pp_error e
 
 let published_objects_lists () =

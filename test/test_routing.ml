@@ -123,8 +123,8 @@ let publish_then_lookup () =
     | Ok hops -> check Alcotest.bool "hop bound" true (hops <= 6)
     | Error e -> Alcotest.failf "publish: %a" Route.pp_error e);
     let client = Rng.pick rng ids in
-    match Directory.lookup_object dir ~client obj with
-    | Ok { storers; _ } ->
+    match Directory.locate dir ~client obj with
+    | Ok { first_storers = storers; _ } ->
       check Alcotest.bool "storer found (P1)" true
         (List.exists (Id.equal storer) storers)
     | Error e -> Alcotest.failf "lookup: %a" Route.pp_error e
@@ -138,9 +138,8 @@ let lookup_from_storer_is_local () =
   let storer = List.hd (Network.ids run.net) in
   let obj = Id.random (Rng.create 1) p in
   (match Directory.publish dir ~storer obj with Ok _ -> () | Error _ -> Alcotest.fail "publish");
-  match Directory.lookup_object dir ~client:storer obj with
-  | Ok { hops; _ } ->
-    check Alcotest.int "pointer at the first node" 1 (List.length hops)
+  match Directory.locate dir ~client:storer obj with
+  | Ok { first_depth; _ } -> check Alcotest.int "pointer at the first node" 0 first_depth
   | Error e -> Alcotest.failf "lookup: %a" Route.pp_error e
 
 let unpublished_reports_no_storers () =
@@ -149,8 +148,9 @@ let unpublished_reports_no_storers () =
   let dir = Directory.create ~lookup () in
   let p = Network.params run.net in
   let obj = Id.random (Rng.create 2) p in
-  match Directory.lookup_object dir ~client:(List.hd (Network.ids run.net)) obj with
-  | Ok { storers; _ } -> check Alcotest.(list string) "none" [] (List.map Id.to_string storers)
+  match Directory.locate dir ~client:(List.hd (Network.ids run.net)) obj with
+  | Ok { first_storers; _ } ->
+    check Alcotest.(list string) "none" [] (List.map Id.to_string first_storers)
   | Error e -> Alcotest.failf "lookup: %a" Route.pp_error e
 
 let unpublish_removes () =
@@ -163,8 +163,8 @@ let unpublish_removes () =
   let obj = Id.random (Rng.create 3) p in
   (match Directory.publish dir ~storer obj with Ok _ -> () | Error _ -> Alcotest.fail "publish");
   Directory.unpublish dir ~storer obj;
-  match Directory.lookup_object dir ~client obj with
-  | Ok { storers; _ } -> check Alcotest.int "gone" 0 (List.length storers)
+  match Directory.locate dir ~client obj with
+  | Ok { first_storers = storers; _ } -> check Alcotest.int "gone" 0 (List.length storers)
   | Error e -> Alcotest.failf "lookup: %a" Route.pp_error e
 
 let multiple_replicas_found () =
