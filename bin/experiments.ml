@@ -471,35 +471,12 @@ let latency_ablation c =
 
 let optimize c =
   section "Extension: neighbor-table optimization (route stretch)";
-  let n = 300 and m = 100 in
-  let routers = Ntcu_topology.Transit_stub.default_config in
-  let topo = Ntcu_topology.Transit_stub.generate ~seed:42 routers in
-  let hosts = Ntcu_topology.Endhosts.attach ~seed:43 topo ~n:(n + m) in
-  let p = Params.make ~b:16 ~d:8 in
-  let rng = Ntcu_std.Rng.create 44 in
-  let seeds = Ntcu_harness.Workload.distinct_ids rng p ~n in
-  let joiners =
-    Ntcu_harness.Workload.distinct_ids ~avoid:(Id.Set.of_list seeds) rng p ~n:m
+  let w, dist =
+    Experiment.transit_stub_joins (Params.make ~b:16 ~d:8) ~seed:42 ~n:300 ~m:100
   in
-  let net =
-    Ntcu_core.Network.create ~latency:(Ntcu_topology.Endhosts.latency ~seed:45 hosts) p
-  in
-  Ntcu_core.Network.seed_consistent net ~seed:46 seeds;
-  List.iter
-    (fun id -> Ntcu_core.Network.start_join net ~id ~gateway:(List.hd seeds) ())
-    joiners;
-  Ntcu_core.Network.run net;
-  ignore
-    (claim c "optimize: setup consistent"
-       (List.is_empty (Ntcu_core.Network.check_consistent net))
-      : bool);
-  (* Host index = registration order, matching the attach order. *)
-  let host_index = Id.Tbl.create 512 in
-  List.iteri (fun i id -> Id.Tbl.replace host_index id i) (Ntcu_core.Network.ids net);
-  let dist a b =
-    Ntcu_topology.Endhosts.distance hosts (Id.Tbl.find host_index a)
-      (Id.Tbl.find host_index b)
-  in
+  let run = Experiment.finish w in
+  ignore (claim c "optimize: setup consistent" run.Experiment.consistent : bool);
+  let net = run.Experiment.net in
   let before =
     Ntcu_extensions.Optimize.average_route_stretch net ~dist ~seed:5 ~samples:500
   in
@@ -558,24 +535,12 @@ let assumption _ =
      does. *)
   pf "-- assumption (iv): node deletion during the join window@.";
   let mixed_run ~interleave seed =
-    let rng = Ntcu_std.Rng.create seed in
-    let seeds_ids = Ntcu_harness.Workload.distinct_ids rng p ~n in
-    let joiners =
-      Ntcu_harness.Workload.distinct_ids ~avoid:(Id.Set.of_list seeds_ids) rng p ~n:m
-    in
-    let net =
-      Ntcu_core.Network.create
-        ~latency:(Ntcu_sim.Latency.uniform ~seed:(seed + 1) ~lo:1. ~hi:100.)
-        p
-    in
-    Ntcu_core.Network.seed_consistent net ~seed:(seed + 2) seeds_ids;
-    let gateways = Array.of_list seeds_ids in
-    List.iter
-      (fun id ->
-        Ntcu_core.Network.start_join net ~id ~gateway:(Ntcu_std.Rng.pick rng gateways) ())
-      joiners;
+    (* Experiment's concurrent workload; the leavers and their times come
+       from its population RNG, past the gateway draws. *)
+    let w = Experiment.prepare (Experiment.Joins [||]) p ~seed ~n ~m in
+    let net = w.Experiment.w_net and rng = w.Experiment.w_rng in
     let lp = Ntcu_extensions.Leave_protocol.create net in
-    let victims = Array.of_list seeds_ids in
+    let victims = Array.of_list w.Experiment.w_seeds in
     Ntcu_std.Rng.shuffle rng victims;
     let victims = Array.sub victims 0 30 in
     if interleave then

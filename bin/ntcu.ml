@@ -527,11 +527,14 @@ let explore_cmd =
       let schedulers =
         match scheduler with
         | "all" -> base.Explore.schedulers
-        | "random" -> [ Scheduler.Random_delay { scale = 16. } ]
-        | "pct" -> [ Scheduler.Pct { bands = 4; invert = 0.05 } ]
-        | "targeted" -> [ Scheduler.Targeted { probability = 0.25; stretch = 32. } ]
-        | "nop" -> [ Scheduler.Nop ]
-        | s -> failwith (Printf.sprintf "unknown scheduler %S" s)
+        | s -> (
+          match
+            List.find_opt
+              (fun k -> String.equal (Scheduler.kind_name k) s)
+              (Scheduler.Nop :: base.Explore.schedulers)
+          with
+          | Some k -> [ k ]
+          | None -> failwith (Printf.sprintf "unknown scheduler %S" s))
       in
       let scenarios =
         match scenario with

@@ -11,36 +11,28 @@ module Params = Ntcu_id.Params
 module Network = Ntcu_core.Network
 module Node = Ntcu_core.Node
 module Directory = Ntcu_routing.Directory
+module Experiment = Ntcu_harness.Experiment
 module Rng = Ntcu_std.Rng
 
 let () =
   let p = Params.make ~b:16 ~d:8 in
-  let n = 200 and m = 100 in
 
   (* Build the network (seeded V plus concurrent joins) over a topology. *)
-  let topo =
-    Ntcu_topology.Transit_stub.generate ~seed:2 Ntcu_topology.Transit_stub.default_config
+  let w, dist = Experiment.transit_stub_joins p ~seed:2 ~n:200 ~m:100 in
+  let net = (Experiment.finish w).net and rng = w.w_rng in
+  (* Every failed check is printed; any one makes the exit status 1. *)
+  let failed = ref false in
+  let fail fmt =
+    failed := true;
+    Format.printf fmt
   in
-  let hosts = Ntcu_topology.Endhosts.attach ~seed:3 topo ~n:(n + m) in
-  let rng = Rng.create 4 in
-  let seeds = Ntcu_harness.Workload.distinct_ids rng p ~n in
-  let joiners =
-    Ntcu_harness.Workload.distinct_ids ~avoid:(Id.Set.of_list seeds) rng p ~n:m
-  in
-  let net = Network.create ~latency:(Ntcu_topology.Endhosts.latency ~seed:5 hosts) p in
-  Network.seed_consistent net ~seed:6 seeds;
-  List.iter (fun id -> Network.start_join net ~id ~gateway:(List.hd seeds) ()) joiners;
-  Network.run net;
-  assert (List.is_empty (Network.check_consistent net));
-  Format.printf "routing substrate: %d nodes, consistent@." (Network.size net);
+  (match Network.check_consistent net with
+  | [] -> Format.printf "routing substrate: %d nodes, consistent@." (Network.size net)
+  | v :: _ ->
+    fail "routing substrate: %d nodes, INCONSISTENT: %a@." (Network.size net)
+      Ntcu_table.Check.pp_violation v);
 
   let ids = Array.of_list (Network.ids net) in
-  let host_index = Id.Tbl.create 512 in
-  List.iteri (fun i id -> Id.Tbl.replace host_index id i) (Network.ids net);
-  let dist a b =
-    Ntcu_topology.Endhosts.distance hosts (Id.Tbl.find host_index a)
-      (Id.Tbl.find host_index b)
-  in
   let lookup id = Option.map Node.table (Network.node net id) in
   let dir = Directory.create ~lookup () in
 
@@ -51,7 +43,7 @@ let () =
       for _ = 1 to 3 do
         match Directory.publish dir ~storer:(Rng.pick rng ids) obj with
         | Ok _ -> ()
-        | Error e -> Format.printf "publish failed: %a@." Ntcu_routing.Route.pp_error e
+        | Error e -> fail "publish failed: %a@." Ntcu_routing.Route.pp_error e
       done)
     objects;
   Format.printf "published %d objects x 3 replicas@." (List.length objects);
@@ -78,18 +70,21 @@ let () =
             List.fold_left (fun acc s -> min acc (dist client s)) infinity storers
           in
           if direct > 0. then stretches := ((walk +. to_replica) /. direct) :: !stretches
-        | Error e -> Format.printf "lookup failed: %a@." Ntcu_routing.Route.pp_error e
+        | Error e -> fail "lookup failed: %a@." Ntcu_routing.Route.pp_error e
       done)
     objects;
   let hops = Array.of_list !hops and stretches = Array.of_list !stretches in
   Format.printf "lookups: %d, not found: %d (must be 0 for P1)@." (Array.length hops)
     !missed;
-  Format.printf "pointer found after: mean %.2f hops, p95 %.0f hops@."
-    (Ntcu_std.Stats.mean hops)
-    (Ntcu_std.Stats.percentile hops 95.);
-  Format.printf "access stretch: mean %.2f, median %.2f@."
-    (Ntcu_std.Stats.mean stretches)
-    (Ntcu_std.Stats.median stretches);
+  if !missed > 0 then failed := true;
+  if Array.length hops > 0 then
+    Format.printf "pointer found after: mean %.2f hops, p95 %.0f hops@."
+      (Ntcu_std.Stats.mean hops)
+      (Ntcu_std.Stats.percentile hops 95.);
+  if Array.length stretches > 0 then
+    Format.printf "access stretch: mean %.2f, median %.2f@."
+      (Ntcu_std.Stats.mean stretches)
+      (Ntcu_std.Stats.median stretches);
 
   (* Directory load (P3): pointers are spread across nodes. *)
   let loads =
@@ -97,4 +92,5 @@ let () =
   in
   Format.printf "directory load per node: mean %.2f pointers, max %.0f@."
     (Ntcu_std.Stats.mean loads)
-    (snd (Ntcu_std.Stats.min_max loads))
+    (snd (Ntcu_std.Stats.min_max loads));
+  if !failed then exit 1

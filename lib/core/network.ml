@@ -26,7 +26,6 @@ type pending = {
 type t = {
   params : Ntcu_id.Params.t;
   node_config : Node.config;
-  fault : Node.fault option; (* test-only protocol bug, applied to every node *)
   wire : (Node.t, Message.t) Transport.t;
   global : Stats.t;
   failed : unit Id.Tbl.t;
@@ -48,7 +47,7 @@ type t = {
 let label ~src ~dst msg = Fmt.str "%a -> %a : %a" Id.pp src Id.pp dst Message.pp msg
 
 let create ?latency ?(size_mode = Message.Full) ?(record_trace = false) ?loss ?reliability
-    ?fault params =
+    params =
   let loss =
     match loss with
     | None -> None
@@ -70,7 +69,6 @@ let create ?latency ?(size_mode = Message.Full) ?(record_trace = false) ?loss ?r
   {
     params;
     node_config = { Node.params; size_mode };
-    fault;
     wire = Transport.create ?latency ~record_trace ~label ();
     global = Stats.create ();
     failed = Id.Tbl.create 16;
@@ -244,7 +242,6 @@ let inject t ~src actions =
 
 let seed_node t id =
   let node = Node.create_seed t.node_config id in
-  Node.set_fault node t.fault;
   register t node;
   node
 
@@ -265,7 +262,6 @@ let start_joins t joins =
       (fun (at, id, gateway) ->
         ignore (node_exn t gateway);
         let joiner = Node.create_joiner t.node_config id in
-        Node.set_fault joiner t.fault;
         register t joiner;
         ( at,
           fun () ->

@@ -29,7 +29,6 @@ val create :
   ?record_trace:bool ->
   ?loss:float * int ->
   ?reliability:reliability ->
-  ?fault:Node.fault ->
   Ntcu_id.Params.t ->
   t
 (** Default latency: constant 1.0 ms. Default size mode: [Full].
@@ -45,12 +44,7 @@ val create :
     and suppresses duplicates; the sender retransmits with exponential
     backoff until acked, and after [max_retries] unanswered copies suspects
     the peer ({!Node.on_suspect} + the {!set_suspicion_handler} hook).
-    Default: messages are fire-and-forget as in the paper.
-
-    [fault] installs a test-only protocol bug ({!Node.fault}) on every node
-    the network creates, seeds and joiners alike. Used by the schedule
-    exploration harness to prove it can detect schedule-dependent bugs.
-    Default: none. *)
+    Default: messages are fire-and-forget as in the paper. *)
 
 val params : t -> Ntcu_id.Params.t
 val engine : t -> Ntcu_sim.Engine.t

@@ -7,6 +7,7 @@ module Trace = Ntcu_sim.Trace
 module Network = Ntcu_core.Network
 module Node = Ntcu_core.Node
 module Workload = Ntcu_harness.Workload
+module Experiment = Ntcu_harness.Experiment
 module Churn = Ntcu_churn.Churn
 module Chord = Ntcu_chord.Chord
 
@@ -83,16 +84,26 @@ let outcome config sched ~violations ~events trace =
     digest;
   }
 
-(* Constants of the Fault scenario, mirroring Experiment.fault_injection. *)
-let loss_probability = 0.02
-let crash_fraction = 0.05
-let crash_at = 150.
+(* Run a prepared network under the episode's scheduler. With [midflight]
+   on, [monitor] watches every event and its first catch aborts the run as
+   the sole violation; otherwise the [quiescent] checks judge the drained
+   network. *)
+let monitored config net ~monitor ~go ~quiescent =
+  let sched = Scheduler.make ~seed:config.sched_seed config.scheduler in
+  Network.set_delay_hook net (Some (Scheduler.hook sched));
+  if config.midflight then
+    Engine.set_observer (Network.engine net)
+      (Some (fun () -> match monitor () with Some v -> raise (Midflight v) | None -> ()));
+  let violations = match go () with () -> quiescent () | exception Midflight v -> [ v ] in
+  outcome config sched ~violations ~events:(Network.messages_delivered net)
+    (Network.trace net)
 
 (* Constants of the Churn scenario: a seconds-scale steady-state window with
    a half-life short enough that joins, leaves, crashes and repairs all
    overlap inside the adversary's horizon. *)
 let churn_duration = 4_000.
 let churn_half_life = 2_000.
+let churn_loss = 0.02
 let churn_sample_every = 1_000.
 let churn_maintenance_every = 500.
 let churn_lookups_per_sample = 4
@@ -113,7 +124,7 @@ let run_churn config =
       n = config.n;
       duration = churn_duration;
       half_life = churn_half_life;
-      loss = loss_probability;
+      loss = churn_loss;
       sample_every = churn_sample_every;
       maintenance_every = churn_maintenance_every;
       lookups_per_sample = churn_lookups_per_sample;
@@ -122,117 +133,37 @@ let run_churn config =
   in
   let t = Churn.prepare ~record_trace:true ccfg in
   let net = Churn.net t in
-  let seeds = Churn.initial t in
-  let sched = Scheduler.make ~seed:config.sched_seed config.scheduler in
-  Network.set_delay_hook net (Some (Scheduler.hook sched));
-  if config.midflight then begin
-    let monitor = Invariants.midflight ~expect_budget:false ~net ~joiners:[] () in
-    Engine.set_observer (Network.engine net)
-      (Some
-         (fun () ->
-           match monitor () with Some v -> raise (Midflight v) | None -> ()))
-  end;
-  let caught =
-    try
-      ignore (Churn.finish t : Churn.result);
-      None
-    with Midflight v -> Some v
-  in
-  let violations =
-    match caught with
-    | Some v -> [ v ]
-    | None ->
-      Invariants.quiescent ~expect_budget:false ~expect_consistency:false ~net ~seeds
-        ~joiners:[] ()
-  in
-  outcome config sched ~violations ~events:(Network.messages_delivered net)
-    (Network.trace net)
+  monitored config net
+    ~monitor:(Invariants.midflight ~expect_budget:false ~net ~joiners:[] ())
+    ~go:(fun () -> ignore (Churn.finish t : Churn.result))
+    ~quiescent:(fun () ->
+      Invariants.quiescent ~expect_budget:false ~expect_consistency:false ~net
+        ~seeds:(Churn.initial t) ~joiners:[] ())
 
+(* The join scenarios run Experiment's workload: Concurrent and Dependent
+   are concurrent_joins' (Dependent's joiners all end in digit 2), Fault is
+   fault_injection's at its defaults. Crash episodes assert the defended
+   claims only, as the fault experiment does; the others are strict. *)
 let run_join config =
-  let p = Params.make ~b:config.b ~d:config.d in
-  let rng = Rng.create config.seed in
-  let seeds = Workload.distinct_ids rng p ~n:config.n in
-  let suffix = match config.scenario with Dependent -> [| 2 |] | _ -> [||] in
-  let joiners =
-    Workload.distinct_ids ~suffix ~avoid:(Id.Set.of_list seeds) rng p ~n:config.m
-  in
-  let latency = Latency.uniform ~seed:(config.seed + 1) ~lo:1. ~hi:100. in
-  let loss, reliability, repairable =
+  let regime, strict =
     match config.scenario with
-    | Concurrent | Dependent | Churn | Chord -> (None, None, false)
-    | Fault ->
-      ( Some (loss_probability, config.seed + 3),
-        Some
-          {
-            Network.default_reliability with
-            rto = 250.;
-            (* clears a full round trip of the 1-100ms latency draw *)
-            seed = config.seed + 4;
-          },
-        true )
+    | Fault -> (Experiment.Faults, false)
+    | Dependent -> (Experiment.Joins [| 2 |], true)
+    | Concurrent | Churn | Chord -> (Experiment.Joins [||], true)
   in
-  let net =
-    Network.create ~latency ~record_trace:true ?loss ?reliability ?fault:config.fault p
+  let w =
+    Experiment.prepare ~record_trace:true regime
+      (Params.make ~b:config.b ~d:config.d)
+      ~seed:config.seed ~n:config.n ~m:config.m
   in
-  let repair = if repairable then Some (Ntcu_extensions.Online_repair.attach net) else None
-  in
-  ignore repair;
-  let sched = Scheduler.make ~seed:config.sched_seed config.scheduler in
-  Network.set_delay_hook net (Some (Scheduler.hook sched));
-  Network.seed_consistent net ~seed:(config.seed + 2) seeds;
-  let gateways = Array.of_list seeds in
-  let used_gateways = ref Id.Set.empty in
-  List.iter
-    (fun id ->
-      let gw = Rng.pick rng gateways in
-      used_gateways := Id.Set.add gw !used_gateways;
-      Network.start_join net ~at:0. ~id ~gateway:gw ())
-    joiners;
-  let crashed =
-    match config.scenario with
-    | Concurrent | Dependent | Churn | Chord -> []
-    | Fault ->
-      (* Victims come from the seeds no joiner uses as gateway: a dead
-         gateway violates assumption (ii), which even the defended protocol
-         cannot survive. *)
-      let candidates =
-        Array.of_list (List.filter (fun id -> not (Id.Set.mem id !used_gateways)) seeds)
-      in
-      let crash_rng = Rng.create (config.seed + 5) in
-      Rng.shuffle crash_rng candidates;
-      let count = max 1 (int_of_float (crash_fraction *. float_of_int config.n)) in
-      let count = min count (Array.length candidates) in
-      let victims = Array.to_list (Array.sub candidates 0 count) in
-      Engine.schedule_at (Network.engine net) ~time:crash_at (fun () ->
-          List.iter (fun id -> Network.fail net id) victims);
-      victims
-  in
-  let is_fault = match config.scenario with Fault -> true | _ -> false in
-  let expect_budget = not is_fault in
-  let expect_consistency = not is_fault in
-  if config.midflight then begin
-    let monitor = Invariants.midflight ~expect_budget ~net ~joiners () in
-    Engine.set_observer (Network.engine net)
-      (Some
-         (fun () ->
-           match monitor () with Some v -> raise (Midflight v) | None -> ()))
-  end;
-  let caught =
-    try
-      Network.run net;
-      if not (List.is_empty crashed) then
-        Ntcu_harness.Experiment.detect_failures net ~crashed;
-      None
-    with Midflight v -> Some v
-  in
-  let violations =
-    match caught with
-    | Some v -> [ v ]
-    | None ->
-      Invariants.quiescent ~expect_budget ~expect_consistency ~net ~seeds ~joiners ()
-  in
-  outcome config sched ~violations ~events:(Network.messages_delivered net)
-    (Network.trace net)
+  let net = w.Experiment.w_net and joiners = w.Experiment.w_joiners in
+  List.iter (fun nd -> Node.set_fault nd config.fault) (Network.nodes net);
+  monitored config net
+    ~monitor:(Invariants.midflight ~expect_budget:strict ~net ~joiners ())
+    ~go:(fun () -> ignore (Experiment.finish w : Experiment.join_run))
+    ~quiescent:(fun () ->
+      Invariants.quiescent ~expect_budget:strict ~expect_consistency:strict ~net
+        ~seeds:w.Experiment.w_seeds ~joiners ())
 
 (* Constants of the Chord scenario. Each joiner's gateway is its
    key-predecessor seed, so an unperturbed join lookup is exactly two frames

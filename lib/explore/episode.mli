@@ -8,14 +8,20 @@
     what shrinking and repro replay rely on. *)
 
 type scenario =
-  | Concurrent  (** [m] independent joins into an [n]-node network, all at t=0. *)
+  | Concurrent
+      (** [m] independent joins into an [n]-node network, all at t=0:
+          {!Ntcu_harness.Experiment.concurrent_joins}' workload. *)
   | Dependent
-      (** Joiner IDs share a suffix — a maximally dependent C-set workload,
-          the hardest case of the Section 5 proof. *)
+      (** The same, with every joiner ID ending in digit 2 — a maximally
+          dependent C-set workload, the hardest case of the Section 5
+          proof. *)
   | Fault
-      (** Message loss + mid-join crashes under the reliable transport and
-          online repair (the PR-1 reliability stack); checks that the
-          defended protocol still converges. *)
+      (** {!Ntcu_harness.Experiment.fault_injection}'s workload at its
+          defaults ({!Ntcu_harness.Experiment.Faults}): message loss and
+          mid-join crashes under the reliable transport and online repair.
+          Checks that the defended protocol still converges; at seed 196,
+          b = 4, d = 6, n = 24, m = 10 under [Nop] it is the
+          {!Ntcu_harness.Experiment.residual_hole} run. *)
   | Churn
       (** A seconds-scale continuous-churn steady state ({!Ntcu_churn.Churn})
           under the adversarial scheduler: Poisson arrivals, graceful leaves

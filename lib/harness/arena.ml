@@ -88,28 +88,20 @@ let workload cfg =
     Workload.distinct_ids ~avoid:(Id.Set.of_list seeds) rng params ~n:cfg.m
   in
   let gateways = Array.of_list seeds in
-  let used = ref Id.Set.empty in
   let joins =
     List.mapi
-      (fun i id ->
-        let gw = Rng.pick rng gateways in
-        used := Id.Set.add gw !used;
-        (join_spacing *. float_of_int i, id, gw))
+      (fun i id -> (join_spacing *. float_of_int i, id, Rng.pick rng gateways))
       joiners
   in
   let leaves =
-    (* Leavers are seeds no joiner uses as gateway — a departing gateway
-       would violate the paper protocol's assumption (ii), turning the
-       comparison into a different experiment. *)
-    let candidates =
-      Array.of_list (List.filter (fun id -> not (Id.Set.mem id !used)) seeds)
-    in
-    let lrng = Rng.create (cfg.seed + 5) in
-    Rng.shuffle lrng candidates;
-    let count = min cfg.leavers (Array.length candidates) in
+    (* A departing gateway would violate the paper protocol's assumption
+       (ii), turning the comparison into a different experiment. *)
     let t0 = (join_spacing *. float_of_int cfg.m) +. leave_settle in
-    List.init count (fun i ->
-        (t0 +. (leave_spacing *. float_of_int i), candidates.(i)))
+    List.mapi
+      (fun i id -> (t0 +. (leave_spacing *. float_of_int i), id))
+      (Workload.non_gateways ~seed:cfg.seed seeds
+         ~gateways:(List.map (fun (_, _, gateway) -> gateway) joins)
+         cfg.leavers)
   in
   let pairs =
     let gone = Id.Set.of_list (List.map snd leaves) in
@@ -181,15 +173,9 @@ let run_arm cfg (w : workload) arm =
   P.run t;
   (* Host indices follow registration order: seeds first, joiners after, in
      workload order — the same convention every protocol adapter uses. *)
-  let host =
-    let tbl = Id.Tbl.create (cfg.n + cfg.m) in
-    List.iteri (fun i id -> Id.Tbl.add tbl id i) w.seeds;
-    List.iteri
-      (fun i (_, id, _) -> Id.Tbl.add tbl id (cfg.n + i))
-      w.joins;
-    fun id -> Id.Tbl.find tbl id
+  let dist =
+    Workload.host_distance hosts (w.seeds @ List.map (fun (_, id, _) -> id) w.joins)
   in
-  let dist a b = Endhosts.distance hosts (host a) (host b) in
   let attempted = ref 0 and succeeded = ref 0 and stretch_sum = ref 0. in
   let stretches = ref 0 in
   List.iter

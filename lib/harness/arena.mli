@@ -49,6 +49,17 @@ val default : config
 val smoke : config
 (** CI-sized: n = 16, m = 6, 2 leavers, 32 lookups. *)
 
+type workload = {
+  params : Ntcu_id.Params.t;
+  seeds : Ntcu_id.Id.t list;
+  joins : (float * Ntcu_id.Id.t * Ntcu_id.Id.t) list;  (** [(time, joiner, gateway)] *)
+  leaves : (float * Ntcu_id.Id.t) list;  (** [(time, leaver)]: {!Workload.non_gateways} *)
+  pairs : (Ntcu_id.Id.t * Ntcu_id.Id.t) list;  (** Lookup [(source, target)]. *)
+}
+
+val workload : config -> workload
+(** The seeded workload every arm runs, computed once and shared read-only. *)
+
 type arm_result = {
   arm : arm;
   protocol : string;  (** The protocol module's own [name]. *)

@@ -5,6 +5,9 @@ module Node = Ntcu_core.Node
 module Stats = Ntcu_core.Stats
 module Rng = Ntcu_std.Rng
 module Engine = Ntcu_sim.Engine
+module Online_repair = Ntcu_extensions.Online_repair
+module Transit_stub = Ntcu_topology.Transit_stub
+module Endhosts = Ntcu_topology.Endhosts
 
 type join_run = {
   net : Network.t;
@@ -36,7 +39,7 @@ let ok ?(claim = Strict) run =
   run.all_in_system && run.quiescent
   && match claim with Strict -> run.consistent | Best_effort -> true
 
-let finish net seeds joiners =
+let result net seeds joiners =
   let stats_of id = Node.stats (Network.node_exn net id) in
   {
     net;
@@ -64,93 +67,6 @@ let make_population p ~seed ~n ~m ~suffix =
     Workload.distinct_ids ~suffix ~avoid:(Id.Set.of_list seeds) rng p ~n:m
   in
   (rng, seeds, joiners)
-
-let concurrent_joins ?latency ?size_mode ?(suffix = [||]) ?(stagger = 0.) p ~seed ~n ~m () =
-  let rng, seeds, joiners = make_population p ~seed ~n ~m ~suffix in
-  let latency = match latency with Some l -> l | None -> default_latency (seed + 1) in
-  let net = Network.create ~latency ?size_mode p in
-  Network.seed_consistent net ~seed:(seed + 2) seeds;
-  let gateways = Array.of_list seeds in
-  Network.start_joins net
-    (List.mapi
-       (fun i id -> (float_of_int i *. stagger, id, Rng.pick rng gateways))
-       joiners);
-  Network.run net;
-  finish net seeds joiners
-
-let sequential_joins p ~seed ~n ~m () =
-  let rng, seeds, joiners = make_population p ~seed ~n ~m ~suffix:[||] in
-  let net = Network.create ~latency:(default_latency (seed + 1)) p in
-  Network.seed_consistent net ~seed:(seed + 2) seeds;
-  let gateways = Array.of_list seeds in
-  List.iter
-    (fun id ->
-      Network.start_join net ~id ~gateway:(Rng.pick rng gateways) ();
-      Network.run net)
-    joiners;
-  finish net seeds joiners
-
-let network_init p ~seed ~n =
-  if n < 1 then invalid_arg "Experiment.network_init: n must be >= 1";
-  let rng = Rng.create seed in
-  let ids = Workload.distinct_ids rng p ~n in
-  let net = Network.create ~latency:(default_latency (seed + 1)) p in
-  let first, joiners = match ids with f :: r -> (f, r) | [] -> assert false in
-  Network.add_seed_node net first;
-  (* Each joiner is given a random already-present node, as the paper's
-     network-initialization section prescribes ("each is given x to begin
-     with" in the simplest form; any known member works). *)
-  let present = ref [| first |] in
-  List.iter
-    (fun id ->
-      Network.start_join net ~id ~gateway:(Rng.pick rng !present) ();
-      Network.run net;
-      present := Array.append !present [| id |])
-    joiners;
-  finish net [ first ] joiners
-
-type fig15b_setup = { d : int; n : int; m : int }
-
-let paper_setups =
-  [
-    { d = 8; n = 3096; m = 1000 };
-    { d = 40; n = 3096; m = 1000 };
-    { d = 8; n = 7192; m = 1000 };
-    { d = 40; n = 7192; m = 1000 };
-  ]
-
-let fig15b ?(routers = Ntcu_topology.Transit_stub.scaled_config) ?(record_trace = false)
-    ~seed setup =
-  let p = Params.make ~b:16 ~d:setup.d in
-  let rng, seeds, joiners = make_population p ~seed ~n:setup.n ~m:setup.m ~suffix:[||] in
-  let topo = Ntcu_topology.Transit_stub.generate ~seed:(seed + 10) routers in
-  let hosts =
-    Ntcu_topology.Endhosts.attach ~seed:(seed + 11) topo ~n:(setup.n + setup.m)
-  in
-  let latency = Ntcu_topology.Endhosts.latency ~seed:(seed + 12) hosts in
-  let net = Network.create ~latency ~record_trace p in
-  (* Hosts are indexed in registration order: seeds first, then joiners. *)
-  Network.seed_consistent net ~seed:(seed + 2) seeds;
-  let gateways = Array.of_list seeds in
-  Network.start_joins net (List.map (fun id -> (0., id, Rng.pick rng gateways)) joiners);
-  Network.run net;
-  finish net seeds joiners
-
-let cdf_points counts =
-  let sorted = Array.copy counts in
-  Array.sort compare sorted;
-  let total = float_of_int (Array.length sorted) in
-  let points = ref [] in
-  Array.iteri
-    (fun i v ->
-      if i = Array.length sorted - 1 || sorted.(i + 1) <> v then
-        points := (v, float_of_int (i + 1) /. total) :: !points)
-    sorted;
-  List.rev !points
-
-let fig15a_series ~b ~d ~m ~ns =
-  let p = Params.make ~b ~d in
-  List.map (fun n -> (n, Ntcu_analysis.Join_cost.theorem5_bound p ~n ~m)) ns
 
 (* Eventual failure detection. Suspicion is traffic-driven, so a victim that
    no protocol message happened to target after the crash is never noticed
@@ -197,6 +113,157 @@ let detect_failures net ~crashed =
     Network.run net
   done
 
+type workload = {
+  w_net : Network.t;
+  w_seeds : Id.t list;
+  w_joiners : Id.t list;
+  w_rng : Rng.t;
+  w_crashed : Id.t list;
+}
+
+type regime = Joins of int array | Faults
+
+(* Crashes land at 150 ms, inside the join window of the 1-100 ms latency
+   draw. *)
+let crash_at = 150.
+
+(* The one seeded join workload: [n] seeds and [m] joiners drawn from
+   [Rng.create seed], latency seeded [seed + 1], the consistent network
+   seeded [seed + 2], and each joiner given a random gateway from the
+   population RNG, join [i] starting at [i * stagger]. Under faults, loss is
+   seeded [seed + 3], the transport's jitter [seed + 4] and the crash victims
+   [seed + 5] (Workload.non_gateways). *)
+let build ?latency ?size_mode ?(record_trace = false) ?(suffix = [||]) ?(stagger = 0.)
+    ?(loss = 0.) ?(reliable = false) ?(crash_fraction = 0.) p ~seed ~n ~m =
+  let rng, seeds, joiners = make_population p ~seed ~n ~m ~suffix in
+  let latency = match latency with Some l -> l | None -> default_latency (seed + 1) in
+  let reliability =
+    if not reliable then None
+    else
+      (* The latency draws up to 100 ms per hop, so the initial timeout must
+         clear a full round trip. *)
+      Some { Network.default_reliability with rto = 250.; seed = seed + 4 }
+  in
+  let net =
+    Network.create ~latency ?size_mode ~record_trace ~loss:(loss, seed + 3) ?reliability p
+  in
+  Network.seed_consistent net ~seed:(seed + 2) seeds;
+  let gateways = Array.of_list seeds in
+  let joins =
+    List.mapi (fun i id -> (float_of_int i *. stagger, id, Rng.pick rng gateways)) joiners
+  in
+  Network.start_joins net joins;
+  let crashed =
+    if crash_fraction <= 0. then []
+    else begin
+      let victims =
+        Workload.non_gateways ~seed seeds
+          ~gateways:(List.map (fun (_, _, gateway) -> gateway) joins)
+          (max 1 (int_of_float (crash_fraction *. float_of_int n)))
+      in
+      Engine.schedule_at (Network.engine net) ~time:crash_at (fun () ->
+          List.iter (Network.fail net) victims);
+      victims
+    end
+  in
+  { w_net = net; w_seeds = seeds; w_joiners = joiners; w_rng = rng; w_crashed = crashed }
+
+(* fault_injection's defaults are the [Faults] regime. The reliable
+   transport comes with online repair, which only acts once the run has
+   begun. *)
+let build_faults ?record_trace ?(reliable = true) ?(loss = 0.02) ?(crash_fraction = 0.05) p
+    ~seed ~n ~m =
+  let w = build ?record_trace ~reliable ~loss ~crash_fraction p ~seed ~n ~m in
+  (w, if reliable then Some (Online_repair.attach w.w_net) else None)
+
+let prepare ?record_trace regime p ~seed ~n ~m =
+  match regime with
+  | Joins suffix -> build ?record_trace ~suffix p ~seed ~n ~m
+  | Faults -> fst (build_faults ?record_trace p ~seed ~n ~m)
+
+let finish w =
+  Network.run w.w_net;
+  if Network.reliable w.w_net then detect_failures w.w_net ~crashed:w.w_crashed;
+  result w.w_net w.w_seeds w.w_joiners
+
+let concurrent_joins ?latency ?size_mode ?suffix ?stagger p ~seed ~n ~m () =
+  finish (build ?latency ?size_mode ?suffix ?stagger p ~seed ~n ~m)
+
+let sequential_joins p ~seed ~n ~m () =
+  let rng, seeds, joiners = make_population p ~seed ~n ~m ~suffix:[||] in
+  let net = Network.create ~latency:(default_latency (seed + 1)) p in
+  Network.seed_consistent net ~seed:(seed + 2) seeds;
+  let gateways = Array.of_list seeds in
+  List.iter
+    (fun id ->
+      Network.start_join net ~id ~gateway:(Rng.pick rng gateways) ();
+      Network.run net)
+    joiners;
+  result net seeds joiners
+
+let network_init p ~seed ~n =
+  if n < 1 then invalid_arg "Experiment.network_init: n must be >= 1";
+  let rng = Rng.create seed in
+  let ids = Workload.distinct_ids rng p ~n in
+  let net = Network.create ~latency:(default_latency (seed + 1)) p in
+  let first, joiners = match ids with f :: r -> (f, r) | [] -> assert false in
+  Network.add_seed_node net first;
+  (* Each joiner is given a random already-present node, as the paper's
+     network-initialization section prescribes ("each is given x to begin
+     with" in the simplest form; any known member works). *)
+  let present = ref [| first |] in
+  List.iter
+    (fun id ->
+      Network.start_join net ~id ~gateway:(Rng.pick rng !present) ();
+      Network.run net;
+      present := Array.append !present [| id |])
+    joiners;
+  result net [ first ] joiners
+
+let transit_stub_joins p ~seed ~n ~m =
+  let topo = Transit_stub.generate ~seed Transit_stub.default_config in
+  let hosts = Endhosts.attach ~seed:(seed + 1) topo ~n:(n + m) in
+  let rng, seeds, joiners = make_population p ~seed:(seed + 2) ~n ~m ~suffix:[||] in
+  let net = Network.create ~latency:(Endhosts.latency ~seed:(seed + 3) hosts) p in
+  Network.seed_consistent net ~seed:(seed + 4) seeds;
+  Network.start_joins net (List.map (fun id -> (0., id, List.hd seeds)) joiners);
+  ( { w_net = net; w_seeds = seeds; w_joiners = joiners; w_rng = rng; w_crashed = [] },
+    Workload.host_distance hosts (seeds @ joiners) )
+
+type fig15b_setup = { d : int; n : int; m : int }
+
+let paper_setups =
+  [
+    { d = 8; n = 3096; m = 1000 };
+    { d = 40; n = 3096; m = 1000 };
+    { d = 8; n = 7192; m = 1000 };
+    { d = 40; n = 7192; m = 1000 };
+  ]
+
+let fig15b ?(routers = Transit_stub.scaled_config) ?record_trace ~seed setup =
+  let topo = Transit_stub.generate ~seed:(seed + 10) routers in
+  let hosts = Endhosts.attach ~seed:(seed + 11) topo ~n:(setup.n + setup.m) in
+  let latency = Endhosts.latency ~seed:(seed + 12) hosts in
+  (* Hosts are indexed in registration order: seeds first, then joiners. *)
+  let p = Params.make ~b:16 ~d:setup.d in
+  finish (build ~latency ?record_trace p ~seed ~n:setup.n ~m:setup.m)
+
+let cdf_points counts =
+  let sorted = Array.copy counts in
+  Array.sort compare sorted;
+  let total = float_of_int (Array.length sorted) in
+  let points = ref [] in
+  Array.iteri
+    (fun i v ->
+      if i = Array.length sorted - 1 || sorted.(i + 1) <> v then
+        points := (v, float_of_int (i + 1) /. total) :: !points)
+    sorted;
+  List.rev !points
+
+let fig15a_series ~b ~d ~m ~ns =
+  let p = Params.make ~b ~d in
+  List.map (fun n -> (n, Ntcu_analysis.Join_cost.theorem5_bound p ~n ~m)) ns
+
 type fault_run = {
   run : join_run;
   crashed : Id.t list;
@@ -210,58 +277,16 @@ type fault_run = {
   repair : Ntcu_extensions.Online_repair.report option;
 }
 
-let fault_injection ?(record_trace = false) ?(reliable = true) ?(loss = 0.02)
-    ?(crash_fraction = 0.) p ~seed ~n ~m () =
-  let rng, seeds, joiners = make_population p ~seed ~n ~m ~suffix:[||] in
-  let reliability =
-    if not reliable then None
-    else
-      (* The latency draws up to 100 ms per hop, so the initial timeout must
-         clear a full round trip. *)
-      Some { Network.default_reliability with rto = 250.; seed = seed + 4 }
+let fault_injection ?record_trace ?reliable ?loss ?crash_fraction p ~seed ~n ~m () =
+  let w, repair =
+    build_faults ?record_trace ?reliable ?loss ?crash_fraction p ~seed ~n ~m
   in
-  let net =
-    Network.create ~latency:(default_latency (seed + 1)) ~record_trace
-      ~loss:(loss, seed + 3) ?reliability p
-  in
-  let repair =
-    if reliable then Some (Ntcu_extensions.Online_repair.attach net) else None
-  in
-  Network.seed_consistent net ~seed:(seed + 2) seeds;
-  let gateways = Array.of_list seeds in
-  let used_gateways = ref Id.Set.empty in
-  List.iter
-    (fun id ->
-      let gw = Rng.pick rng gateways in
-      used_gateways := Id.Set.add gw !used_gateways;
-      Network.start_join net ~at:0. ~id ~gateway:gw ())
-    joiners;
-  (* Crash victims are drawn from the seeds no joiner uses as gateway: a dead
-     gateway before the first reply leaves the joiner with no live contact at
-     all, which even a perfect protocol cannot survive (assumption (ii)). *)
-  let crashed =
-    if crash_fraction <= 0. then []
-    else begin
-      let candidates =
-        Array.of_list (List.filter (fun id -> not (Id.Set.mem id !used_gateways)) seeds)
-      in
-      let crash_rng = Rng.create (seed + 5) in
-      Rng.shuffle crash_rng candidates;
-      let count = max 1 (int_of_float (crash_fraction *. float_of_int n)) in
-      let count = min count (Array.length candidates) in
-      let victims = Array.to_list (Array.sub candidates 0 count) in
-      Engine.schedule_at (Network.engine net) ~time:150. (fun () ->
-          List.iter (fun id -> Network.fail net id) victims);
-      victims
-    end
-  in
-  Network.run net;
-  if reliable then detect_failures net ~crashed;
-  let run = finish net seeds joiners in
+  let run = finish w in
+  let net = w.w_net in
   let g = Network.global_stats net in
   {
     run;
-    crashed;
+    crashed = w.w_crashed;
     stuck = List.length (Network.stuck_joiners net);
     retransmissions = Stats.retransmissions g;
     timeouts = Stats.timeouts_fired g;
@@ -269,7 +294,7 @@ let fault_injection ?(record_trace = false) ?(reliable = true) ?(loss = 0.02)
     duplicates = Stats.duplicates_suppressed g;
     lost = Network.messages_lost net;
     acks_lost = Network.acks_lost net;
-    repair = Option.map Ntcu_extensions.Online_repair.report repair;
+    repair = Option.map Online_repair.report repair;
   }
 
 (* The canonical residual-hole run. Seed 196 at these sizes is the smallest
@@ -278,10 +303,7 @@ let fault_injection ?(record_trace = false) ?(reliable = true) ?(loss = 0.02)
    suffix), which is why the fault/churn exit status gates on Best_effort
    rather than Strict. Tests, docs and the CLI comment all reference this one
    fixture instead of restating the magic numbers. *)
-let residual_hole () =
-  fault_injection ~loss:0.02 ~crash_fraction:0.05
-    (Ntcu_id.Params.make ~b:4 ~d:6)
-    ~seed:196 ~n:24 ~m:10 ()
+let residual_hole () = fault_injection (Params.make ~b:4 ~d:6) ~seed:196 ~n:24 ~m:10 ()
 
 type baseline_result = {
   base_consistent : bool;

@@ -36,6 +36,36 @@ val ok : ?claim:claim -> join_run -> bool
     gate their exit status on this so a regression fails CI instead of just
     printing "NO"; fault and churn modes pass [~claim:Best_effort]. *)
 
+(** {1 One join workload, in two steps}
+
+    {!prepare} builds a seeded workload — a consistent network [V] of [n]
+    random nodes, [m] joiners with random gateways in [V], and under faults
+    loss plus crashes of non-gateway seeds — and schedules its joins without
+    running anything, so a caller can first install a delay hook, an
+    observer or a test-only {!Ntcu_core.Node.fault}. {!finish} runs it. *)
+
+type workload = {
+  w_net : Ntcu_core.Network.t;
+  w_seeds : Ntcu_id.Id.t list;  (** [V], registered before the joiners. *)
+  w_joiners : Ntcu_id.Id.t list;
+  w_rng : Ntcu_std.Rng.t;  (** The population RNG, past the build's draws. *)
+  w_crashed : Ntcu_id.Id.t list;  (** Seeds scheduled to fail-stop. *)
+}
+
+type regime =
+  | Joins of int array
+      (** {!concurrent_joins}' workload; joiner IDs end with the suffix. *)
+  | Faults  (** {!fault_injection}'s workload at its defaults. *)
+
+val prepare :
+  ?record_trace:bool -> regime -> Ntcu_id.Params.t -> seed:int -> n:int -> m:int -> workload
+(** Joins all start at time 0. Deterministic in [seed]. [record_trace]
+    (default false) records every delivery in [Network.trace w.w_net]. *)
+
+val finish : workload -> join_run
+(** Run to quiescence, then, with the reliable transport, probe the crashed
+    seeds ({!detect_failures}). Call once. *)
+
 val concurrent_joins :
   ?latency:Ntcu_sim.Latency.t ->
   ?size_mode:Ntcu_core.Message.size_mode ->
@@ -47,12 +77,12 @@ val concurrent_joins :
   m:int ->
   unit ->
   join_run
-(** Build a consistent network of [n] random nodes, then start [m] joins.
-    All joins start at time 0 (the paper's setup) unless [stagger > 0.], in
-    which case join [i] starts at [i *. stagger]. [suffix] constrains joiner
-    IDs to share a suffix — a maximally dependent C-set workload. Gateways
-    are random members of [V]. Latency defaults to uniform 1–100 ms, seeded
-    from [seed]. Deterministic in [seed]. *)
+(** Build a consistent network of [n] random nodes, then start [m] joins and
+    {!finish}. All joins start at time 0 (the paper's setup) unless
+    [stagger > 0.], in which case join [i] starts at [i *. stagger].
+    [suffix] constrains joiner IDs to share a suffix — a maximally dependent
+    C-set workload. Gateways are random members of [V]. Latency defaults to
+    uniform 1–100 ms, seeded from [seed]. Deterministic in [seed]. *)
 
 val sequential_joins :
   Ntcu_id.Params.t ->
@@ -70,6 +100,17 @@ val network_init :
   join_run
 (** Section 6.1: start from one node and build an [n]-node network purely by
     (sequential) joins. The "seeds" list contains the single initial node. *)
+
+val transit_stub_joins :
+  Ntcu_id.Params.t ->
+  seed:int ->
+  n:int ->
+  m:int ->
+  workload * (Ntcu_id.Id.t -> Ntcu_id.Id.t -> float)
+(** The optimization and object-location substrate over the default
+    transit-stub topology: topology, attachment, population, latency and
+    seeding seeded [seed] to [seed + 4]; every joiner enters through the
+    first seed. Also returns the end-host distance between two of its ids. *)
 
 (** {1 Figure 15(b): simulated join cost over a transit-stub topology} *)
 
@@ -147,8 +188,9 @@ val fault_injection :
   fault_run
 (** Like {!concurrent_joins} (all joins at time 0, random gateways), but with
     [loss] (default 2%) applied to every message and, when
-    [crash_fraction > 0], [max 1 (crash_fraction * n)] seed nodes that no
-    joiner uses as gateway fail-stopping at time 150 ms. [reliable]
+    [crash_fraction > 0] (default 5%), [max 1 (crash_fraction * n)] seed
+    nodes that no joiner uses as gateway ({!Workload.non_gateways})
+    fail-stopping at time 150 ms. [reliable]
     (default [true]) enables the ack/retransmit transport (initial timeout
     250 ms) and attaches {!Ntcu_extensions.Online_repair}; with
     [reliable:false] the run reproduces the undefended wedge. Deterministic
@@ -156,8 +198,8 @@ val fault_injection :
 
 val residual_hole : unit -> fault_run
 (** The canonical residual-hole fixture:
-    [fault_injection ~loss:0.02 ~crash_fraction:0.05 (b=4, d=6) ~seed:196
-    ~n:24 ~m:10] — converges live and quiescent with exactly one Def-3.8
+    [fault_injection (b=4, d=6) ~seed:196 ~n:24 ~m:10 ()], the {!Faults}
+    regime — converges live and quiescent with exactly one Def-3.8
     violation, so {!ok} rejects it under [Strict] and accepts it under
     [Best_effort]. The regression fixture behind the best-effort exit-status
     contract of [ntcu fault] and the churn engine. *)

@@ -1,4 +1,5 @@
 module Id = Ntcu_id.Id
+module Rng = Ntcu_std.Rng
 
 let distinct_ids ?(suffix = [||]) ?(avoid = Id.Set.empty) rng (p : Ntcu_id.Params.t) ~n =
   if n < 0 then invalid_arg "Workload.distinct_ids: negative n";
@@ -7,20 +8,31 @@ let distinct_ids ?(suffix = [||]) ?(avoid = Id.Set.empty) rng (p : Ntcu_id.Param
   let space = float_of_int p.b ** float_of_int free_digits in
   if float_of_int (n + Id.Set.cardinal avoid) > space then
     invalid_arg "Workload.distinct_ids: population exceeds the constrained ID space";
-  let seen = Hashtbl.create (2 * n) in
-  Id.Set.iter (fun id -> Hashtbl.replace seen (Id.to_string id) ()) avoid;
+  let seen = Id.Tbl.create (2 * n) in
+  Id.Set.iter (fun id -> Id.Tbl.replace seen id ()) avoid;
   let out = ref [] in
   let produced = ref 0 in
   while !produced < n do
     let id = Id.random_with_suffix rng p suffix in
-    let key = Id.to_string id in
-    if not (Hashtbl.mem seen key) then begin
-      Hashtbl.add seen key ();
+    if not (Id.Tbl.mem seen id) then begin
+      Id.Tbl.add seen id ();
       out := id :: !out;
       incr produced
     end
   done;
   List.rev !out
+
+let non_gateways ~seed seeds ~gateways k =
+  let used = Id.Set.of_list gateways in
+  let candidates = Array.of_list (List.filter (fun id -> not (Id.Set.mem id used)) seeds) in
+  Rng.shuffle (Rng.create (seed + 5)) candidates;
+  Array.to_list (Array.sub candidates 0 (min k (Array.length candidates)))
+
+let host_distance hosts ids =
+  let index = Id.Tbl.create 512 in
+  List.iteri (fun i id -> Id.Tbl.replace index id i) ids;
+  fun a b ->
+    Ntcu_topology.Endhosts.distance hosts (Id.Tbl.find index a) (Id.Tbl.find index b)
 
 let parse_suffix ~b s =
   let digit c =

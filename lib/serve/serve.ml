@@ -118,11 +118,7 @@ let run_static cfg =
   Network.seed_consistent net ~seed:(cfg.seed + 1) members;
   let topo = Transit_stub.generate ~seed:(cfg.seed + 2) Transit_stub.default_config in
   let hosts = Endhosts.attach ~seed:(cfg.seed + 3) topo ~n:cfg.n in
-  let host_index = Id.Tbl.create cfg.n in
-  List.iteri (fun i id -> Id.Tbl.replace host_index id i) members;
-  let dist a b =
-    Endhosts.distance hosts (Id.Tbl.find host_index a) (Id.Tbl.find host_index b)
-  in
+  let dist = Workload.host_distance hosts members in
   let lookup id = Option.map Node.table (Network.node net id) in
   let dir = Directory.create ~cache:cfg.cache ~lookup () in
   let objects =

@@ -13,6 +13,7 @@ module Latency = Ntcu_sim.Latency
 module Network = Ntcu_core.Network
 module Node = Ntcu_core.Node
 module Workload = Ntcu_harness.Workload
+module Experiment = Ntcu_harness.Experiment
 module Scheduler = Ntcu_explore.Scheduler
 module Invariants = Ntcu_explore.Invariants
 module Episode = Ntcu_explore.Episode
@@ -140,6 +141,41 @@ let pinned_schedules () =
       (Episode.Chord, random, "14573fcda7b074faa5295a0f3e1d14d9", 2922, 2922);
     ]
 
+(* Explore's fault scenario runs the fault experiment's own workload, so the
+   unperturbed episode at the residual-hole fixture's arguments replays
+   [fault_injection]'s run delivery for delivery. *)
+let fault_scenario_is_residual_hole () =
+  let o =
+    Episode.run
+      {
+        Episode.scenario = Episode.Fault;
+        b = 4;
+        d = 6;
+        n = 24;
+        m = 10;
+        seed = 196;
+        sched_seed = 1;
+        scheduler = Scheduler.Nop;
+        fault = None;
+        chord_naive = false;
+        midflight = false;
+      }
+  in
+  let f =
+    Experiment.fault_injection ~record_trace:true (Params.make ~b:4 ~d:6) ~seed:196 ~n:24
+      ~m:10 ()
+  in
+  let digest =
+    match Network.trace f.Experiment.run.Experiment.net with
+    | Some tr -> Trace.digest tr
+    | None -> Alcotest.fail "no trace"
+  in
+  check Alcotest.string "pinned digest" "947d9079aa6020ff153fd6ee4bd38ffa" digest;
+  check Alcotest.string "episode digest" digest o.Episode.digest;
+  check Alcotest.int "episode deliveries" f.Experiment.run.Experiment.events
+    o.Episode.events;
+  check Alcotest.int "deliveries" 236 o.Episode.events
+
 (* ---- The full hunt: clean protocol, determinism, injected bug ---- *)
 
 let json_string r = Ntcu_harness.Report.Json.to_string (Explore.report_json r)
@@ -232,6 +268,8 @@ let suites =
         Alcotest.test_case "episode rerun identical" `Quick episode_rerun_identical;
         Alcotest.test_case "fixed replay identical" `Quick fixed_replay_identical;
         Alcotest.test_case "pinned hook-perturbed schedules" `Quick pinned_schedules;
+        Alcotest.test_case "fault scenario is the residual-hole run" `Quick
+          fault_scenario_is_residual_hole;
         Alcotest.test_case "clean smoke finds nothing" `Quick clean_smoke_finds_nothing;
         Alcotest.test_case "report deterministic across jobs" `Quick
           report_deterministic_across_jobs;

@@ -67,6 +67,31 @@ let parse_suffix_cases () =
         check Alcotest.string "textual suffix" "3a" (String.sub s (String.length s - 2) 2))
       ids
 
+(* The one non-gateway pick behind the fault experiment's crash victims and
+   the arena's leavers. *)
+let non_gateway_pick () =
+  let id = Alcotest.testable Id.pp Id.equal in
+  let seeds = Workload.distinct_ids (Rng.create 9) p ~n:12 in
+  let gateways = List.map (List.nth seeds) [ 0; 3; 3; 7 ] in
+  let pick k = Workload.non_gateways ~seed:9 seeds ~gateways k in
+  let all = pick 100 in
+  check Alcotest.int "capped by the candidates" 9 (List.length all);
+  check Alcotest.int "distinct" 9 (List.length (List.sort_uniq Id.compare all));
+  List.iter
+    (fun v ->
+      check Alcotest.bool "a seed" true (List.exists (Id.equal v) seeds);
+      check Alcotest.bool "not a gateway" false (List.exists (Id.equal v) gateways))
+    all;
+  check (Alcotest.list id) "a prefix of one order" (List.filteri (fun i _ -> i < 4) all)
+    (pick 4);
+  let cfg = Ntcu_harness.Arena.default in
+  let w = Ntcu_harness.Arena.workload cfg in
+  check (Alcotest.list id) "arena leavers"
+    (Workload.non_gateways ~seed:cfg.seed w.seeds
+       ~gateways:(List.map (fun (_, _, gateway) -> gateway) w.joins)
+       cfg.leavers)
+    (List.map snd w.leaves)
+
 let cdf_points_cumulative () =
   let pts = Experiment.cdf_points [| 3; 1; 1; 2 |] in
   check
@@ -134,6 +159,7 @@ let suites =
         Alcotest.test_case "space guard" `Quick distinct_ids_space_guard;
         Alcotest.test_case "split" `Quick split_cases;
         Alcotest.test_case "parse suffix" `Quick parse_suffix_cases;
+        Alcotest.test_case "non-gateway pick" `Quick non_gateway_pick;
         Alcotest.test_case "cdf points" `Quick cdf_points_cumulative;
         Alcotest.test_case "join-run report" `Quick join_run_reports;
         Alcotest.test_case "fig15b miniature" `Slow fig15b_small_setup;
