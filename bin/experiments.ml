@@ -754,7 +754,8 @@ let fault c =
   in
   (* The defended claim in this regime is Best_effort: every cell must end
      live and quiescent; residual holes are reported in the table but not
-     gated (crash-over-join repair is legitimately best-effort). *)
+     gated (crash-over-join repair can still leave an entry empty that a
+     live node could fill). *)
   List.iter2
     (fun (loss, crash_fraction) (f : Experiment.fault_run) ->
       ignore

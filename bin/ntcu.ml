@@ -263,10 +263,10 @@ let fault_cmd =
         ~seed ~n ~m ()
     in
     Format.printf "%a" Report.pp_fault_run f;
-    (* Best-effort claim: crash-over-join repair can legitimately leave a
-       residual hole (the pinned Experiment.residual_hole fixture), so
-       consistency is reported above but only liveness and quiescence gate
-       the exit status. *)
+    (* Best-effort claim: crash-over-join repair can still leave a hole that
+       a live node could fill (the pinned Experiment.residual_hole fixture),
+       so consistency is reported above but only liveness and quiescence
+       gate the exit status. *)
     if Experiment.ok ~claim:Experiment.Best_effort f.run then 0 else 1
   in
   let loss =

@@ -1,48 +1,25 @@
-(** Binary wire format for protocol messages and for the sharded engine's
-    frames.
+(** Binary wire format of the sharded engine's cross-shard frames.
 
-    The simulator passes messages in memory; this codec is what a production
-    deployment would put on the wire, and it grounds the byte accounting of
-    {!Message.size_bytes}: identifiers are bit-packed ([ceil(d log2 b / 8)]
-    bytes), table snapshots are sparse cell lists, and the Section 6.2 bit
-    vector is encoded as an actual [d*b]-bit map.
+    The sharded engine (Ntcu_scale.Scale) batches the frames one shard sends
+    another through {!encode_frames} and hands the batch over at the epoch
+    barrier, where {!decode_frames} reads it back. An identifier takes
+    {!Message.id_bytes} bytes on the wire, the width the message-size model
+    gives it, and every decoded field is checked against the parameter
+    space: the decoder never trusts the wire beyond the buffer.
 
-    The format is self-contained given the namespace parameters: one kind
-    byte, then kind-specific fields, all little-endian. Decoding validates
-    every field against the parameters and never trusts lengths from the
-    wire beyond the buffer.
-
-    The sharded engine (Ntcu_scale.Scale) batches its cross-shard frames
-    through {!encode_frames} and {!decode_frames}. A frame writes each
-    identifier as the same bytes a message does, so the engine's traffic is
-    counted in this format too. *)
+    The core engine (Ntcu_core.Network) passes {!Message.t} values in memory
+    and never encodes them; it counts their bytes with {!Message.size_bytes}
+    (Sections 5.2 and 6.2). *)
 
 type context
-(** What the codec derives from one parameter space: digit width, identifier
-    and bitmap byte counts, the packed layout when the space is packable,
-    and whether every digit pattern names a digit (power-of-two bases). It
-    also holds the scratch buffer {!encode_ctx} builds a message in, so a
-    context that {!encode_ctx} uses belongs to one domain. The frame
-    functions below only read the context. *)
+(** What the codec derives from one parameter space: digit width,
+    identifier bytes, the packed layout, and whether every digit pattern
+    names a digit (power-of-two bases). It is only read once built, so one
+    context serves every shard and domain of a run. *)
 
 val context : Ntcu_id.Params.t -> context
-
-val encode_ctx : context -> Message.t -> string
-
-val decode_ctx : context -> string -> (Message.t, string) result
-
-val encoded_size_ctx : context -> Message.t -> int
-
-val encode : Ntcu_id.Params.t -> Message.t -> string
-(** [encode p m] is [encode_ctx (context p) m]; convenient for one-off use. *)
-
-val decode : Ntcu_id.Params.t -> string -> (Message.t, string) result
-(** Inverse of {!encode}: [decode p (encode p m)] returns [Ok m'] with [m']
-    structurally equal to [m]. Malformed input yields [Error] with a
-    diagnostic, never an exception. *)
-
-val encoded_size : Ntcu_id.Params.t -> Message.t -> int
-(** [String.length (encode p m)], without building the string. *)
+(** @raise Invalid_argument if the space is not packable
+    ({!Ntcu_id.Packed.packable}), as {!Ntcu_id.Packed.layout} does. *)
 
 (** {1 Frames of the sharded engine}
 
@@ -67,8 +44,8 @@ val encoded_size : Ntcu_id.Params.t -> Message.t -> int
     - [kind_rv_fix]: [[level; digit]]
 
     On the wire every int field is an LEB128 varint, and every identifier
-    takes the [ceil(d log2 b / 8)] bytes {!encode} writes for it. Only
-    packable spaces ({!Ntcu_id.Packed.packable}) have frames. *)
+    takes [ceil(d log2 b / 8)] bytes ({!Message.id_bytes}): its packed value,
+    little-endian. *)
 
 val kind_cp_rst : int
 val kind_cp_rly : int
@@ -91,18 +68,15 @@ val max_latency : int
 (** Largest delivery-epoch offset a frame carries. *)
 
 exception Malformed of string
-(** Raised by {!decode_frames} on truncated or invalid input (the message
-    decoders return a [result] instead). *)
+(** Raised by {!decode_frames} on truncated or invalid input. *)
 
 val encode_frames : context -> Ntcu_std.Intbuf.t -> Buffer.t -> unit
 (** [encode_frames c out w] appends the wire image of every outbox frame in
     [out] to [w].
-    @raise Invalid_argument if the space is not packable or a frame has an
-    unknown kind. *)
+    @raise Invalid_argument if a frame has an unknown kind. *)
 
 val decode_frames : context -> string -> select:(delta:int -> Ntcu_std.Intbuf.t) -> int
 (** [decode_frames c data ~select] appends each frame of [data], as a ring
     frame, to [select ~delta] and returns the frame count.
     @raise Malformed on truncated or invalid input: an unknown kind, a field
-    out of range, or an identifier digit outside the base.
-    @raise Invalid_argument if the space is not packable. *)
+    out of range, or an identifier digit outside the base. *)

@@ -92,8 +92,6 @@ let ordering_critical m =
   | K_spe_noti | K_spe_noti_rly | K_rv_ngh_noti | K_rv_ngh_noti_rly ->
     true
 
-let pp_kind ppf k = Fmt.string ppf (kind_name k)
-
 let pp ppf m =
   match m with
   | Cp_rst { level } -> Fmt.pf ppf "CpRstMsg(level=%d)" level
@@ -122,8 +120,8 @@ let pp ppf m =
 type size_mode = Full | Level_range | Bit_vector
 
 (* Wire-size model: a fixed per-message header, 4-byte IPv4 address + 2-byte
-   port per node reference, packed digits for identifiers, and one byte of
-   position/state per table cell. *)
+   port per node reference, packed digits for identifiers, and three bytes of
+   level, digit and state per table cell. *)
 
 let header_bytes = 16
 let addr_bytes = 6

@@ -73,7 +73,6 @@ val ordering_critical : t -> bool
 
 val kind_index : kind -> int
 val kind_name : kind -> string
-val pp_kind : kind Fmt.t
 val pp : t Fmt.t
 
 (** {1 Size accounting} *)
@@ -89,7 +88,8 @@ type size_mode =
           has. *)
 
 val id_bytes : Ntcu_id.Params.t -> int
-(** Wire size of one identifier. *)
+(** Wire size of one identifier, [ceil(d log2 b / 8)] bytes of packed digits.
+    {!Codec}'s frames write identifiers in this width too. *)
 
 val cell_bytes : Ntcu_id.Params.t -> int
 (** Wire size of one table cell (identifier + address + position + state). *)

@@ -10,14 +10,6 @@ let status_equal a b =
     true
   | (Copying | Waiting | Notifying | In_system), _ -> false
 
-let pp_status ppf s =
-  Fmt.string ppf
-    (match s with
-    | Copying -> "copying"
-    | Waiting -> "waiting"
-    | Notifying -> "notifying"
-    | In_system -> "in_system")
-
 type config = { params : Ntcu_id.Params.t; size_mode : Message.size_mode }
 
 type action = { dst : Id.t; msg : Message.t }

@@ -16,8 +16,6 @@ type status = Copying | Waiting | Notifying | In_system
 
 val status_equal : status -> status -> bool
 
-val pp_status : status Fmt.t
-
 type config = { params : Ntcu_id.Params.t; size_mode : Message.size_mode }
 
 type action = { dst : Ntcu_id.Id.t; msg : Message.t }

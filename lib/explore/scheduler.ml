@@ -2,8 +2,6 @@ module Rng = Ntcu_std.Rng
 
 type intervention = { seq : int; factor : float }
 
-let pp_intervention ppf i = Fmt.pf ppf "(%d x%h)" i.seq i.factor
-
 type kind =
   | Nop
   | Random_delay of { scale : float }

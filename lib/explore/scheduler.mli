@@ -11,8 +11,6 @@
 
 type intervention = { seq : int; factor : float }
 
-val pp_intervention : intervention Fmt.t
-
 type kind =
   | Nop  (** No perturbation — the baseline schedule. *)
   | Random_delay of { scale : float }

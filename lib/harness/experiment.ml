@@ -28,13 +28,13 @@ type claim = Strict | Best_effort
 
 (* Strict is the paper's regime (assumptions (i)-(iv) hold): liveness,
    quiescence and Def-3.8 consistency are all guaranteed, so all three are
-   claimed. Best_effort is the fault/churn regime: crash-over-join repair is
-   explicitly best-effort (a crashed node's in-flight state can leave a
-   residual hole no survivor can fill), so consistency is reported but not
-   claimed — e.g. `ntcu fault -n 24 -m 10 -b 4 -d 6 --seed 196 --crash 0.05`
-   converges live and quiescent with exactly one such hole. Liveness and
-   quiescence stay claimed: the reliability layer defends them even under
-   loss and crashes. *)
+   claimed. Best_effort is the fault/churn regime: crash-over-join repair
+   does not yet refill every entry a live node could fill, so consistency is
+   reported but not claimed — e.g.
+   `ntcu fault -n 24 -m 10 -b 4 -d 6 --seed 196 --crash 0.05` converges live
+   and quiescent with exactly one such hole. Liveness and quiescence stay
+   claimed: the reliability layer defends them even under loss and
+   crashes. *)
 let ok ?(claim = Strict) run =
   run.all_in_system && run.quiescent
   && match claim with Strict -> run.consistent | Best_effort -> true
@@ -299,10 +299,12 @@ let fault_injection ?record_trace ?reliable ?loss ?crash_fraction p ~seed ~n ~m 
 
 (* The canonical residual-hole run. Seed 196 at these sizes is the smallest
    known workload where crash-over-join repair converges live and quiescent
-   yet leaves exactly one Def-3.8 hole (no live node carries the needed
-   suffix), which is why the fault/churn exit status gates on Best_effort
-   rather than Strict. Tests, docs and the CLI comment all reference this one
-   fixture instead of restating the magic numbers. *)
+   yet leaves exactly one Def-3.8 hole: the (1,0) entry of 030231 stays
+   empty while live 102001 carries its suffix. The one crash (322031) did not
+   take the last candidate; the repair path left the entry empty. That gap is
+   why the fault/churn exit status gates on Best_effort rather than Strict.
+   Tests, docs and the CLI comment all reference this one fixture instead of
+   restating the magic numbers. *)
 let residual_hole () = fault_injection (Params.make ~b:4 ~d:6) ~seed:196 ~n:24 ~m:10 ()
 
 type baseline_result = {

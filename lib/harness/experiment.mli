@@ -24,10 +24,11 @@ val consistent : join_run -> bool
 (** What a run is allowed to promise. [Strict] is the paper's regime
     (assumptions (i)–(iv) hold): liveness, quiescence {e and} Def-3.8
     consistency are claimed. [Best_effort] is the fault/churn regime:
-    crash-over-join repair can legitimately leave a residual hole (e.g.
-    [ntcu fault -n 24 -m 10 -b 4 -d 6 --seed 196 --crash 0.05] converges
-    live and quiescent with exactly one), so consistency is reported but not
-    claimed — only liveness and quiescence gate the exit status. *)
+    crash-over-join repair does not yet refill every entry a live node could
+    fill (e.g. [ntcu fault -n 24 -m 10 -b 4 -d 6 --seed 196 --crash 0.05]
+    converges live and quiescent with exactly one such hole, see
+    {!residual_hole}), so consistency is reported but not claimed — only
+    liveness and quiescence gate the exit status. *)
 type claim = Strict | Best_effort
 
 val ok : ?claim:claim -> join_run -> bool
@@ -200,9 +201,10 @@ val residual_hole : unit -> fault_run
 (** The canonical residual-hole fixture:
     [fault_injection (b=4, d=6) ~seed:196 ~n:24 ~m:10 ()], the {!Faults}
     regime — converges live and quiescent with exactly one Def-3.8
-    violation, so {!ok} rejects it under [Strict] and accepts it under
-    [Best_effort]. The regression fixture behind the best-effort exit-status
-    contract of [ntcu fault] and the churn engine. *)
+    violation, an empty entry whose required suffix a live node carries, so
+    {!ok} rejects it under [Strict] and accepts it under [Best_effort]. The
+    regression fixture behind the best-effort exit-status contract of
+    [ntcu fault] and the churn engine. *)
 
 (** {1 Baseline comparison} *)
 

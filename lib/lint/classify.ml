@@ -23,8 +23,9 @@ let basename s =
 let emitter_basenames = [ "report.ml"; "trace.ml"; "codec.ml"; "repro.ml" ]
 
 (* Wire codec units: the P002 encoder/decoder parity checks apply. [codec.ml]
-   writes Message.t (constructor parity) and the sharded engine's
-   cross-shard frames, whose kinds are kind_* constants (frame-kind parity). *)
+   writes the sharded engine's cross-shard frames, whose kinds are kind_*
+   constants (frame-kind parity); a codec unit that matches message
+   constructors gets constructor parity too. *)
 let codec_basenames = [ "codec.ml" ]
 
 (* Directories holding protocol state machines: a wildcard arm in a match

@@ -1,6 +1,6 @@
 (* Array-based 4-ary min-heap with an index back-pointer per entry, so that
-   entries can be removed (timer cancellation) or re-keyed (decrease_key) in
-   O(log n) without lazy-deletion tombstones accumulating in the queue.
+   entries can be removed (timer cancellation) in O(log n) without
+   lazy-deletion tombstones accumulating in the queue.
 
    Each element carries a monotonically increasing sequence number so that
    equal keys pop in insertion order; the sequence number is a total
@@ -8,7 +8,7 @@
    layout (and hence of its arity and of any removals in between). *)
 
 type 'a entry = {
-  mutable key : float;
+  key : float;
   seq : int;
   value : 'a;
   mutable pos : int; (* slot in [heap]; -1 once popped or removed *)
@@ -132,8 +132,6 @@ let pop q =
 
 let mem q h = h.owner == q && h.pos >= 0
 
-let key h = h.key
-
 let remove q h =
   if h.owner != q then invalid_arg "Pqueue.remove: handle from another queue";
   let i = h.pos in
@@ -150,13 +148,6 @@ let remove q h =
     end;
     true
   end
-
-let decrease_key q h key =
-  if h.owner != q then invalid_arg "Pqueue.decrease_key: handle from another queue";
-  if h.pos < 0 then invalid_arg "Pqueue.decrease_key: stale handle";
-  if key > h.key then invalid_arg "Pqueue.decrease_key: key increase";
-  h.key <- key;
-  sift_up q h.pos
 
 let clear q =
   for i = 0 to q.size - 1 do

@@ -8,19 +8,18 @@
     removals of other elements in between.
 
     Implemented as an indexed 4-ary heap: {!push_handle} returns a handle
-    through which the element can later be {!remove}d or re-keyed with
-    {!decrease_key} in logarithmic time, with no tombstones left behind. *)
+    through which the element can later be {!remove}d in logarithmic time,
+    with no tombstones left behind. *)
 
 type 'a t
 
 type 'a handle
 (** Names one pushed element. Becomes stale once the element leaves the
     queue (by {!pop}, {!remove} or {!clear}); operations on a stale handle
-    are safe — {!remove} returns [false], {!mem} returns [false] and
-    {!decrease_key} raises. A handle is tied to the queue that created it:
-    {!mem} answers [false] for another queue's handle, while {!remove} and
-    {!decrease_key} raise [Invalid_argument] rather than corrupt either
-    queue. *)
+    are safe — {!remove} and {!mem} return [false]. A handle is tied to the
+    queue that created it: {!mem} answers [false] for another queue's
+    handle, while {!remove} raises [Invalid_argument] rather than corrupt
+    either queue. *)
 
 val create : unit -> 'a t
 
@@ -32,7 +31,7 @@ val push : 'a t -> float -> 'a -> unit
 (** [push q key v] inserts [v] with priority [key]. *)
 
 val push_handle : 'a t -> float -> 'a -> 'a handle
-(** Like {!push}, but returns a handle for later {!remove}/{!decrease_key}. *)
+(** Like {!push}, but returns a handle for a later {!remove}. *)
 
 val of_list : (float * 'a) list -> 'a t
 (** [of_list items] builds a queue holding every [(key, value)] pair in O(n)
@@ -60,15 +59,5 @@ val remove : 'a t -> 'a handle -> bool
 
 val mem : 'a t -> 'a handle -> bool
 (** Whether the element named by the handle is still queued. *)
-
-val key : 'a handle -> float
-(** The handle's current key (meaningful while {!mem} holds). *)
-
-val decrease_key : 'a t -> 'a handle -> float -> unit
-(** [decrease_key q h k] lowers the element's key to [k], keeping its
-    original insertion sequence number (so among equal keys it still ranks by
-    original push order).
-    @raise Invalid_argument if the handle is stale, was created by a
-    different queue, or [k] is larger than the current key. *)
 
 val clear : 'a t -> unit

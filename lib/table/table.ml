@@ -215,8 +215,6 @@ module Snapshot = struct
 
   let of_table table = of_table_levels table ~lo:0 ~hi:(table.params.d - 1)
 
-  let of_cells ~owner cells = { owner; cells; count = List.length cells }
-
   let cell_count t = t.count
 
   let iter t f = List.iter f t.cells

@@ -159,10 +159,6 @@ module Snapshot : sig
   val of_table_levels : table -> lo:int -> hi:int -> t
   (** Only levels in [\[lo, hi\]] — the Section 6.2 level-range reduction. *)
 
-  val of_cells : owner:Ntcu_id.Id.t -> cell list -> t
-  (** Rebuild a snapshot from its parts (wire decoding). The cell list is
-      taken as is. *)
-
   val cell_count : t -> int
 
   val iter : t -> (cell -> unit) -> unit

@@ -5,7 +5,10 @@
 
 module Rng = Ntcu_std.Rng
 module Parallel = Ntcu_std.Parallel
+module Id = Ntcu_id.Id
 module Params = Ntcu_id.Params
+module Check = Ntcu_table.Check
+module Network = Ntcu_core.Network
 module Session = Ntcu_churn.Session
 module Churn = Ntcu_churn.Churn
 module Experiment = Ntcu_harness.Experiment
@@ -173,7 +176,23 @@ let best_effort_gates_residual_hole () =
     (Experiment.ok ~claim:Experiment.Best_effort f.Experiment.run);
   check Alcotest.bool "not strictly consistent" false
     (Experiment.ok ~claim:Experiment.Strict f.Experiment.run);
-  check Alcotest.bool "default claim is strict" false (Experiment.ok f.Experiment.run)
+  check Alcotest.bool "default claim is strict" false (Experiment.ok f.Experiment.run);
+  (* The one hole has a live carrier: the crash did not take the only node
+     with the needed suffix; the repair path left the entry empty. *)
+  let net = f.Experiment.run.Experiment.net in
+  match Lazy.force f.Experiment.run.Experiment.violations with
+  | [ Check.False_negative { node; level; digit; witness } ] ->
+    check Alcotest.string "hole owner" "030231" (Id.to_string node);
+    check Alcotest.int "hole level" 1 level;
+    check Alcotest.int "hole digit" 0 digit;
+    check Alcotest.bool "witness registered" true (Network.mem net witness);
+    check Alcotest.bool "witness not failed" false (Network.is_failed net witness);
+    check Alcotest.bool "witness not crashed" false
+      (List.exists (Id.equal witness) f.Experiment.crashed)
+  | vs ->
+    Alcotest.failf "expected one false negative, got %a"
+      Fmt.(Dump.list Check.pp_violation)
+      vs
 
 let suites =
   [

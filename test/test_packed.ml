@@ -44,7 +44,10 @@ let packable_gate () =
     (Packed.packable Params.paper_sim_d40);
   Alcotest.check_raises "layout refuses unpackable"
     (Invalid_argument "Packed.layout: 40 digits of base 16 exceed 62 bits")
-    (fun () -> ignore (Packed.layout Params.paper_sim_d40))
+    (fun () -> ignore (Packed.layout Params.paper_sim_d40));
+  Alcotest.check_raises "codec context refuses unpackable"
+    (Invalid_argument "Packed.layout: 40 digits of base 16 exceed 62 bits")
+    (fun () -> ignore (Ntcu_core.Codec.context Params.paper_sim_d40))
 
 let suites =
   [

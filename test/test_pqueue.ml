@@ -65,7 +65,6 @@ let remove_leaves_order_intact () =
   let handles = List.map (fun k -> (k, Pqueue.push_handle q (float_of_int k) k)) [ 5; 1; 3; 2; 4 ] in
   let h3 = List.assoc 3 handles in
   check Alcotest.bool "mem before" true (Pqueue.mem q h3);
-  check (Alcotest.float 0.) "key" 3. (Pqueue.key h3);
   check Alcotest.bool "removed" true (Pqueue.remove q h3);
   check Alcotest.bool "mem after" false (Pqueue.mem q h3);
   check Alcotest.bool "second remove stale" false (Pqueue.remove q h3);
@@ -74,45 +73,15 @@ let remove_leaves_order_intact () =
   in
   check Alcotest.(list int) "others unaffected" [ 1; 2; 4; 5 ] (drain [])
 
-let decrease_key_reorders () =
-  let q = Pqueue.create () in
-  let _a = Pqueue.push_handle q 5. "a" in
-  let b = Pqueue.push_handle q 8. "b" in
-  Pqueue.decrease_key q b 1.;
-  check (Alcotest.float 0.) "new key" 1. (Pqueue.key b);
-  (match Pqueue.pop q with
-  | Some (k, v) ->
-    check (Alcotest.float 0.) "pops first" 1. k;
-    check Alcotest.string "value" "b" v
-  | None -> Alcotest.fail "empty");
-  (* Decreasing onto a tie keeps the original insertion rank: "c" (pushed
-     before "d") still precedes it after both land on the same key. *)
-  Pqueue.clear q;
-  let c = Pqueue.push_handle q 7. "c" in
-  let _d = Pqueue.push_handle q 2. "d" in
-  Pqueue.decrease_key q c 2.;
-  check Alcotest.(list string) "tie keeps push order" [ "c"; "d" ]
-    (let rec drain acc =
-       match Pqueue.pop q with Some (_, v) -> drain (v :: acc) | None -> List.rev acc
-     in
-     drain [])
-
 let stale_handles_safe () =
   let q = Pqueue.create () in
   let h = Pqueue.push_handle q 1. () in
   ignore (Pqueue.pop q);
   check Alcotest.bool "stale after pop" false (Pqueue.mem q h);
   check Alcotest.bool "remove stale" false (Pqueue.remove q h);
-  Alcotest.check_raises "decrease_key stale"
-    (Invalid_argument "Pqueue.decrease_key: stale handle") (fun () ->
-      Pqueue.decrease_key q h 0.);
   let h2 = Pqueue.push_handle q 2. () in
   Pqueue.clear q;
-  check Alcotest.bool "stale after clear" false (Pqueue.mem q h2);
-  let h3 = Pqueue.push_handle q 3. () in
-  Alcotest.check_raises "decrease_key increase"
-    (Invalid_argument "Pqueue.decrease_key: key increase") (fun () ->
-      Pqueue.decrease_key q h3 4.)
+  check Alcotest.bool "stale after clear" false (Pqueue.mem q h2)
 
 let foreign_handles_rejected () =
   let qa = Pqueue.create () and qb = Pqueue.create () in
@@ -123,10 +92,7 @@ let foreign_handles_rejected () =
   Alcotest.check_raises "remove foreign"
     (Invalid_argument "Pqueue.remove: handle from another queue") (fun () ->
       ignore (Pqueue.remove qb ha));
-  Alcotest.check_raises "decrease_key foreign"
-    (Invalid_argument "Pqueue.decrease_key: handle from another queue") (fun () ->
-      Pqueue.decrease_key qb ha 0.);
-  (* Neither queue was corrupted by the rejected calls. *)
+  (* Neither queue was corrupted by the rejected call. *)
   check Alcotest.int "qa intact" 1 (Pqueue.length qa);
   check Alcotest.int "qb intact" 1 (Pqueue.length qb);
   check Alcotest.bool "qa still pops" true (Pqueue.pop qa = Some (1., "a"));
@@ -213,7 +179,6 @@ let suites =
         Alcotest.test_case "peek/pop" `Quick peek_matches_pop;
         Alcotest.test_case "clear" `Quick clear_resets;
         Alcotest.test_case "remove via handle" `Quick remove_leaves_order_intact;
-        Alcotest.test_case "decrease_key" `Quick decrease_key_reorders;
         Alcotest.test_case "stale handles" `Quick stale_handles_safe;
         Alcotest.test_case "foreign handles" `Quick foreign_handles_rejected;
         heap_sorts;

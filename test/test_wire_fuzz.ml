@@ -15,16 +15,11 @@
      [Codec.Malformed] — never any other exception. The decoder is total;
    - byte identity: the batch bytes equal those of a plain per-byte
      encoder, kept here as the reference for the chunked id and one-byte
-     varint paths.
-
-   One more case checks that a frame writes an identifier as the same bytes
-   a message does. *)
+     varint paths. *)
 
 module Params = Ntcu_id.Params
 module Packed = Ntcu_id.Packed
-module Rng = Ntcu_std.Rng
 module Intbuf = Ntcu_std.Intbuf
-module Message = Ntcu_core.Message
 module Codec = Ntcu_core.Codec
 module G = QCheck.Gen
 
@@ -221,30 +216,6 @@ let bitflip p (frames, at, bit) =
        decoder totality bug and fails the property *)
   end
 
-(* The identifier images of a message and of a frame: the origin and subject
-   of a SpeNoti against the src and dst of a JoinWait frame between them. *)
-let id_image_shared (p : Params.t) =
-  let lay = Packed.layout p in
-  let idb = ((p.d * Packed.bits_per_digit p.b) + 7) / 8 in
-  let rng = Rng.create (p.b + (100 * p.d)) in
-  for _ = 1 to 200 do
-    let origin = Packed.random rng lay and subject = Packed.random rng lay in
-    let msg =
-      Codec.encode p
-        (Message.Spe_noti
-           { origin = Packed.to_id lay origin; subject = Packed.to_id lay subject })
-    in
-    let frame =
-      encode p [ [ 1; Codec.kind_join_wait; (origin :> int); (subject :> int); 1 ] ]
-    in
-    (* one tag byte before a message's ids, one kind byte before a frame's *)
-    Alcotest.(check string) "origin as src" (String.sub msg 1 idb) (String.sub frame 1 idb);
-    Alcotest.(check string)
-      "subject as dst"
-      (String.sub msg (1 + idb) idb)
-      (String.sub frame (1 + idb) idb)
-  done
-
 let with_cut p = QCheck.(pair (arb_frames p) (QCheck.make G.(int_range 0 10_000)))
 
 let with_flip p =
@@ -275,9 +246,5 @@ let suites =
             qtest
               (Printf.sprintf "bytes as per-byte (d=%d, b=%d)" p.d p.b)
               (arb_frames p) (byte_identity p))
-          spaces
-      @ [
-          Alcotest.test_case "ids as in messages" `Quick (fun () ->
-              List.iter id_image_shared spaces);
-        ] );
+          spaces );
   ]
