@@ -17,7 +17,6 @@ type bnode = {
   mutable peak_pending : int;
   mutable completed : bool; (* joiners: B_done received *)
   mutable copy_level : int;
-  mutable copy_from : Id.t option;
 }
 
 type msg =
@@ -85,7 +84,6 @@ let make_node t ~seed id =
       peak_pending = 0;
       completed = false;
       copy_level = 0;
-      copy_from = None;
     }
   in
   if seed then Table.fill_self node.table S;
@@ -171,23 +169,18 @@ and handle_ack t u ~joiner =
 
 and finish_copying t x ~surrogate =
   Table.fill_self x.table S;
-  x.copy_from <- None;
   send t ~src:x.id ~dst:surrogate B_join_rst
 
 and handle_cp_rly t x snapshot =
   let level = x.copy_level in
-  Snapshot.iter snapshot (fun (c : Snapshot.cell) ->
-      if c.level = level && not (Id.equal c.node x.id) then
-        Table.set x.table ~level ~digit:c.digit c.node S);
+  Snapshot.iter snapshot (fun ~level:l ~digit node _ ->
+      if l = level && not (Id.equal node x.id) then Table.set x.table ~level ~digit node S);
   let own_digit = Id.digit x.id level in
   match Snapshot.find snapshot ~level ~digit:own_digit with
-  | Some { node = next; _ } when not (Id.equal next x.id) ->
+  | Some (next, _) when not (Id.equal next x.id) ->
     x.copy_level <- level + 1;
-    let from = x.copy_from in
-    x.copy_from <- Some next;
-    ignore from;
     send t ~src:x.id ~dst:next (B_cp_rst { level = level + 1 })
-  | Some _ | None -> finish_copying t x ~surrogate:snapshot.owner
+  | Some _ | None -> finish_copying t x ~surrogate:(Snapshot.owner snapshot)
 
 and deliver t ~src ~dst msg =
   Transport.arrive t.wire ~src ~dst msg;
@@ -228,7 +221,6 @@ let start_join t ?at ~id ~gateway () =
   let time = match at with Some time -> time | None -> Engine.now (engine t) in
   Engine.schedule_at (engine t) ~time (fun () ->
       joiner.copy_level <- 0;
-      joiner.copy_from <- Some gateway;
       send t ~src:id ~dst:gateway (B_cp_rst { level = 0 }))
 
 let run ?max_events t = Engine.run ?max_events (engine t)

@@ -17,7 +17,7 @@ type t =
   | Join_noti of {
       table : Snapshot.t;
       noti_level : int;
-      filled : (int * int) list option;
+      filled : string option;
     }
   | Join_noti_rly of { sign : sign; table : Snapshot.t; flag : bool }
   | In_sys_noti

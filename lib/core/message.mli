@@ -27,9 +27,11 @@ type t =
   | Join_noti of {
       table : Ntcu_table.Table.Snapshot.t;
       noti_level : int;
-      filled : (int * int) list option;
-          (** In bit-vector mode, the positions (level, digit) filled in the
-              sender's table, transmitted as a [d*b]-bit vector. *)
+      filled : string option;
+          (** In bit-vector mode, the sender's [d*b]-bit vector: one flag
+              per position of its table, at index [level * b + digit], ['1']
+              where the entry is filled and ['0'] where it is empty. It is
+              counted as [d*b] bits on the wire. *)
     }
   | Join_noti_rly of {
       sign : sign;

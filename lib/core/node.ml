@@ -133,8 +133,13 @@ let snap_join_noti t ~recipient =
        k = |csuf(x.ID, y.ID)|, is enough." *)
     Snapshot.of_table_levels t.table ~lo:t.noti_level ~hi:(csuf t recipient)
 
-let filled_positions t =
-  Table.fold t.table ~init:[] ~f:(fun acc ~level ~digit _ _ -> (level, digit) :: acc)
+(* One flag per table position, at [level * b + digit]: '1' where the entry
+   is filled. *)
+let filled_flags t =
+  let b = t.config.params.b in
+  let flags = Bytes.make (t.config.params.d * b) '0' in
+  Table.iter t.table (fun ~level ~digit _ _ -> Bytes.set flags ((level * b) + digit) '1');
+  Bytes.unsafe_to_string flags
 
 let snap_join_noti_rly t ~sender_noti_level ~sender_filled =
   match (t.config.size_mode, sender_filled) with
@@ -143,16 +148,15 @@ let snap_join_noti_rly t ~sender_noti_level ~sender_filled =
     (* The reply omits low-level entries the sender already has: include
        level >= the sender's noti_level, or positions marked '0' in its bit
        vector. *)
-    let filled_tbl = Hashtbl.create 64 in
-    List.iter (fun pos -> Hashtbl.replace filled_tbl pos ()) filled;
-    Snapshot.filter (snap_full t) ~f:(fun (c : Snapshot.cell) ->
-        c.level >= sender_noti_level || not (Hashtbl.mem filled_tbl (c.level, c.digit)))
+    let b = t.config.params.b in
+    Snapshot.filter (snap_full t) ~f:(fun ~level ~digit _ _ ->
+        level >= sender_noti_level || Char.equal filled.[(level * b) + digit] '0')
 
 let join_noti_msg t ~recipient =
   let filled =
     match t.config.size_mode with
     | Message.Full | Message.Level_range -> None
-    | Message.Bit_vector -> Some (filled_positions t)
+    | Message.Bit_vector -> Some (filled_flags t)
   in
   Message.Join_noti
     { table = snap_join_noti t ~recipient; noti_level = t.noti_level; filled }
@@ -221,15 +225,14 @@ let maybe_switch t ~now acts =
 
 let check_ngh_table t snapshot acts =
   let acts = ref acts in
-  Snapshot.iter snapshot (fun (c : Snapshot.cell) ->
+  Snapshot.iter snapshot (fun ~level:_ ~digit:_ u state ->
       (* Skip suspects: stale snapshots keep circulating after a crash, and
          re-adding a dead node would just restart the suspicion cycle. *)
-      if not (Id.equal c.node t.id) && not (Id.Set.mem c.node t.suspects) then begin
-        let u = c.node in
+      if not (Id.equal u t.id) && not (Id.Set.mem u t.suspects) then begin
         let k = csuf t u in
         let j = digit_of t u k in
         (match Table.neighbor t.table ~level:k ~digit:j with
-        | None -> acts := set_entry t ~level:k ~digit:j u c.state !acts
+        | None -> acts := set_entry t ~level:k ~digit:j u state !acts
         | Some _ ->
           (* Entry taken: keep the extra suffix-holder as a backup neighbor
              for fault-tolerant routing (Section 2.1). *)
@@ -316,22 +319,19 @@ let on_cp_rly t ~src snapshot =
     let level = t.copy_level in
     (* Copy level-i neighbors of g into level-i of our table. *)
     let acts = ref [] in
-    Snapshot.iter snapshot (fun (c : Snapshot.cell) ->
-        if
-          c.level = level
-          && (not (Id.equal c.node t.id))
-          && not (Id.Set.mem c.node t.suspects)
-        then acts := set_entry t ~level ~digit:c.digit c.node c.state !acts);
+    Snapshot.iter snapshot (fun ~level:l ~digit node state ->
+        if l = level && (not (Id.equal node t.id)) && not (Id.Set.mem node t.suspects) then
+          acts := set_entry t ~level ~digit node state !acts);
     (* g' = Np(i, x[i]); continue while it exists and is an S-node. *)
     let own_digit = Id.digit t.id level in
     match Snapshot.find snapshot ~level ~digit:own_digit with
-    | Some { node = next; _ } when Id.Set.mem next t.suspects ->
+    | Some (next, _) when Id.Set.mem next t.suspects ->
       finish_copying t ~join_wait_target:src !acts
-    | Some { node = next; state = S; _ } when not (Id.equal next t.id) ->
+    | Some (next, S) when not (Id.equal next t.id) ->
       t.copy_level <- level + 1;
       t.copy_from <- Some next;
       { dst = next; msg = Message.Cp_rst { level = level + 1 } } :: !acts
-    | Some { node = next; state = T; _ } when not (Id.equal next t.id) ->
+    | Some (next, T) when not (Id.equal next t.id) ->
       finish_copying t ~join_wait_target:next !acts
     | Some _ | None -> finish_copying t ~join_wait_target:src !acts
   end
@@ -425,7 +425,7 @@ let on_join_noti t ~src (snapshot : Snapshot.t) =
     status_equal t.status In_system
     &&
     match Snapshot.find snapshot ~level:k ~digit:(Id.digit t.id k) with
-    | Some { node; _ } -> not (Id.equal node t.id)
+    | Some (node, _) -> not (Id.equal node t.id)
     | None -> true
   in
   let sign =

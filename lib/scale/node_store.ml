@@ -5,10 +5,10 @@ module Intbuf = Ntcu_std.Intbuf
 (* Struct-of-arrays arena for node hot state.
 
    The record-based simulator spends its memory on one [Node.t] record, one
-   [Table.t] (a [slot option array] of pointers plus [Id.Set.t] reverse sets)
-   and several [Id.Tbl] entries per node — every table cell is a boxed
-   2-field record pointing at a boxed int array id. Here the same state is
-   flat columns of a single arena:
+   [Table.t] (an occupant pointer and a state byte per entry, plus
+   [Id.Set.t] reverse sets) and several [Id.Tbl] entries per node — every
+   occupant pointer reaches a boxed id record with its own digit array. Here
+   the same state is flat columns of a single arena:
 
    - [ids]: packed id per slot ([-1] past [high]);
    - [status]: one byte per slot;
@@ -19,10 +19,10 @@ module Intbuf = Ntcu_std.Intbuf
      reverse pointers (the storers that registered it) and the JoinWaits
      deferred while it was notifying, each with its own head column.
 
-   Per-node cost is dominated by [d*b] cell words — 8 bytes per entry versus
-   the record layout's option-boxed pointer + slot record + shared id
-   arrays — and everything is indexed by slot int, so the only remaining
-   hashing is one int-keyed [slot_of] lookup per delivered message.
+   Per-node cost is dominated by [d*b] cell words — 8 bytes per entry, the
+   id itself rather than a pointer to a boxed id and its digit array — and
+   everything is indexed by slot int, so the only remaining hashing is one
+   int-keyed [slot_of] lookup per delivered message.
 
    Cell [level * b + digit] of a slot is its table position: reads and the
    frame copy ({!push_rows}) take that position, the index frames carry;

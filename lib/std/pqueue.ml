@@ -117,6 +117,11 @@ let of_list items =
 
 let peek q = if q.size = 0 then None else Some (q.heap.(0).key, q.heap.(0).value)
 
+(* Slots past [size] keep pointing at entries that have left the queue, and
+   through them at their values. A drained queue drops its array, as [clear]
+   does, so it holds none of them. *)
+let release_if_drained q = if q.size = 0 then q.heap <- [||]
+
 let pop q =
   if q.size = 0 then None
   else begin
@@ -127,6 +132,7 @@ let pop q =
       set q 0 q.heap.(q.size);
       sift_down q 0
     end;
+    release_if_drained q;
     Some (top.key, top.value)
   end
 
@@ -146,6 +152,7 @@ let remove q h =
       sift_up q i;
       sift_down q i
     end;
+    release_if_drained q;
     true
   end
 

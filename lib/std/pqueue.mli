@@ -9,7 +9,8 @@
 
     Implemented as an indexed 4-ary heap: {!push_handle} returns a handle
     through which the element can later be {!remove}d in logarithmic time,
-    with no tombstones left behind. *)
+    with no tombstones left behind. A queue that {!pop} or {!remove} has
+    emptied keeps no reference to the elements that left it. *)
 
 type 'a t
 

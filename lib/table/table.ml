@@ -9,14 +9,24 @@ let pp_nstate ppf = function
   | T -> Fmt.string ppf "T"
   | S -> Fmt.string ppf "S"
 
-type slot = { node : Id.t; mutable state : nstate }
+(* An entry's state byte: [vacant] for an empty entry, otherwise its
+   occupant's believed state. *)
+let vacant = '\000'
+
+let state_byte = function T -> '\001' | S -> '\002'
+
+(* Read only from a filled entry. *)
+let state_of_byte c = if Char.equal c '\001' then T else S
 
 type t = {
   params : Params.t;
   owner : Id.t;
-  slots : slot option array; (* index = level * b + digit *)
+  (* Both indexed by level * b + digit. An empty entry's node is the owner,
+     never read: every reader tests the state byte first. *)
+  nodes : Id.t array;
+  states : Bytes.t;
   reverse : Id.Set.t array; (* by level: who stores the owner at (level, owner[level]) *)
-  backup : Id.t list array; (* same indexing as [slots]; newest first *)
+  backup : Id.t list array; (* same indexing as [nodes]; newest first *)
   backup_capacity : int;
   mutable filled : int;
 }
@@ -27,7 +37,8 @@ let create (params : Params.t) ~owner =
   {
     params;
     owner;
-    slots = Array.make size None;
+    nodes = Array.make size owner;
+    states = Bytes.make size vacant;
     reverse = Array.make params.d Id.Set.empty;
     backup = Array.make size [];
     backup_capacity = 3;
@@ -44,15 +55,16 @@ let index t ~level ~digit =
     invalid_arg (Printf.sprintf "Table: digit %d out of range" digit);
   (level * t.params.b) + digit
 
+let is_vacant t i = Char.equal (Bytes.get t.states i) vacant
+
 let get t ~level ~digit =
-  match t.slots.(index t ~level ~digit) with
-  | None -> None
-  | Some { node; state } -> Some (node, state)
+  let i = index t ~level ~digit in
+  let c = Bytes.get t.states i in
+  if Char.equal c vacant then None else Some (t.nodes.(i), state_of_byte c)
 
 let neighbor t ~level ~digit =
-  match t.slots.(index t ~level ~digit) with
-  | None -> None
-  | Some { node; _ } -> Some node
+  let i = index t ~level ~digit in
+  if is_vacant t i then None else Some t.nodes.(i)
 
 let required_suffix t ~level ~digit =
   ignore (index t ~level ~digit);
@@ -79,18 +91,22 @@ let set t ~level ~digit node state =
       (Fmt.str "Table.set: node %a lacks required suffix %a for (%d,%d)-entry of %a"
          Id.pp node Id.pp_suffix (required_suffix t ~level ~digit) level digit Id.pp
          t.owner);
-  if Option.is_none t.slots.(i) then t.filled <- t.filled + 1;
-  t.slots.(i) <- Some { node; state }
+  if is_vacant t i then t.filled <- t.filled + 1;
+  t.nodes.(i) <- node;
+  Bytes.set t.states i (state_byte state)
 
 let clear t ~level ~digit =
   let i = index t ~level ~digit in
-  if Option.is_some t.slots.(i) then t.filled <- t.filled - 1;
-  t.slots.(i) <- None
+  if not (is_vacant t i) then begin
+    t.filled <- t.filled - 1;
+    t.nodes.(i) <- t.owner;
+    Bytes.set t.states i vacant
+  end
 
 let set_state t ~level ~digit state =
-  match t.slots.(index t ~level ~digit) with
-  | None -> invalid_arg "Table.set_state: empty entry"
-  | Some slot -> slot.state <- state
+  let i = index t ~level ~digit in
+  if is_vacant t i then invalid_arg "Table.set_state: empty entry";
+  Bytes.set t.states i (state_byte state)
 
 let fill_self t state =
   for level = 0 to t.params.d - 1 do
@@ -98,11 +114,12 @@ let fill_self t state =
   done
 
 let iter t f =
+  let b = t.params.b in
   for level = 0 to t.params.d - 1 do
-    for digit = 0 to t.params.b - 1 do
-      match t.slots.((level * t.params.b) + digit) with
-      | None -> ()
-      | Some { node; state } -> f ~level ~digit node state
+    for digit = 0 to b - 1 do
+      let i = (level * b) + digit in
+      let c = Bytes.get t.states i in
+      if not (Char.equal c vacant) then f ~level ~digit t.nodes.(i) (state_of_byte c)
     done
   done
 
@@ -117,14 +134,15 @@ let fold t ~init ~f =
    from the other side, the levels at which it can store the owner. *)
 let top_level t id = min (Id.csuf_len t.owner id) (t.params.d - 1)
 
-(* Each slot is read when the fold reaches it. *)
+(* Does the filled entry [i] hold [id]? *)
+let holds t i id = (not (is_vacant t i)) && Id.equal t.nodes.(i) id
+
+(* Each entry is read when the fold reaches it. *)
 let fold_holding t id ~init ~f =
   let acc = ref init in
   for level = 0 to top_level t id do
     let digit = Id.digit id level in
-    match t.slots.((level * t.params.b) + digit) with
-    | Some { node; _ } when Id.equal node id -> acc := f !acc ~level ~digit
-    | Some _ | None -> ()
+    if holds t ((level * t.params.b) + digit) id then acc := f !acc ~level ~digit
   done;
   !acc
 
@@ -137,11 +155,8 @@ let backup_capacity t = t.backup_capacity
 
 let add_backup t ~level ~digit id =
   let i = index t ~level ~digit in
-  let is_primary =
-    match t.slots.(i) with Some { node; _ } -> Id.equal node id | None -> false
-  in
   if
-    Id.equal id t.owner || is_primary
+    Id.equal id t.owner || holds t i id
     || List.exists (Id.equal id) t.backup.(i)
     || (not (carries t ~level ~digit id))
     || List.length t.backup.(i) >= t.backup_capacity
@@ -200,31 +215,86 @@ let reverse_at t ~level = t.reverse.(level)
 let all_reverse t = Array.fold_left Id.Set.union Id.Set.empty t.reverse
 
 module Snapshot = struct
-  type cell = { level : int; digit : int; node : Id.t; state : nstate }
+  (* [nodes.(k)] is the occupant of cell [k], and [cells.(k)] packs its
+     position and state as [level lsl 7 lor digit lsl 1 lor sbit], [sbit]
+     being 1 for [S]. A base is at most 36, so a digit fits in six bits, and
+     the cells ascend by (level, digit) in both arrays. *)
+  type t = { owner : Id.t; nodes : Id.t array; cells : int array }
 
-  type t = { owner : Id.t; cells : cell list; count : int }
+  let key ~level ~digit = (level lsl 6) lor digit
+
+  let pack ~level ~digit state =
+    (key ~level ~digit lsl 1) lor match state with T -> 0 | S -> 1
+
+  let level_of c = c lsr 7
+  let digit_of c = (c lsr 1) land 63
+  let state_of c = if c land 1 = 0 then T else S
 
   let of_table_levels table ~lo ~hi =
-    let cells = ref [] and count = ref 0 in
-    iter table (fun ~level ~digit node state ->
-        if level >= lo && level <= hi then begin
-          cells := { level; digit; node; state } :: !cells;
-          incr count
-        end);
-    { owner = table.owner; cells = List.rev !cells; count = !count }
+    let b = table.params.b in
+    let lo = max lo 0 and hi = min hi (table.params.d - 1) in
+    let count = ref 0 in
+    for i = lo * b to ((hi + 1) * b) - 1 do
+      if not (is_vacant table i) then incr count
+    done;
+    let nodes = Array.make !count table.owner and cells = Array.make !count 0 in
+    let k = ref 0 in
+    for level = lo to hi do
+      for digit = 0 to b - 1 do
+        let i = (level * b) + digit in
+        let c = Bytes.get table.states i in
+        if not (Char.equal c vacant) then begin
+          nodes.(!k) <- table.nodes.(i);
+          cells.(!k) <- pack ~level ~digit (state_of_byte c);
+          incr k
+        end
+      done
+    done;
+    { owner = table.owner; nodes; cells }
 
   let of_table table = of_table_levels table ~lo:0 ~hi:(table.params.d - 1)
 
-  let cell_count t = t.count
+  let owner t = t.owner
 
-  let iter t f = List.iter f t.cells
+  let cell_count t = Array.length t.cells
+
+  let iter t f =
+    for k = 0 to Array.length t.cells - 1 do
+      let c = t.cells.(k) in
+      f ~level:(level_of c) ~digit:(digit_of c) t.nodes.(k) (state_of c)
+    done
 
   let find t ~level ~digit =
-    List.find_opt (fun c -> c.level = level && c.digit = digit) t.cells
+    let want = key ~level ~digit in
+    let rec search lo hi =
+      if lo >= hi then None
+      else begin
+        let mid = (lo + hi) / 2 in
+        let c = t.cells.(mid) in
+        if c lsr 1 = want then Some (t.nodes.(mid), state_of c)
+        else if c lsr 1 < want then search (mid + 1) hi
+        else search lo mid
+      end
+    in
+    search 0 (Array.length t.cells)
 
   let filter t ~f =
-    let cells = List.filter f t.cells in
-    { t with cells; count = List.length cells }
+    let n = Array.length t.cells in
+    let kept = Array.make n 0 and count = ref 0 in
+    for k = 0 to n - 1 do
+      let c = t.cells.(k) in
+      if f ~level:(level_of c) ~digit:(digit_of c) t.nodes.(k) (state_of c) then begin
+        kept.(!count) <- k;
+        incr count
+      end
+    done;
+    if !count = n then t
+    else
+      {
+        t with
+        nodes = Array.init !count (fun j -> t.nodes.(kept.(j)));
+        cells = Array.init !count (fun j -> t.cells.(kept.(j)));
+      }
 end
 
 let pp ppf t =

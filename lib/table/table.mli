@@ -148,27 +148,32 @@ val all_reverse : t -> Ntcu_id.Id.Set.t
 module Snapshot : sig
   type table := t
 
-  type cell = { level : int; digit : int; node : Ntcu_id.Id.t; state : nstate }
-
-  type t = private { owner : Ntcu_id.Id.t; cells : cell list; count : int }
-  (** [cells] lists the filled entries, by increasing level then digit;
-      [count] caches its length so wire-size accounting is O(1). *)
+  type t
+  (** The filled entries of a table, by increasing level then digit: an
+      array of occupant ids beside an array of ints, each packing the cell's
+      level, digit and state. *)
 
   val of_table : table -> t
 
   val of_table_levels : table -> lo:int -> hi:int -> t
   (** Only levels in [\[lo, hi\]] — the Section 6.2 level-range reduction. *)
 
+  val owner : t -> Ntcu_id.Id.t
+  (** The owner of the copied table. *)
+
   val cell_count : t -> int
+  (** The number of cells, read in O(1) for wire-size accounting. *)
 
-  val iter : t -> (cell -> unit) -> unit
+  val iter : t -> (level:int -> digit:int -> Ntcu_id.Id.t -> nstate -> unit) -> unit
+  (** Visit every cell, by increasing level then digit, as the table's
+      [iter] does. *)
 
-  val find : t -> level:int -> digit:int -> cell option
-  (** The cell at a position, if present. *)
+  val find : t -> level:int -> digit:int -> (Ntcu_id.Id.t * nstate) option
+  (** The cell at a position, if present, as the table's [get] answers. *)
 
-  val filter : t -> f:(cell -> bool) -> t
-  (** Keep only cells satisfying [f] (used by the Section 6.2 bit-vector
-      reply reduction). *)
+  val filter : t -> f:(level:int -> digit:int -> Ntcu_id.Id.t -> nstate -> bool) -> t
+  (** Keep only the cells satisfying [f], in order (used by the Section 6.2
+      bit-vector reply reduction). *)
 end
 
 val pp : t Fmt.t

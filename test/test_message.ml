@@ -58,7 +58,8 @@ let size_scales_with_cells () =
   let small = Message.size_bytes p (Cp_rly { table = snap }) in
   let empty =
     Message.size_bytes p
-      (Cp_rly { table = Table.Snapshot.filter snap ~f:(fun _ -> false) })
+      (Cp_rly
+         { table = Table.Snapshot.filter snap ~f:(fun ~level:_ ~digit:_ _ _ -> false) })
   in
   check Alcotest.bool "more cells cost more" true (small > empty);
   check Alcotest.int "delta is cells * cell_bytes" (5 * Message.cell_bytes p)
@@ -77,7 +78,8 @@ let bit_vector_accounted () =
     Message.size_bytes p (Join_noti { table = snap; noti_level = 0; filled = None })
   in
   let with_bv =
-    Message.size_bytes p (Join_noti { table = snap; noti_level = 0; filled = Some [] })
+    Message.size_bytes p
+      (Join_noti { table = snap; noti_level = 0; filled = Some (String.make 20 '0') })
   in
   (* d*b = 20 bits -> 3 bytes. *)
   check Alcotest.int "bit vector bytes" 3 (with_bv - without)

@@ -169,6 +169,42 @@ let bulk_build_matches_pushes =
       Pqueue.length bulk = List.length first + List.length second
       && drain bulk [] = drain slow [])
 
+(* Popped and removed elements must not stay reachable from a drained
+   queue: the engine's elements are closures holding delivered messages.
+   Values pushed one by one, in bulk and with handles, some removed, the
+   rest popped; each step runs in its own function so the test's frame
+   keeps none of them. *)
+let drained_queue_releases_values () =
+  let n = 48 in
+  let weak = Weak.create n in
+  let q = Pqueue.create () in
+  let boxed i =
+    let v = Bytes.make 16 (Char.chr (65 + (i mod 26))) in
+    Weak.set weak i (Some v);
+    v
+  in
+  let fill () =
+    for i = 0 to 15 do
+      Pqueue.push q (float_of_int (i mod 5)) (boxed i)
+    done;
+    Pqueue.add_list q (List.init 16 (fun j -> (float_of_int (j mod 3), boxed (16 + j))));
+    List.init 16 (fun j -> Pqueue.push_handle q (float_of_int (j mod 4)) (boxed (32 + j)))
+  in
+  let drain handles =
+    List.iteri (fun j h -> if j mod 2 = 0 then ignore (Pqueue.remove q h : bool)) handles;
+    let popped = ref 0 in
+    while Option.is_some (Pqueue.pop q) do
+      incr popped
+    done;
+    !popped
+  in
+  check Alcotest.int "popped" (n - 8) (drain (fill ()));
+  Gc.full_major ();
+  let reachable = List.filter (Weak.check weak) (List.init n Fun.id) in
+  check Alcotest.(list int) "values still reachable" [] reachable;
+  Pqueue.push q 1. (Bytes.make 1 'x');
+  check Alcotest.int "usable after draining" 1 (Pqueue.length q)
+
 let suites =
   [
     ( "std.pqueue",
@@ -181,6 +217,8 @@ let suites =
         Alcotest.test_case "remove via handle" `Quick remove_leaves_order_intact;
         Alcotest.test_case "stale handles" `Quick stale_handles_safe;
         Alcotest.test_case "foreign handles" `Quick foreign_handles_rejected;
+        Alcotest.test_case "drained queue releases values" `Quick
+          drained_queue_releases_values;
         heap_sorts;
         interleaved_operations;
         bulk_build_matches_pushes;

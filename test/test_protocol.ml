@@ -120,21 +120,27 @@ let all_size_modes_consistent () =
     [ Message.Full; Message.Level_range; Message.Bit_vector ]
 
 let size_modes_reduce_bytes () =
-  let bytes_for mode =
+  (* Each mode's traffic is pinned exactly: the golden trace covers Full mode
+     on a small network only, and only these runs build level-range
+     snapshots and filter replies by the bit vector. *)
+  let bytes_for mode ~messages ~bytes =
     let run =
       Experiment.concurrent_joins ~size_mode:mode
         (Params.make ~b:16 ~d:8)
         ~seed:61 ~n:100 ~m:60 ()
     in
     assert_good_run run;
-    Stats.bytes_sent (Network.global_stats run.net)
+    let stats = Network.global_stats run.net in
+    check Alcotest.int "messages sent" messages (Stats.total_sent stats);
+    check Alcotest.int "bytes sent" bytes (Stats.bytes_sent stats);
+    Stats.bytes_sent stats
   in
-  let full = bytes_for Message.Full in
-  let level = bytes_for Message.Level_range in
+  let full = bytes_for Message.Full ~messages:3279 ~bytes:415620 in
+  let level = bytes_for Message.Level_range ~messages:3277 ~bytes:276722 in
   check Alcotest.bool "level-range cheaper than full" true (level < full);
   (* The bit vector adds d*b/8 bytes per JoinNotiMsg but prunes reply cells;
      it must never cost more than plain level-range by a large factor. *)
-  let bv = bytes_for Message.Bit_vector in
+  let bv = bytes_for Message.Bit_vector ~messages:3277 ~bytes:206844 in
   check Alcotest.bool "bit-vector within level-range ballpark" true
     (float_of_int bv < 1.2 *. float_of_int level)
 

@@ -136,11 +136,11 @@ let snapshot_roundtrip () =
   let snap = Table.Snapshot.of_table t in
   check Alcotest.int "cell count" 6 (Table.Snapshot.cell_count snap);
   (match Table.Snapshot.find snap ~level:0 ~digit:1 with
-  | Some cell -> check Alcotest.string "cell node" "03201" (Id.to_string cell.node)
+  | Some (node, _) -> check Alcotest.string "cell node" "03201" (Id.to_string node)
   | None -> Alcotest.fail "cell missing");
   let low = Table.Snapshot.of_table_levels t ~lo:0 ~hi:0 in
   check Alcotest.int "level filter" 2 (Table.Snapshot.cell_count low);
-  let filtered = Table.Snapshot.filter snap ~f:(fun c -> c.level > 0) in
+  let filtered = Table.Snapshot.filter snap ~f:(fun ~level ~digit:_ _ _ -> level > 0) in
   check Alcotest.int "predicate filter" 4 (Table.Snapshot.cell_count filtered)
 
 let known_nodes_collects () =
@@ -449,6 +449,167 @@ let bounded_removals () =
       ("churned", Rng.create 7, churned_tables ());
     ]
 
+(* ---- the table against a map model ---- *)
+
+(* The model of a table: (level, digit) -> (occupant, state). Random runs of
+   set, clear, set_state and fill_self must leave every reader agreeing with
+   it. Occupants carry the entry's required suffix. Half of the writes
+   reuse an earlier occupant, the owner included, at one of the positions
+   its suffix admits, so one id holds several entries and the owner's self
+   positions change hands. *)
+
+module Pos = Map.Make (struct
+  type t = int * int
+
+  let compare = compare
+end)
+
+let same_entry (x, s) (y, s') = Id.equal x y && Table.nstate_equal s s'
+let same_cells = List.equal (fun (pos, e) (pos', e') -> pos = pos' && same_entry e e')
+
+(* The cells an iterator visits, in its order. *)
+let visited iter =
+  let acc = ref [] in
+  iter (fun ~level ~digit node state -> acc := ((level, digit), (node, state)) :: !acc);
+  List.rev !acc
+
+let expect what ok =
+  if not ok then QCheck.Test.fail_reportf "%s disagrees with the model" what
+
+let random_state rng = if Rng.bool rng then Table.T else Table.S
+
+let model_step rng t pool m =
+  let ({ Params.b; d } as p) = Table.params t in
+  let owner = Table.owner t in
+  let level = Rng.int rng d and digit = Rng.int rng b in
+  match Rng.int rng 8 with
+  | 0 | 1 | 2 ->
+    let node, level, digit =
+      if Rng.bool rng then begin
+        let y = List.nth !pool (Rng.int rng (List.length !pool)) in
+        let level = Rng.int rng (min (Id.csuf_len owner y) (d - 1) + 1) in
+        (y, level, Id.digit y level)
+      end
+      else begin
+        let y = Id.random_with_suffix rng p (Table.required_suffix t ~level ~digit) in
+        pool := y :: !pool;
+        (y, level, digit)
+      end
+    in
+    let state = random_state rng in
+    Table.set t ~level ~digit node state;
+    Pos.add (level, digit) (node, state) m
+  | 3 | 4 ->
+    Table.clear t ~level ~digit;
+    Pos.remove (level, digit) m
+  | 5 | 6 -> (
+    let state = random_state rng in
+    match Pos.find_opt (level, digit) m with
+    | Some (node, _) ->
+      Table.set_state t ~level ~digit state;
+      Pos.add (level, digit) (node, state) m
+    | None ->
+      expect "set_state on an empty entry"
+        (match Table.set_state t ~level ~digit state with
+        | () -> false
+        | exception Invalid_argument _ -> true);
+      m)
+  | _ ->
+    let state = random_state rng in
+    Table.fill_self t state;
+    List.fold_left
+      (fun m level -> Pos.add (level, Id.digit owner level) (owner, state) m)
+      m (List.init d Fun.id)
+
+let table_agrees t pool m =
+  let { Params.b; d } = Table.params t in
+  for level = 0 to d - 1 do
+    for digit = 0 to b - 1 do
+      let want = Pos.find_opt (level, digit) m in
+      expect "get" (Option.equal same_entry want (Table.get t ~level ~digit));
+      expect "neighbor"
+        (Option.equal Id.equal (Option.map fst want) (Table.neighbor t ~level ~digit))
+    done
+  done;
+  let cells = Pos.bindings m in
+  expect "iter" (same_cells cells (visited (Table.iter t)));
+  expect "fold"
+    (same_cells cells
+       (List.rev
+          (Table.fold t ~init:[] ~f:(fun acc ~level ~digit node state ->
+               ((level, digit), (node, state)) :: acc))));
+  expect "filled_count" (Table.filled_count t = List.length cells);
+  expect "known_nodes"
+    (Id.Set.equal (Table.known_nodes t)
+       (Id.Set.of_list (List.map (fun (_, (node, _)) -> node) cells)));
+  List.iter
+    (fun id ->
+      let want =
+        List.filter_map
+          (fun (pos, (node, _)) -> if Id.equal node id then Some pos else None)
+          cells
+      in
+      let got =
+        List.rev
+          (Table.fold_holding t id ~init:[] ~f:(fun acc ~level ~digit ->
+               (level, digit) :: acc))
+      in
+      expect "fold_holding" (want = got))
+    pool
+
+(* Snapshots of the table: the whole of it, levels [lo, hi] for random
+   bounds ([lo > hi] gives none), and a filter of the latter. *)
+let snapshot_agrees rng t m =
+  let { Params.b; d } = Table.params t in
+  let agrees what snap cells =
+    expect (what ^ " owner") (Id.equal (Table.Snapshot.owner snap) (Table.owner t));
+    expect (what ^ " cell_count") (Table.Snapshot.cell_count snap = List.length cells);
+    expect (what ^ " iter") (same_cells cells (visited (Table.Snapshot.iter snap)));
+    for level = 0 to d - 1 do
+      for digit = 0 to b - 1 do
+        expect (what ^ " find")
+          (Option.equal same_entry
+             (List.assoc_opt (level, digit) cells)
+             (Table.Snapshot.find snap ~level ~digit))
+      done
+    done
+  in
+  agrees "of_table" (Table.Snapshot.of_table t) (Pos.bindings m);
+  let lo = Rng.int rng d and hi = Rng.int rng d in
+  let within =
+    List.filter (fun ((level, _), _) -> lo <= level && level <= hi) (Pos.bindings m)
+  in
+  let snap = Table.Snapshot.of_table_levels t ~lo ~hi in
+  agrees "of_table_levels" snap within;
+  let salt = Rng.int rng 3 in
+  let keep ~level ~digit node state =
+    let s = match state with Table.T -> 0 | S -> 1 in
+    (level + digit + salt + Id.hash node + s) mod 3 <> 0
+  in
+  agrees "filter"
+    (Table.Snapshot.filter snap ~f:keep)
+    (List.filter
+       (fun ((level, digit), (node, state)) -> keep ~level ~digit node state)
+       within)
+
+let table_model params =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:100
+       ~name:(Fmt.str "model %a" Params.pp params)
+       QCheck.(int_range 0 100_000)
+       (fun seed ->
+         let rng = Rng.create seed in
+         let owner = Id.random rng params in
+         let t = Table.create params ~owner in
+         let pool = ref [ owner ] in
+         let m = ref Pos.empty in
+         for _ = 1 to 60 do
+           m := model_step rng t pool !m;
+           table_agrees t !pool !m;
+           snapshot_agrees rng t !m
+         done;
+         true))
+
 let suites =
   [
     ( "table",
@@ -467,6 +628,8 @@ let suites =
         Alcotest.test_case "fold_holding, churned" `Quick fold_holding_churned;
         Alcotest.test_case "bounded removals" `Quick bounded_removals;
         Alcotest.test_case "pp" `Quick pp_table_renders;
+        table_model (Params.make ~b:4 ~d:4);
+        table_model Params.paper_sim_d8;
       ] );
     ( "table.suffix_index",
       [
