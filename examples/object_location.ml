@@ -87,8 +87,13 @@ let () =
       (Ntcu_std.Stats.median stretches);
 
   (* Directory load (P3): pointers are spread across nodes. *)
+  let pointers = Directory.pointers dir in
   let loads =
-    Array.map (fun id -> float_of_int (List.length (Directory.pointers_at dir id))) ids
+    Array.map
+      (fun id ->
+        float_of_int
+          (List.length (Option.value (Id.Map.find_opt id pointers) ~default:[])))
+      ids
   in
   Format.printf "directory load per node: mean %.2f pointers, max %.0f@."
     (Ntcu_std.Stats.mean loads)

@@ -29,12 +29,10 @@ type cache_stats = {
 
 type t = {
   lookup : Id.t -> Table.t option;
-  (* node -> (object -> storers) *)
-  pointers : Id.t list ref Id.Tbl.t Id.Tbl.t;
-  (* object -> (storer, pointer trail storer..root).  Invariant: the pointer
-     index holds exactly the entries of these trails, so removal never needs
-     a global scan. *)
-  trails : (Id.t * Id.t list) list ref Id.Tbl.t;
+  (* object -> its publications (storer, trail storer..root), in ascending
+     storer order. No pointer index is kept: the pointers at node X for
+     object o are exactly the storers whose trail for o passes through X. *)
+  mutable trails : (Id.t * Id.t list) list Id.Map.t;
   cache : cache option;
 }
 
@@ -54,7 +52,7 @@ let create ?(cache = 0) ~lookup () =
           c_invalidations = 0;
         }
   in
-  { lookup; pointers = Id.Tbl.create 256; trails = Id.Tbl.create 256; cache }
+  { lookup; trails = Id.Map.empty; cache }
 
 let cache_stats t =
   match t.cache with
@@ -120,54 +118,40 @@ let cache_insert c obj storers =
 
 (* ---- Surrogate routing ------------------------------------------------ *)
 
-(* Bindings of an object-keyed table in ascending Id order: Hashtbl iteration
-   order is unspecified, so every consumer that sees a list gets it sorted. *)
-let sorted_bindings tbl =
-  (Id.Tbl.fold [@ntcu.allow "D002"]) (fun obj v acc -> (obj, v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Id.compare a b)
+(* The surrogate-routing walk from [table]'s owner towards [obj], from level
+   [level] on. At each level it tries digit obj[level], then scans upwards
+   (mod b) for the first filled entry naming a node that still resolves —
+   under churn, table entries can dangle towards departed nodes until repair
+   catches up, and the directory must route around them rather than die on
+   them (on a consistent network every entry resolves and the scan is the
+   plain PRR one). The always-live self-entry ends the scan; it resolves to
+   [table] itself without a lookup. [scan] resumes a level at [digit] with
+   [left] of its b digits untried. Each hop's table is looked up once, when
+   the scan resolves it, and the walk allocates only the path. *)
+let rec walk t obj table level acc =
+  let { Ntcu_id.Params.b; d } = Table.params table in
+  if level >= d then Ok (List.rev (Table.owner table :: acc))
+  else scan t obj table level (Id.digit obj level) b acc
 
-(* One surrogate-routing step from [table]'s owner towards [obj], resolving
-   level [level]: try digit obj[level], then scan upwards (mod b) for the
-   first filled entry naming a node that still resolves — under churn, table
-   entries can dangle towards departed nodes until repair catches up, and the
-   directory must route around them rather than die on them (on a consistent
-   network every entry resolves and the scan is the plain PRR one). The
-   always-live self-entry guarantees the scan terminates; it resolves to
-   [table] itself without a lookup. Returns the next hop with its table. *)
-let surrogate_hop t table ~obj ~level =
-  let p = Table.params table in
+and scan t obj table level digit left acc =
   let self = Table.owner table in
-  let rec scan tried j =
-    if tried >= p.b then None
-    else begin
-      match Table.neighbor table ~level ~digit:j with
-      | Some n when Id.equal n self -> Some (n, table)
-      | Some n -> (
-        match t.lookup n with
-        | Some next -> Some (n, next)
-        | None -> scan (tried + 1) ((j + 1) mod p.b))
-      | None -> scan (tried + 1) ((j + 1) mod p.b)
-    end
-  in
-  scan 0 (Id.digit obj level)
+  let skipped = Table.scan_filled table ~level ~start:digit ~count:left in
+  if skipped >= left then Error (Route.Dead_end { at = self; level })
+  else begin
+    let b = (Table.params table).b in
+    let digit = (digit + skipped) mod b in
+    let node = Table.occupant table ~level ~digit in
+    if Id.equal node self then walk t obj table (level + 1) acc
+    else
+      match t.lookup node with
+      | Some next -> walk t obj next (level + 1) (self :: acc)
+      | None -> scan t obj table level ((digit + 1) mod b) (left - skipped - 1) acc
+  end
 
-(* Each hop's table is looked up once, when the previous hop's scan
-   resolves it. *)
 let root_path t ~from obj =
-  let rec go current table level acc =
-    let p = Table.params table in
-    if level >= p.d then Ok (List.rev (current :: acc))
-    else begin
-      match surrogate_hop t table ~obj ~level with
-      | None -> Error (Route.Dead_end { at = current; level })
-      | Some (next, next_table) ->
-        if Id.equal next current then go current table (level + 1) acc
-        else go next next_table (level + 1) (current :: acc)
-    end
-  in
   match t.lookup from with
   | None -> Error (Route.Unknown_node from)
-  | Some table -> go from table 0 []
+  | Some table -> walk t obj table 0 []
 
 let root_of t ~from obj =
   match root_path t ~from obj with
@@ -178,91 +162,50 @@ let root_of t ~from obj =
   end
   | Error e -> Error e
 
-(* ---- Pointer and trail bookkeeping ------------------------------------ *)
+(* ---- Trails ------------------------------------------------------------ *)
 
-let node_pointers t node =
-  match Id.Tbl.find_opt t.pointers node with
-  | Some tbl -> tbl
-  | None ->
-    let tbl = Id.Tbl.create 8 in
-    Id.Tbl.add t.pointers node tbl;
-    tbl
+let trails_of t obj = Option.value (Id.Map.find_opt obj t.trails) ~default:[]
 
-let install_pointers t path obj storer =
-  List.iter
-    (fun node ->
-      let tbl = node_pointers t node in
-      match Id.Tbl.find_opt tbl obj with
-      | Some storers ->
-        if not (List.exists (Id.equal storer) !storers) then storers := storer :: !storers
-      | None -> Id.Tbl.add tbl obj (ref [ storer ]))
-    path
+(* The pointer entries a trail holds: one per distinct node on it. *)
+let rec pointer_count = function
+  | [] -> 0
+  | node :: rest ->
+    (if List.exists (Id.equal node) rest then 0 else 1) + pointer_count rest
 
-let remove_pointer t node obj storer =
-  match Id.Tbl.find_opt t.pointers node with
-  | None -> 0
-  | Some tbl -> (
-    match Id.Tbl.find_opt tbl obj with
-    | None -> 0
-    | Some storers ->
-      let before = List.length !storers in
-      storers := List.filter (fun s -> not (Id.equal s storer)) !storers;
-      let removed = before - List.length !storers in
-      if List.is_empty !storers then Id.Tbl.remove tbl obj;
-      if Id.Tbl.length tbl = 0 then Id.Tbl.remove t.pointers node;
-      removed)
-
-(* Drop the (obj, storer) trail and every pointer it installed; returns the
-   number of pointer entries removed. *)
-let drop_trail t obj storer =
-  match Id.Tbl.find_opt t.trails obj with
-  | None -> 0
-  | Some r -> (
-    match List.find_opt (fun (s, _) -> Id.equal s storer) !r with
-    | None -> 0
-    | Some (_, path) ->
-      r := List.filter (fun (s, _) -> not (Id.equal s storer)) !r;
-      if List.is_empty !r then Id.Tbl.remove t.trails obj;
-      List.fold_left (fun acc node -> acc + remove_pointer t node obj storer) 0 path)
-
-let set_trail t obj storer path =
-  let r =
-    match Id.Tbl.find_opt t.trails obj with
-    | Some r -> r
-    | None ->
-      let r = ref [] in
-      Id.Tbl.add t.trails obj r;
-      r
-  in
-  r := (storer, path) :: List.filter (fun (s, _) -> not (Id.equal s storer)) !r
+(* [trails] with the storer's trail set to [path], in ascending storer
+   order. *)
+let rec with_trail storer path = function
+  | (s, _) :: rest when Id.equal s storer -> (storer, path) :: rest
+  | ((s, _) as trail) :: rest when Id.compare s storer < 0 ->
+    trail :: with_trail storer path rest
+  | trails -> (storer, path) :: trails
 
 (* ---- Publish / unpublish ---------------------------------------------- *)
 
-let publish t ~storer obj =
-  match root_path t ~from:storer obj with
+(* Publish from [storer], whose table is [table]. *)
+let publish_from t ~storer table obj =
+  match walk t obj table 0 [] with
   | Error e -> Error e
   | Ok path ->
-    ignore (drop_trail t obj storer : int);
-    install_pointers t path obj storer;
-    set_trail t obj storer path;
+    t.trails <- Id.Map.add obj (with_trail storer path (trails_of t obj)) t.trails;
     cache_invalidate t obj;
     Ok (List.length path - 1)
 
+let publish t ~storer obj =
+  match t.lookup storer with
+  | None -> Error (Route.Unknown_node storer)
+  | Some table -> publish_from t ~storer table obj
+
 let unpublish t ~storer obj =
-  ignore (drop_trail t obj storer : int);
+  (match List.partition (fun (s, _) -> Id.equal s storer) (trails_of t obj) with
+  | [], _ -> ()
+  | _, [] -> t.trails <- Id.Map.remove obj t.trails
+  | _, kept -> t.trails <- Id.Map.add obj kept t.trails);
   cache_invalidate t obj
 
-let storers t obj =
-  match Id.Tbl.find_opt t.trails obj with
-  | None -> []
-  | Some r -> List.sort Id.compare (List.map fst !r)
+let storers t obj = List.map fst (trails_of t obj)
 
 (* ---- Queries ----------------------------------------------------------- *)
-
-let pointers_for t node obj =
-  match Id.Tbl.find_opt t.pointers node with
-  | Some tbl -> Id.Tbl.find_opt tbl obj
-  | None -> None
 
 type locate_result = {
   all_storers : Id.t list;
@@ -290,37 +233,52 @@ let locate t ~client obj =
     match root_path t ~from:client obj with
     | Error e -> Error e
     | Ok path ->
-      let first = ref None in
-      let union = ref Id.Set.empty in
-      List.iteri
-        (fun i node ->
-          match pointers_for t node obj with
-          | Some storers ->
-            union := List.fold_left (fun acc s -> Id.Set.add s acc) !union !storers;
-            if Option.is_none !first then first := Some (node, !storers, i)
-          | None -> ())
-        path;
-      let all = Id.Set.elements !union in
-      let first_node, first_storers, first_depth =
-        match !first with
-        | Some (node, ss, depth) -> (node, ss, depth)
-        | None ->
-          let hops = List.length path - 1 in
-          (List.nth path hops, [], hops)
+      (* Each storer whose trail meets the path, at the depth of the first
+         node they share: the walk meets that storer's pointer there. *)
+      let met =
+        List.filter_map
+          (fun (s, trail) ->
+            List.find_index (fun node -> List.exists (Id.equal node) trail) path
+            |> Option.map (fun depth -> (s, depth)))
+          (trails_of t obj)
       in
+      let all = List.map fst met in
+      (* The first pointer on the path, or the root when there is none. *)
+      let first_depth =
+        List.fold_left (fun acc (_, depth) -> Int.min acc depth) (List.length path - 1) met
+      in
+      let first_storers =
+        List.filter_map (fun (s, depth) -> if depth = first_depth then Some s else None) met
+      in
+      let first_node = List.nth path first_depth in
       (match t.cache with
       | Some c when not (List.is_empty all) -> cache_insert c obj all
       | _ -> ());
       Ok { all_storers = all; first_storers; first_node; first_depth; path; cached = false })
 
-let pointers_at t node =
-  match Id.Tbl.find_opt t.pointers node with
-  | Some tbl -> List.map (fun (obj, storers) -> (obj, !storers)) (sorted_bindings tbl)
-  | None -> []
+let pointers t =
+  (* Objects ascend in the fold and storers within each object, so each
+     node's list is built newest first and reversed once. A trail that
+     revisits a node finds itself already at the head. *)
+  let add obj storer map node =
+    Id.Map.update node
+      (function
+        | Some ((o, s :: _) :: _) as held when Id.equal o obj && Id.equal s storer -> held
+        | Some ((o, storers) :: rest) when Id.equal o obj ->
+          Some ((o, storer :: storers) :: rest)
+        | Some held -> Some ((obj, [ storer ]) :: held)
+        | None -> Some [ (obj, [ storer ]) ])
+      map
+  in
+  Id.Map.fold
+    (fun obj trails map ->
+      List.fold_left
+        (fun map (storer, trail) -> List.fold_left (add obj storer) map trail)
+        map trails)
+    t.trails Id.Map.empty
+  |> Id.Map.map (List.rev_map (fun (obj, storers) -> (obj, List.rev storers)))
 
-let published_objects t =
-  (Id.Tbl.fold [@ntcu.allow "D002"]) (fun obj _ acc -> obj :: acc) t.trails []
-  |> List.sort Id.compare
+let published_objects t = List.map fst (Id.Map.bindings t.trails)
 
 (* ---- Maintenance ------------------------------------------------------- *)
 
@@ -334,55 +292,44 @@ type maintain_stats = {
   first_error : Route.error option;
 }
 
-(* Commutative sum over every pointer entry: order-independent. *)
-let total_pointer_entries t =
-  (Id.Tbl.fold [@ntcu.allow "D002"])
-    (fun _node tbl acc ->
-      (Id.Tbl.fold [@ntcu.allow "D002"])
-        (fun _obj storers acc -> acc + List.length !storers)
-        tbl acc)
-    t.pointers 0
-
-(* Snapshot of the trail index in ascending (object, storer) Id order:
-   republishing order decides the order storer lists are rebuilt in, which is
-   visible through [pointers_at]/[locate], so maintenance walks a
-   sorted snapshot and is deterministic. *)
-let sorted_trails t =
-  (Id.Tbl.fold [@ntcu.allow "D002"]) (fun obj r acc -> (obj, !r) :: acc) t.trails []
-  |> List.sort (fun (a, _) (b, _) -> Id.compare a b)
-  |> List.map (fun (obj, ts) ->
-         (obj, List.sort (fun (a, _) (b, _) -> Id.compare a b) ts))
+(* Both passes visit the trails in ascending (object, storer) order, which
+   decides [first_error]. *)
 
 let maintain_full t =
-  let snapshot = sorted_trails t in
-  let dropped = total_pointer_entries t in
-  Id.Tbl.reset t.pointers;
-  Id.Tbl.reset t.trails;
+  let snapshot = t.trails in
+  let dropped =
+    Id.Map.fold
+      (fun _ trails acc ->
+        List.fold_left (fun acc (_, trail) -> acc + pointer_count trail) acc trails)
+      snapshot 0
+  in
+  t.trails <- Id.Map.empty;
   cache_clear t;
   let republished = ref 0 in
   let hops = ref 0 in
   let errors = ref 0 in
   let first_error = ref None in
-  List.iter
-    (fun (obj, ts) ->
+  Id.Map.iter
+    (fun obj trails ->
       let touched = ref false in
       List.iter
         (fun (storer, _old_trail) ->
           (* Departed storers have no table any more; their replicas are gone. *)
-          if Option.is_some (t.lookup storer) then begin
-            match publish t ~storer obj with
+          match t.lookup storer with
+          | None -> ()
+          | Some table -> (
+            match publish_from t ~storer table obj with
             | Ok h ->
               hops := !hops + h;
               touched := true
             | Error e ->
               incr errors;
-              if Option.is_none !first_error then first_error := Some e
-          end)
-        ts;
+              if Option.is_none !first_error then first_error := Some e))
+        trails;
       if !touched then incr republished)
     snapshot;
   {
-    objects = List.length snapshot;
+    objects = Id.Map.cardinal snapshot;
     republished = !republished;
     dropped;
     publish_hops = !hops;
@@ -392,48 +339,55 @@ let maintain_full t =
   }
 
 let maintain t =
-  let snapshot = sorted_trails t in
+  let objects = Id.Map.cardinal t.trails in
   let republished = ref 0 in
   let dropped = ref 0 in
   let hops = ref 0 in
   let revalidated = ref 0 in
   let errors = ref 0 in
   let first_error = ref None in
-  List.iter
-    (fun (obj, ts) ->
-      let touched = ref false in
-      List.iter
-        (fun (storer, trail) ->
-          if Option.is_none (t.lookup storer) then begin
+  (* The object's trails after the pass, still in ascending storer order. *)
+  let revalidate obj trails =
+    let touched = ref false in
+    let kept =
+      List.filter_map
+        (fun ((storer, trail) as publication) ->
+          match t.lookup storer with
+          | None ->
             (* The replica departed with its storer: retract its trail. *)
-            dropped := !dropped + drop_trail t obj storer;
-            cache_invalidate t obj
-          end
-          else begin
-            match root_path t ~from:storer obj with
+            dropped := !dropped + pointer_count trail;
+            cache_invalidate t obj;
+            None
+          | Some table -> (
+            match walk t obj table 0 [] with
             | Ok path when List.equal Id.equal path trail ->
               (* The trail still lies on the current surrogate path (same
                  root, same hops): every pointer on it is exactly where a
                  query will look, so nothing moves. *)
-              incr revalidated
+              incr revalidated;
+              Some publication
             | Ok path ->
-              dropped := !dropped + drop_trail t obj storer;
-              install_pointers t path obj storer;
-              set_trail t obj storer path;
+              dropped := !dropped + pointer_count trail;
               hops := !hops + List.length path - 1;
               cache_invalidate t obj;
-              touched := true
+              touched := true;
+              Some (storer, path)
             | Error e ->
-              dropped := !dropped + drop_trail t obj storer;
+              dropped := !dropped + pointer_count trail;
               cache_invalidate t obj;
               incr errors;
-              if Option.is_none !first_error then first_error := Some e
-          end)
-        ts;
-      if !touched then incr republished)
-    snapshot;
+              if Option.is_none !first_error then first_error := Some e;
+              None))
+        trails
+    in
+    if !touched then incr republished;
+    kept
+  in
+  t.trails <-
+    Id.Map.mapi revalidate t.trails
+    |> Id.Map.filter (fun _ kept -> not (List.is_empty kept));
   {
-    objects = List.length snapshot;
+    objects;
     republished = !republished;
     dropped = !dropped;
     publish_hops = !hops;

@@ -14,15 +14,18 @@
     (property P2). This layer reproduces the paper's background Section 2 and
     PRR's directory semantics; it is kept outside the join protocol.
 
-    The directory keeps the {e trail} of every (object, storer) publication —
-    the exact pointer path it installed — so retraction and incremental
-    maintenance never need a global scan, and it optionally memoizes query
-    results in a bounded LRU hop-pointer cache (see {!create}). *)
+    The directory's only state is the {e trail} of every (object, storer)
+    publication, the path along which it left pointers. The pointers at node
+    [X] for object [o] are exactly the storers whose trail for [o] passes
+    through [X], so they are read off the trails; no per-node index is kept.
+    Query results can be memoized in a bounded LRU hop-pointer cache (see
+    {!create}). *)
 
 type t
 
 val create : ?cache:int -> lookup:(Ntcu_id.Id.t -> Ntcu_table.Table.t option) -> unit -> t
-(** [lookup] resolves node IDs to their (consistent) neighbor tables.
+(** [lookup] resolves node IDs to their (consistent) neighbor tables; the
+    table it returns for an ID is the one that ID owns.
     [?cache] (default [0] = disabled) bounds the LRU hop-pointer cache used
     by {!locate}: a capacity of [k] keeps the [k] most recently queried
     objects' storer sets and answers repeat queries at depth 0. Entries are
@@ -31,7 +34,8 @@ val create : ?cache:int -> lookup:(Ntcu_id.Id.t -> Ntcu_table.Table.t option) ->
     @raise Invalid_argument if [cache < 0]. *)
 
 val root_path : t -> from:Ntcu_id.Id.t -> Ntcu_id.Id.t -> (Ntcu_id.Id.t list, Route.error) result
-(** Surrogate-routing path from a node to the object's root, both inclusive. *)
+(** Surrogate-routing path from a node to the object's root, both inclusive.
+    The walk allocates only the path. *)
 
 val root_of : t -> from:Ntcu_id.Id.t -> Ntcu_id.Id.t -> (Ntcu_id.Id.t, Route.error) result
 
@@ -54,8 +58,9 @@ type locate_result = {
           Id order. The root carries every trail, so on a maintained
           directory this is the complete surviving replica set. *)
   first_storers : Ntcu_id.Id.t list;
-      (** Copies listed at the first pointer hit (equals [all_storers] on a
-          cache hit; [[]] if the object is unpublished). *)
+      (** Copies listed at the first pointer hit, ascending Id order (equals
+          [all_storers] on a cache hit; [[]] if the object is
+          unpublished). *)
   first_node : Ntcu_id.Id.t;
       (** First pointer node ([client] on a cache hit; the root if no
           pointer was found). *)
@@ -73,8 +78,10 @@ val locate : t -> client:Ntcu_id.Id.t -> Ntcu_id.Id.t -> (locate_result, Route.e
     depth 0; misses populate the cache (objects with no storers are not
     cached). *)
 
-val pointers_at : t -> Ntcu_id.Id.t -> (Ntcu_id.Id.t * Ntcu_id.Id.t list) list
-(** [(object, storers)] pointers held at a node (directory load; P3). *)
+val pointers : t -> (Ntcu_id.Id.t * Ntcu_id.Id.t list) list Ntcu_id.Id.Map.t
+(** Every node's [(object, storers)] pointers, built in one pass over the
+    trails, objects and storers in ascending Id order (directory load; P3).
+    Nodes holding no pointer are absent. *)
 
 val published_objects : t -> Ntcu_id.Id.t list
 (** Objects with at least one trail, ascending Id order. *)
@@ -94,7 +101,7 @@ val cache_stats : t -> cache_stats
 type maintain_stats = {
   objects : int;  (** Objects tracked when maintenance began. *)
   republished : int;  (** Objects with at least one trail rebuilt. *)
-  dropped : int;  (** Pointer entries removed. *)
+  dropped : int;  (** Pointer entries removed (a trail's distinct nodes). *)
   publish_hops : int;  (** Pointer-installation hops walked republishing. *)
   revalidated : int;
       (** Trails found intact and left in place (0 for {!maintain_full}). *)

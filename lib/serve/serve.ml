@@ -191,12 +191,14 @@ let run_static cfg =
   let lookups_per_s =
     if makespan > 0. then float_of_int cfg.lookups /. (makespan /. 1000.) else 0.
   in
+  let pointers = Directory.pointers dir in
   let loads =
     Array.map
       (fun id ->
         List.fold_left
           (fun acc (_obj, storers) -> acc + List.length storers)
-          0 (Directory.pointers_at dir id))
+          0
+          (Option.value (Id.Map.find_opt id pointers) ~default:[]))
       member_arr
   in
   let load_max = Array.fold_left max 0 loads in

@@ -66,6 +66,20 @@ let neighbor t ~level ~digit =
   let i = index t ~level ~digit in
   if is_vacant t i then None else Some t.nodes.(i)
 
+(* The scan reads one state byte per entry and keeps its cursor in locals,
+   so it allocates nothing. *)
+let scan_filled t ~level ~start ~count =
+  let b = t.params.b in
+  let row = index t ~level ~digit:start - start in
+  let skipped = ref 0 and digit = ref start in
+  while !skipped < count && is_vacant t (row + !digit) do
+    incr skipped;
+    digit := if !digit + 1 = b then 0 else !digit + 1
+  done;
+  !skipped
+
+let occupant t ~level ~digit = t.nodes.(index t ~level ~digit)
+
 let required_suffix t ~level ~digit =
   ignore (index t ~level ~digit);
   Array.init (level + 1) (fun i -> if i = level then digit else Id.digit t.owner i)

@@ -36,6 +36,17 @@ val get : t -> level:int -> digit:int -> (Ntcu_id.Id.t * nstate) option
 
 val neighbor : t -> level:int -> digit:int -> Ntcu_id.Id.t option
 
+val scan_filled : t -> level:int -> start:int -> count:int -> int
+(** The number [k] of empty entries met scanning at most [count] of the
+    level's digits from [start] upwards (mod [b]): digit [(start + k) mod b]
+    is filled if [k < count]. Allocates nothing.
+    @raise Invalid_argument if [level] or [start] is out of range. *)
+
+val occupant : t -> level:int -> digit:int -> Ntcu_id.Id.t
+(** {!neighbor} without the option, for a filled entry (an empty one
+    answers the owner).
+    @raise Invalid_argument if out of range. *)
+
 val set : t -> level:int -> digit:int -> Ntcu_id.Id.t -> nstate -> unit
 (** Unconditional write (the protocol layer decides when writes are legal).
     @raise Invalid_argument if the node's ID does not have the suffix required

@@ -119,12 +119,12 @@ let unpublish_is_exact =
       (* Idempotent. *)
       Directory.unpublish dir ~storer:s1 obj;
       let no_pointer_to_s1 =
-        Array.for_all
-          (fun node ->
+        Id.Map.for_all
+          (fun _node held ->
             List.for_all
               (fun (_, storers) -> not (List.exists (Id.equal s1) storers))
-              (Directory.pointers_at dir node))
-          ids
+              held)
+          (Directory.pointers dir)
       in
       no_pointer_to_s1
       && List.equal Id.equal [ s2 ] (Directory.storers dir obj)
@@ -190,6 +190,7 @@ let maintain_restores_p1 () =
 (* Canonical dump of every installed pointer as node/object/storer triples;
    two directories over the same membership must agree exactly. *)
 let dump dir ids =
+  let pointers = Directory.pointers dir in
   List.concat_map
     (fun node ->
       List.concat_map
@@ -197,7 +198,7 @@ let dump dir ids =
           List.map
             (fun s -> Fmt.str "%a/%a/%a" Id.pp node Id.pp obj Id.pp s)
             storers)
-        (Directory.pointers_at dir node))
+        (Option.value (Id.Map.find_opt node pointers) ~default:[]))
     ids
   |> List.sort String.compare
 

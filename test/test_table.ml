@@ -528,7 +528,11 @@ let table_agrees t pool m =
       let want = Pos.find_opt (level, digit) m in
       expect "get" (Option.equal same_entry want (Table.get t ~level ~digit));
       expect "neighbor"
-        (Option.equal Id.equal (Option.map fst want) (Table.neighbor t ~level ~digit))
+        (Option.equal Id.equal (Option.map fst want) (Table.neighbor t ~level ~digit));
+      Option.iter
+        (fun (node, _) ->
+          expect "occupant" (Id.equal node (Table.occupant t ~level ~digit)))
+        want
     done
   done;
   let cells = Pos.bindings m in
@@ -556,6 +560,18 @@ let table_agrees t pool m =
       in
       expect "fold_holding" (want = got))
     pool
+
+(* The level scan at a random level, start and count against one
+   [Table.neighbor] read per digit from [start] upwards (mod b). *)
+let scan_agrees rng t =
+  let { Params.b; d } = Table.params t in
+  let level = Rng.int rng d and start = Rng.int rng b and count = Rng.int rng (b + 1) in
+  let rec per_digit k =
+    if k >= count || Option.is_some (Table.neighbor t ~level ~digit:((start + k) mod b))
+    then k
+    else per_digit (k + 1)
+  in
+  expect "scan_filled" (Table.scan_filled t ~level ~start ~count = per_digit 0)
 
 (* Snapshots of the table: the whole of it, levels [lo, hi] for random
    bounds ([lo > hi] gives none), and a filter of the latter. *)
@@ -606,6 +622,7 @@ let table_model params =
          for _ = 1 to 60 do
            m := model_step rng t pool !m;
            table_agrees t !pool !m;
+           scan_agrees rng t;
            snapshot_agrees rng t !m
          done;
          true))
